@@ -8,6 +8,8 @@ before any simulation starts.
 from __future__ import annotations
 
 import copy
+import math
+import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -106,22 +108,33 @@ _NULLABLE = {"environment.seed", "sensor.seed", "rule_file"}
 # Keys holding free-form subtrees that get dedicated validation.
 _LIST_OF_MAPS = {"path", "environment.obstacles"}
 _FREE_MAPS = {"tuner.grid"}
+# `name` becomes the stem of every output file, so it may not hold a path.
+_NAME_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
 def _type_name(value: Any) -> str:
     return type(value).__name__
 
 
+def _check_number(path: str, value: Any) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigInvalid(f"{path}: expected a number, got {_type_name(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigInvalid(f"{path}: expected a finite number, got {value}")
+
+
 def _check_scalar(path: str, default: Any, value: Any) -> Any:
     if value is None and path in _NULLABLE:
         return None
+    if isinstance(value, float):
+        # NaN and infinities are rejected whatever type the key holds.
+        _check_number(path, value)
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigInvalid(f"{path}: expected a boolean, got {_type_name(value)}")
         return value
     if isinstance(default, (int, float)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigInvalid(f"{path}: expected a number, got {_type_name(value)}")
+        _check_number(path, value)
         return value
     if isinstance(default, str) or default is None or default == _REQUIRED:
         return value
@@ -201,12 +214,19 @@ def validate_config(raw: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         if not isinstance(values, list) or not values:
             raise ConfigInvalid(f"tuner.grid.{gain}: expected a nonempty list")
         for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigInvalid(f"tuner.grid.{gain}: expected numbers, got {_type_name(v)}")
+            _check_number(f"tuner.grid.{gain}", v)
     for axis in ("x", "z"):
-        value = effective["setpoint"][axis]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigInvalid(f"setpoint.{axis}: expected a number, got {_type_name(value)}")
+        _check_number(f"setpoint.{axis}", effective["setpoint"][axis])
+        if effective["press_direction"][axis] not in (1, -1):
+            raise ConfigInvalid(
+                f"press_direction.{axis}: expected 1 or -1, "
+                f"got {effective['press_direction'][axis]!r}"
+            )
+    name = effective["name"]
+    if not isinstance(name, str) or not _NAME_PATTERN.fullmatch(name):
+        raise ConfigInvalid(
+            f"name: expected a file name stem ({_NAME_PATTERN.pattern}), got {name!r}"
+        )
     return effective
 
 

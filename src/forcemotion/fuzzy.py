@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Tuple
 
@@ -100,13 +101,25 @@ class FuzzySet:
 
 
 def fuzzify(x: float, family: MembershipFamily) -> FuzzySet:
-    """Map a crisp value to membership degrees, clamping x to the universe."""
-    x = min(max(x, family.centers[0]), family.centers[-1])
+    """Map a crisp value to membership degrees, clamping x to the universe.
+
+    Gives the degrees of `MembershipFamily.membership`, bit for bit. Only
+    labels whose center is within one spacing of x can be nonzero, so the
+    triangle is evaluated for the four labels k-1 .. k+2 around the center
+    k at or below x, a one-label margin on each side. Once x is clamped, a
+    shoulder equals its triangle (both are 1.0 at the end center).
+    """
+    centers = family.centers
+    lo = centers[0]
+    x = min(max(x, lo), centers[-1])
     degrees = {}
-    for label in LABELS:
-        d = family.membership(label, x)
-        if d > 0.0:
-            degrees[label] = d
+    if x == x:  # NaN has degree 0 in every label
+        w = family.half_width
+        k = int((x - lo) / w)
+        for i in range(max(k - 1, 0), min(k + 3, len(LABELS))):
+            t = 1.0 - abs(x - centers[i]) / w
+            if t > 0.0:
+                degrees[LABELS[i]] = t
     return FuzzySet(degrees)
 
 
@@ -193,13 +206,14 @@ class RuleFiring(NamedTuple):
 
 def fire_rules(e_set: FuzzySet, de_set: FuzzySet, rules: RuleBase) -> List[RuleFiring]:
     """Evaluate every rule whose antecedents both have nonzero degree."""
+    table = rules.table
     firings = []
     for e_label, mu_e in e_set.degrees.items():
         for de_label, mu_de in de_set.degrees.items():
-            strength = min(mu_e, mu_de)
+            strength = mu_de if mu_de < mu_e else mu_e
             if strength > 0.0:
                 firings.append(
-                    RuleFiring(e_label, de_label, rules.lookup(e_label, de_label), strength)
+                    RuleFiring(e_label, de_label, table[(e_label, de_label)], strength)
                 )
     return firings
 
@@ -220,15 +234,6 @@ class AggregatedOutput:
             if not 0.0 <= clip <= 1.0:
                 raise ValueError(f"clip of {label.name} out of [0, 1]: {clip}")
 
-    def evaluate(self, x: float) -> float:
-        """Pointwise value of the aggregated membership function."""
-        best = 0.0
-        for label, clip in self.clips.items():
-            v = min(clip, self.family.membership(label, x))
-            if v > best:
-                best = v
-        return best
-
 
 def infer(
     e_set: FuzzySet,
@@ -238,26 +243,10 @@ def infer(
 ) -> AggregatedOutput:
     """Mamdani inference: min-AND firing, clip implication, max aggregation."""
     clips: Dict[Label, float] = {}
-    for firing in fire_rules(e_set, de_set, rules):
-        prev = clips.get(firing.out_label, 0.0)
-        if firing.strength > prev:
-            clips[firing.out_label] = firing.strength
+    for _, _, out_label, strength in fire_rules(e_set, de_set, rules):
+        if strength > clips.get(out_label, 0.0):
+            clips[out_label] = strength
     return AggregatedOutput(out_family, clips)
-
-
-def _shape_kinks(family: MembershipFamily, label: Label, clip: float) -> List[float]:
-    """Breakpoints of one clipped shape, restricted to the universe."""
-    c = family.center(label)
-    w = family.half_width
-    flat = w * (1.0 - clip)
-    if label is Label.NL:
-        kinks = [family.centers[0], c + flat, c + w]
-    elif label is Label.PL:
-        kinks = [c - w, c - flat, family.centers[-1]]
-    else:
-        kinks = [c - w, c - flat, c + flat, c + w]
-    lo, hi = family.centers[0], family.centers[-1]
-    return [x for x in kinks if lo <= x <= hi]
 
 
 def defuzzify_coa(agg: AggregatedOutput) -> float:
@@ -267,48 +256,93 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
     shoulders), so the centroid is computed exactly by splitting [-1, 1] at
     every shape kink and pairwise crossing and integrating segment by
     segment. Returns 0 when no rule fired (zero total area).
+
+    The preset traces are pinned by hash, so the floating-point operations
+    and their order are fixed: every clipped shape keeps its line on every
+    segment (a triangle's foot can evaluate to ~2e-16, not 0), crossings
+    are cut 1e-15 inside the segment, and the envelope is the first line
+    of maximal value at each sub-segment's midpoint. Each shape is
+    evaluated once per breakpoint, and a segment on which every shape is
+    exactly 0 is skipped, since it adds no cut and no area.
     """
     if not agg.clips:
         return 0.0
     family = agg.family
-    lo, hi = family.centers[0], family.centers[-1]
+    centers = family.centers
+    lo, hi = centers[0], centers[-1]
+    w = family.half_width
+
+    shapes = []
     breakpoints = {lo, hi}
     for label, clip in agg.clips.items():
-        breakpoints.update(_shape_kinks(family, label, clip))
+        c = centers[label.value + 3]
+        flat = w * (1.0 - clip)
+        if label is Label.NL:
+            kinks = (lo, c + flat, c + w)
+        elif label is Label.PL:
+            kinks = (c - w, c - flat, hi)
+        else:
+            kinks = (c - w, c - flat, c + flat, c + w)
+        for x in kinks:
+            if lo <= x <= hi:
+                breakpoints.add(x)
+        shapes.append((c, clip))
     xs = sorted(breakpoints)
+
+    # Value of each clipped shape at each breakpoint: min(clip, membership).
+    # Breakpoints lie in [lo, hi], where a shoulder equals its triangle
+    # (both are 1.0 at the end center), so one expression covers every label.
+    rows = []
+    for c, clip in shapes:
+        row = []
+        for x in xs:
+            t = 1.0 - abs(x - c) / w
+            if not t > 0.0:
+                t = 0.0
+            row.append(t if t < clip else clip)
+        rows.append(row)
+    columns = list(zip(*rows))
+    points = list(zip(xs, columns, map(any, columns)))
 
     area = 0.0
     moment = 0.0
-    for a, b in zip(xs, xs[1:]):
-        if b - a <= 1e-15:
+    for (a, fas, live_a), (b, fbs, live_b) in zip(points, points[1:]):
+        if not (live_a or live_b):
+            continue
+        span = b - a
+        if span <= 1e-15:
             continue
         # Each clipped shape is linear on [a, b]; reconstruct its line.
         lines = []
-        for label, clip in agg.clips.items():
-            fa = min(clip, family.membership(label, a))
-            fb = min(clip, family.membership(label, b))
-            m = (fb - fa) / (b - a)
+        for fa, fb in zip(fas, fbs):
+            m = (fb - fa) / span
             lines.append((m, fa - m * a))
         # The envelope may switch lines inside the interval: split at crossings.
-        cuts = {a, b}
-        for i in range(len(lines)):
-            for j in range(i + 1, len(lines)):
-                mi, qi = lines[i]
-                mj, qj = lines[j]
-                if mi == mj:
-                    continue
-                x = (qj - qi) / (mi - mj)
-                if a + 1e-15 < x < b - 1e-15:
-                    cuts.add(x)
-        for p, r in zip(sorted(cuts), sorted(cuts)[1:]):
+        cuts = [a, b]
+        if len(lines) > 1:
+            inner_lo, inner_hi = a + 1e-15, b - 1e-15
+            for (mi, qi), (mj, qj) in combinations(lines, 2):
+                if mi != mj:
+                    x = (qj - qi) / (mi - mj)
+                    if inner_lo < x < inner_hi:
+                        cuts.append(x)
+            cuts.sort()
+        for p, r in zip(cuts, cuts[1:]):
             if r - p <= 1e-15:
                 continue
             mid = 0.5 * (p + r)
-            m, q = max(lines, key=lambda ln: ln[0] * mid + ln[1])
-            if m * mid + q <= 0.0:
+            # The first line of maximal value at the midpoint.
+            m, q = lines[0]
+            top = m * mid + q
+            for mk, qk in lines:
+                v = mk * mid + qk
+                if v > top:
+                    m, q, top = mk, qk, v
+            if top <= 0.0:
                 continue
-            area += 0.5 * m * (r * r - p * p) + q * (r - p)
-            moment += m * (r**3 - p**3) / 3.0 + 0.5 * q * (r * r - p * p)
+            squares = r * r - p * p
+            area += 0.5 * m * squares + q * (r - p)
+            moment += m * (r**3 - p**3) / 3.0 + 0.5 * q * squares
     if area <= _EMPTY_AGGREGATE_AREA:
         return 0.0
     return moment / area

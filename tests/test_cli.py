@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import yaml
 
 from forcemotion.cli import main
@@ -47,6 +48,35 @@ class TestRunCommand:
         assert code == 2
         assert "dtt" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "override,key",
+        [
+            ("dt=.nan", "dt"),
+            ("setpoint.z=.nan", "setpoint.z"),
+            ("setpoint.x=-.inf", "setpoint.x"),
+            ("press_direction.x=0.5", "press_direction.x"),
+        ],
+    )
+    def test_bad_numbers_exit_2_naming_the_key(self, override, key, tmp_path, capsys):
+        out = tmp_path / "results"
+        code = run_cli(
+            "run", "--preset", "exp1", "--controller", "pi",
+            "--set", override, "--out", str(out),
+        )
+        assert code == 2
+        assert f"{key}: expected" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_name_cannot_escape_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b"
+        code = run_cli(
+            "run", "--preset", "exp1", "--controller", "pi",
+            "--set", "name=../../evil", "--out", str(out),
+        )
+        assert code == 2
+        assert "name: expected a file name stem" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "a"
@@ -181,6 +211,17 @@ class TestTuneCommand:
         code = run_cli("tune", "--preset", "exp2", "--controller", "pi", "--out", str(tmp_path))
         assert code == 2
         assert "tuner.grid" in capsys.readouterr().err
+
+    def test_non_finite_grid_value_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        code = run_cli(
+            "tune", "--preset", "exp2", "--controller", "pi",
+            "--set", "tuner.grid.kp=[0.0001, .nan]", "--set", "tuner.grid.ki=[5.0e-5]",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "tuner.grid.kp: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_runs_failed_exit_code(self, tmp_path):
         config = tmp_path / "free.yaml"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import yaml
 
@@ -44,6 +46,43 @@ class TestValidation:
             validate_config({**MINIMAL, "selection": {"z": 1}})
         with pytest.raises(ConfigInvalid, match="setpoint.z: expected a number"):
             validate_config({"controller": "pi", "setpoint": {"x": 0, "z": "many"}})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "key,raw",
+        [
+            ("dt", lambda v: {**MINIMAL, "dt": v}),
+            ("limits.z.du_max", lambda v: {**MINIMAL, "limits": {"z": {"du_max": v}}}),
+            ("sensor.seed", lambda v: {**MINIMAL, "sensor": {"seed": v}}),
+            ("path[0].x", lambda v: {**MINIMAL, "path": [{"t": 0.0, "x": v, "z": 0.2}]}),
+            ("setpoint.z", lambda v: {"controller": "pi", "setpoint": {"x": 0.0, "z": v}}),
+            ("tuner.grid.kp", lambda v: {**MINIMAL, "tuner": {"grid": {"kp": [1e-4, v]}}}),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, key, raw, bad):
+        with pytest.raises(ConfigInvalid, match=re.escape(key) + ": expected a finite number"):
+            validate_config(raw(bad))
+
+    @pytest.mark.parametrize("name", ["exp1", "run_2", "A.b-c", "7"])
+    def test_safe_names_accepted(self, name):
+        assert validate_config({**MINIMAL, "name": name})["name"] == name
+
+    @pytest.mark.parametrize(
+        "name", ["../../evil", "a/b", "/tmp/x", "a\\b", "", ".hidden", "-flag", "a b", 7, None]
+    )
+    def test_unsafe_names_rejected(self, name):
+        with pytest.raises(ConfigInvalid, match="name: expected a file name stem"):
+            validate_config({**MINIMAL, "name": name})
+
+    @pytest.mark.parametrize("value", [1, -1])
+    def test_press_direction_accepts_unit_signs(self, value):
+        cfg = validate_config({**MINIMAL, "press_direction": {"x": value}})
+        assert scenario_from_config(cfg).press_direction.x == value
+
+    @pytest.mark.parametrize("value", [0.5, 0, 2, -0.99])
+    def test_press_direction_rejects_other_values(self, value):
+        with pytest.raises(ConfigInvalid, match="press_direction.x: expected 1 or -1"):
+            validate_config({**MINIMAL, "press_direction": {"x": value}})
 
     def test_obstacle_schema(self):
         cfg = validate_config(

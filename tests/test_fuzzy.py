@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,3 +264,55 @@ class TestPipeline:
         for e in grid:
             for de in grid:
                 assert -1.0 <= self.ENGINE.output(float(e), float(de)) <= 1.0
+
+
+class TestBitExactness:
+    """The engine's floating-point results are pinned bit for bit.
+
+    The preset traces are pinned by hash (tests/test_golden.py), and a
+    last-bit change in one centroid goes round the contact loop into the
+    printed CSV. These digests were recorded from the segment-and-crossing
+    integrator; an optimisation of the engine must reproduce them exactly.
+    """
+
+    @staticmethod
+    def _digest(values):
+        return hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest()
+
+    def test_output_surface_digest(self):
+        # 241 x 241 grid of [-1.2, 1.2]^2, which includes saturated inputs.
+        engine = FuzzyInference()
+        grid = np.linspace(-1.2, 1.2, 241)
+        values = [engine.output(float(e), float(de)) for e in grid for de in grid]
+        assert self._digest(values) == (
+            "baecb6e86414c9e8044ab0e08e1ddfe62475683fd97584a19c3381f60c62ab5b"
+        )
+
+    def test_defuzzify_digest_on_random_clip_sets(self):
+        # Arbitrary label subsets and heights (exactly 0 and 1 included),
+        # most of which no partitioned input pair can produce.
+        rng = np.random.default_rng(2211)
+        values = []
+        for _ in range(5000):
+            count = int(rng.integers(1, 8))
+            labels = rng.choice(7, size=count, replace=False)
+            heights = rng.uniform(0.0, 1.0, size=count)
+            heights[rng.random(count) < 0.2] = 1.0
+            heights[rng.random(count) < 0.05] = 0.0
+            clips = {Label(int(i) - 3): float(h) for i, h in zip(labels, heights)}
+            values.append(defuzzify_coa(AggregatedOutput(FAMILY, clips)))
+        assert self._digest(values) == (
+            "cdd4edb0cb7ba17408c5028c799a405f43229c2c4eaf680dd53215cf54715c2e"
+        )
+
+    @pytest.mark.parametrize(
+        "clips",
+        [
+            {Label.ZR: 1.0},
+            {Label.NL: 0.7, Label.PL: 0.7},
+            {Label.NS: 0.4, Label.PS: 0.4},
+            {Label.NM: 0.3, Label.ZR: 0.5, Label.PM: 0.3},
+        ],
+    )
+    def test_symmetric_aggregates_are_exactly_zero(self, clips):
+        assert defuzzify_coa(AggregatedOutput(FAMILY, clips)) == 0.0

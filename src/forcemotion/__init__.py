@@ -5,6 +5,12 @@ errors into Cartesian corrections; an internal joint servo tracks the
 corrected path against compliant obstacles.
 """
 
+from .config import (
+    experiment1_scenario,
+    experiment2_scenario,
+    experiment3_scenario,
+    preset_scenario,
+)
 from .control import (
     AXES,
     AxisForce,
@@ -25,13 +31,7 @@ from .fuzzy import (
     infer,
 )
 from .plant import Box, Environment, PlanarArm, Pose, RoughSurface, SensorModel, Unreachable
-from .presets import (
-    PRESET_NAMES,
-    experiment1_scenario,
-    experiment2_scenario,
-    experiment3_scenario,
-    preset_scenario,
-)
+from .presets import PRESET_NAMES
 from .sim import (
     AllRunsFailed,
     ArmParams,

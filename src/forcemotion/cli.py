@@ -14,8 +14,6 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-import yaml
-
 from . import config as cfgmod
 from .config import ConfigInvalid
 from .control import FuzzyPIGains
@@ -23,7 +21,6 @@ from .fuzzy import FuzzyInference, defuzzify_coa
 from .presets import PRESET_NAMES, TUNED_FUZZY
 from .sim import (
     AllRunsFailed,
-    Metrics,
     NoContact,
     Trace,
     TRACE_COLUMNS,
@@ -48,42 +45,24 @@ def format_trace_csv(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace_csv(trace: Trace, path: Path) -> None:
-    _atomic_write(path, format_trace_csv(trace))
-
-
-def _metrics_dict(m: Metrics) -> Dict[str, Any]:
-    return dataclasses.asdict(m)
-
-
 def _selected_axes(cfg: Dict[str, Any]) -> List[str]:
     return [axis for axis in ("x", "z") if cfg["selection"][axis]]
 
 
 def _effective_config(args) -> Dict[str, Any]:
-    if getattr(args, "preset", None) and getattr(args, "config", None):
+    if args.preset and args.config:
         raise ConfigInvalid("--preset and --config are mutually exclusive")
-    if getattr(args, "preset", None):
+    if args.preset:
         raw = cfgmod.preset_config(args.preset)
-    elif getattr(args, "config", None):
-        text = Path(args.config).read_text() if Path(args.config).exists() else None
-        if text is None:
-            raise ConfigInvalid(f"config file not found: {args.config}")
-        try:
-            raw = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ConfigInvalid(f"config file {args.config} is not valid YAML: {exc}") from None
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
-            raise ConfigInvalid(f"config file {args.config} must contain a mapping")
+    elif args.config:
+        raw = cfgmod.read_config(args.config)
     else:
         raise ConfigInvalid("provide --preset or --config")
     if getattr(args, "controller", None):
         raw["controller"] = args.controller
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         raw["seed"] = args.seed
-    if getattr(args, "set", None):
+    if args.set:
         raw = cfgmod.apply_overrides(raw, args.set)
     return cfgmod.validate_config(raw)
 
@@ -99,7 +78,7 @@ def _metrics_summary(cfg: Dict[str, Any], trace: Trace) -> Dict[str, Any]:
     for axis in _selected_axes(cfg):
         setpoint = float(cfg["setpoint"][axis])
         try:
-            metrics[axis] = _metrics_dict(compute_metrics(trace, axis, setpoint))
+            metrics[axis] = dataclasses.asdict(compute_metrics(trace, axis, setpoint))
         except NoContact as exc:
             metrics[axis] = {"error": str(exc)}
     return metrics
@@ -115,7 +94,7 @@ def cmd_run(args) -> int:
     csv_path = out / f"{stem}.csv"
     summary_path = out / f"{stem}_summary.yaml"
     metrics = _metrics_summary(cfg, trace)
-    write_trace_csv(trace, csv_path)
+    _atomic_write(csv_path, format_trace_csv(trace))
     _atomic_write(
         summary_path,
         cfgmod.to_yaml(
@@ -171,8 +150,8 @@ def cmd_compare(args) -> int:
             continue
         report["axes"][axis] = {
             "setpoint": setpoint,
-            "pi": _metrics_dict(rep.metrics_a),
-            "fuzzy": _metrics_dict(rep.metrics_b),
+            "pi": dataclasses.asdict(rep.metrics_a),
+            "fuzzy": dataclasses.asdict(rep.metrics_b),
             "deltas_fuzzy_minus_pi": rep.deltas,
             "gains": {"pi": rep.gains_a, "fuzzy": rep.gains_b},
         }
@@ -180,7 +159,7 @@ def cmd_compare(args) -> int:
     csv_paths = {}
     for kind, trace in traces.items():
         csv_path = out / f"{name}_{kind}.csv"
-        write_trace_csv(trace, csv_path)
+        _atomic_write(csv_path, format_trace_csv(trace))
         csv_paths[kind] = csv_path.name
     report["trace_csv"] = csv_paths
     report_path = out / f"{name}_compare.yaml"

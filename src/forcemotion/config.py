@@ -8,17 +8,19 @@ before any simulation starts.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 import re
+import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 import yaml
 
-from .control import AxisForce, CorrectionLimits, FuzzyPIGains, PIGains, SelectionMatrix
+from .control import AXES, AxisForce, CorrectionLimits, FuzzyPIGains, PIGains, SelectionMatrix
 from .fuzzy import RuleBase
 from .plant import Box, Environment, Pose, RoughSurface, SensorModel
-from .presets import TUNED_FUZZY, TUNED_PI, preset_scenario
+from .presets import DEFAULT_SEED, PRESET_NAMES, PRESETS, TUNED_FUZZY, TUNED_PI
 from .sim import ArmParams, NominalPath, ObjectiveWeights, PressDirection, Scenario
 
 
@@ -28,12 +30,24 @@ class ConfigInvalid(Exception):
 
 _REQUIRED = "__required__"
 
+# `controller` value -> gains type; the gains type carries the control law.
+_LAWS = {law.kind: law for law in (PIGains, FuzzyPIGains)}
+
+
+def _tuned_gains(preset: str) -> Dict[str, Any]:
+    """The `gains` section holding both laws' tuned gains for a preset."""
+    return {
+        "pi": {axis: dataclasses.asdict(TUNED_PI[preset]) for axis in AXES},
+        "fuzzy": {axis: dataclasses.asdict(TUNED_FUZZY[preset]) for axis in AXES},
+    }
+
+
 # Schema and documented defaults. `setpoint` values and `controller` are the
 # only fields without defaults.
 _DEFAULTS: Dict[str, Any] = {
     "name": "custom",
     "controller": _REQUIRED,
-    "seed": 2211,
+    "seed": DEFAULT_SEED,
     "dt": 0.01,
     "duration": 3.0,
     "arm": {
@@ -50,24 +64,7 @@ _DEFAULTS: Dict[str, Any] = {
         "x": {"u_min": -0.02, "u_max": 0.02, "du_max": 5e-4},
         "z": {"u_min": -0.02, "u_max": 0.02, "du_max": 5e-4},
     },
-    "gains": {
-        "pi": {
-            "x": {"kp": TUNED_PI["exp2"].kp, "ki": TUNED_PI["exp2"].ki},
-            "z": {"kp": TUNED_PI["exp2"].kp, "ki": TUNED_PI["exp2"].ki},
-        },
-        "fuzzy": {
-            "x": {
-                "kp": TUNED_FUZZY["exp2"].kp,
-                "ki": TUNED_FUZZY["exp2"].ki,
-                "kx": TUNED_FUZZY["exp2"].kx,
-            },
-            "z": {
-                "kp": TUNED_FUZZY["exp2"].kp,
-                "ki": TUNED_FUZZY["exp2"].ki,
-                "kx": TUNED_FUZZY["exp2"].kx,
-            },
-        },
-    },
+    "gains": _tuned_gains("exp2"),
     "path": [
         {"t": 0.0, "x": 0.55, "z": 0.2475},
         {"t": 3.0, "x": 0.75, "z": 0.2475},
@@ -110,17 +107,33 @@ _LIST_OF_MAPS = {"path", "environment.obstacles"}
 _FREE_MAPS = {"tuner.grid"}
 # `name` becomes the stem of every output file, so it may not hold a path.
 _NAME_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
+# YAML 1.1 reads a number with an exponent as text unless it also has a dot
+# and a signed exponent: 1e9 and 1.0e9 are strings, 1.0e+9 is a float.
+_EXPONENT_TEXT = re.compile(r"([-+]?\d+)(?:\.(\d*))?[eE]([-+]?)(\d+)")
+_FLOAT_MAX = sys.float_info.max
 
 
 def _type_name(value: Any) -> str:
     return type(value).__name__
 
 
-def _check_number(path: str, value: Any) -> None:
+def _check_number(path: str, value: Any, real: bool = True) -> None:
+    """Reject non-numbers and non-finite floats; with `real`, also integers
+    too large to convert to float (integer keys such as seeds keep them)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
+        exponent = isinstance(value, str) and _EXPONENT_TEXT.fullmatch(value)
+        if exponent:
+            whole, frac, sign, power = exponent.groups()
+            raise ConfigInvalid(
+                f"{path}: expected a number, got the string {value!r}; YAML reads an exponent "
+                f"number only with a dot and a signed exponent, so write it as "
+                f"{whole}.{frac or 0}e{sign or '+'}{power}"
+            )
         raise ConfigInvalid(f"{path}: expected a number, got {_type_name(value)}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigInvalid(f"{path}: expected a finite number, got {value}")
+    if real and abs(value) > _FLOAT_MAX:
+        raise ConfigInvalid(f"{path}: expected a number within float range, got a larger integer")
 
 
 def _check_scalar(path: str, default: Any, value: Any) -> Any:
@@ -134,11 +147,12 @@ def _check_scalar(path: str, default: Any, value: Any) -> Any:
             raise ConfigInvalid(f"{path}: expected a boolean, got {_type_name(value)}")
         return value
     if isinstance(default, (int, float)):
+        _check_number(path, value, real=isinstance(default, float))
+        return value
+    if default == _REQUIRED and isinstance(value, int) and path != "controller":
+        # The other required scalars (setpoint, path, obstacle extents) are floats.
         _check_number(path, value)
-        return value
-    if isinstance(default, str) or default is None or default == _REQUIRED:
-        return value
-    raise ConfigInvalid(f"{path}: unsupported value {value!r}")
+    return value
 
 
 def _merge(defaults: Any, user: Any, path: str) -> Any:
@@ -197,7 +211,7 @@ def _merge_list(path: str, items: Any) -> List[Dict[str, Any]]:
 def validate_config(raw: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     """Fill defaults and reject unknown keys/bad types; returns the effective config."""
     effective = _merge(_DEFAULTS, raw or {}, "")
-    if effective["controller"] not in ("pi", "fuzzy"):
+    if effective["controller"] not in _LAWS:
         raise ConfigInvalid(
             f"controller: expected 'pi' or 'fuzzy', got {effective['controller']!r}"
         )
@@ -209,8 +223,6 @@ def validate_config(raw: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     if not isinstance(grid, dict):
         raise ConfigInvalid("tuner.grid: expected a mapping of gain name to value list")
     for gain, values in grid.items():
-        if gain not in ("kp", "ki", "kx"):
-            raise ConfigInvalid(f"tuner.grid.{gain}: unknown gain name")
         if not isinstance(values, list) or not values:
             raise ConfigInvalid(f"tuner.grid.{gain}: expected a nonempty list")
         for v in values:
@@ -230,8 +242,8 @@ def validate_config(raw: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     return effective
 
 
-def load_config(path) -> Dict[str, Any]:
-    """Read and validate a YAML config file."""
+def read_config(path) -> Dict[str, Any]:
+    """Read a YAML config file as a raw mapping, not yet validated."""
     try:
         raw = yaml.safe_load(Path(path).read_text())
     except FileNotFoundError:
@@ -240,7 +252,12 @@ def load_config(path) -> Dict[str, Any]:
         raise ConfigInvalid(f"config file {path} is not valid YAML: {exc}") from None
     if raw is not None and not isinstance(raw, dict):
         raise ConfigInvalid(f"config file {path} must contain a mapping")
-    return validate_config(raw)
+    return raw or {}
+
+
+def load_config(path) -> Dict[str, Any]:
+    """Read and validate a YAML config file."""
+    return validate_config(read_config(path))
 
 
 def apply_overrides(raw: Dict[str, Any], overrides: List[str]) -> Dict[str, Any]:
@@ -298,11 +315,7 @@ def _build_scenario(cfg: Dict[str, Any], controller: Optional[str]) -> Scenario:
         bias=AxisForce(float(cfg["sensor"]["bias"]["x"]), float(cfg["sensor"]["bias"]["z"])),
         seed=seed + 1 if sensor_seed is None else int(sensor_seed),
     )
-    gains_cfg = cfg["gains"][kind]
-    if kind == "pi":
-        gains = {axis: PIGains(**gains_cfg[axis]) for axis in ("x", "z")}
-    else:
-        gains = {axis: FuzzyPIGains(**gains_cfg[axis]) for axis in ("x", "z")}
+    gains = {axis: _LAWS[kind](**cfg["gains"][kind][axis]) for axis in AXES}
     limits = {axis: CorrectionLimits(**cfg["limits"][axis]) for axis in ("x", "z")}
     path = NominalPath(
         tuple((float(w["t"]), Pose(float(w["x"]), float(w["z"]))) for w in cfg["path"])
@@ -310,7 +323,6 @@ def _build_scenario(cfg: Dict[str, Any], controller: Optional[str]) -> Scenario:
     rules = RuleBase.default() if cfg["rule_file"] is None else RuleBase.from_file(cfg["rule_file"])
     return Scenario(
         name=str(cfg["name"]),
-        controller_kind=kind,
         setpoint=AxisForce(float(cfg["setpoint"]["x"]), float(cfg["setpoint"]["z"])),
         path=path,
         environment=environment,
@@ -331,7 +343,6 @@ def _build_scenario(cfg: Dict[str, Any], controller: Optional[str]) -> Scenario:
         rules=rules,
         dt=float(cfg["dt"]),
         duration=float(cfg["duration"]),
-        seed=seed,
     )
 
 
@@ -340,6 +351,16 @@ def tuner_settings(cfg: Dict[str, Any]) -> Dict[str, Any]:
     t = cfg["tuner"]
     if not t["grid"]:
         raise ConfigInvalid("tuner.grid: a tune run needs at least one gain list")
+    # The grid needs one list of nonnegative values per field of the gains type.
+    kind, grid = cfg["controller"], t["grid"]
+    names = [f.name for f in dataclasses.fields(_LAWS[kind])]
+    for gain in [*grid, *names]:
+        if gain not in names:
+            raise ConfigInvalid(f"tuner.grid.{gain}: the {kind} law has only the gains {names}")
+        if gain not in grid:
+            raise ConfigInvalid(f"tuner.grid.{gain}: missing; the {kind} law tunes {names}")
+        if min(grid[gain]) < 0:
+            raise ConfigInvalid(f"tuner.grid.{gain}: expected nonnegative gains, got {min(grid[gain])}")
     return {
         "axis": t["axis"],
         "band_pct": float(t["band_pct"]),
@@ -351,98 +372,46 @@ def tuner_settings(cfg: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _obstacle_to_config(obstacle) -> Dict[str, Any]:
-    if isinstance(obstacle, RoughSurface):
-        return {
-            "type": "rough_surface",
-            "height_base": obstacle.height_base,
-            "roughness_amplitude": obstacle.roughness_amplitude,
-            "roughness_wavelength": obstacle.roughness_wavelength,
-            "noise_amplitude": obstacle.noise_amplitude,
-            "stiffness": obstacle.stiffness,
-            "friction_coeff": obstacle.friction_coeff,
-        }
-    return {
-        "type": "box",
-        "x_min": obstacle.x_min,
-        "x_max": obstacle.x_max,
-        "z_min": obstacle.z_min,
-        "z_max": obstacle.z_max,
-        "stiffness": obstacle.stiffness,
-    }
+def preset_config(name: str) -> Dict[str, Any]:
+    """Raw config of a built-in preset, with both laws' tuned gains filled in
+    so one document can drive run and compare. The environment and sensor
+    seeds stay derived, so a master-seed override reseeds the whole run."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return {**copy.deepcopy(PRESETS[name]), "controller": "pi", "gains": _tuned_gains(name)}
 
 
-def scenario_to_config(scenario: Scenario) -> Dict[str, Any]:
-    """Serialize a Scenario back to the config schema (both gain kinds kept:
-    the other controller's slots fall back to the schema defaults)."""
-    cfg = copy.deepcopy(_DEFAULTS)
-    cfg["name"] = scenario.name
-    cfg["controller"] = scenario.controller_kind
-    cfg["seed"] = scenario.seed
-    cfg["dt"] = scenario.dt
-    cfg["duration"] = scenario.duration
-    cfg["arm"] = {
-        "l1": scenario.arm.l1,
-        "l2": scenario.arm.l2,
-        "tau_servo": scenario.arm.tau_servo,
-        "qdot_max": scenario.arm.qdot_max,
-        "elbow": scenario.arm.elbow,
-    }
-    cfg["setpoint"] = {"x": scenario.setpoint.x, "z": scenario.setpoint.z}
-    cfg["selection"] = {"x": scenario.selection.x, "z": scenario.selection.z}
-    cfg["press_direction"] = {
-        "x": scenario.press_direction.x,
-        "z": scenario.press_direction.z,
-    }
-    cfg["limits"] = {
-        axis: {
-            "u_min": scenario.limits[axis].u_min,
-            "u_max": scenario.limits[axis].u_max,
-            "du_max": scenario.limits[axis].du_max,
-        }
-        for axis in ("x", "z")
-    }
-    for axis in ("x", "z"):
-        g = scenario.gains[axis]
-        if scenario.controller_kind == "pi":
-            cfg["gains"]["pi"][axis] = {"kp": g.kp, "ki": g.ki}
-        else:
-            cfg["gains"]["fuzzy"][axis] = {"kp": g.kp, "ki": g.ki, "kx": g.kx}
-    cfg["path"] = [
-        {"t": t, "x": pose.x, "z": pose.z} for t, pose in scenario.path.waypoints
-    ]
-    cfg["environment"] = {
-        "seed": scenario.environment.seed,
-        "obstacles": [_obstacle_to_config(o) for o in scenario.environment.obstacles],
-    }
-    cfg["sensor"] = {
-        "noise_sigma": scenario.sensor.noise_sigma,
-        "bias": {"x": scenario.sensor.bias.x, "z": scenario.sensor.bias.z},
-        "seed": scenario.sensor.seed,
-    }
-    return cfg
+def _preset(raw: Dict[str, Any], controller_kind: str, seed: int) -> Scenario:
+    return scenario_from_config(validate_config(dict(raw, controller=controller_kind, seed=seed)))
 
 
-def preset_config(name: str, seed: Optional[int] = None) -> Dict[str, Any]:
-    """Effective config for a built-in preset, with both controllers' tuned
-    gains filled in so one document can drive run and compare."""
-    base = preset_scenario(name, "pi", seed=seed) if seed is not None else preset_scenario(name, "pi")
-    cfg = scenario_to_config(base)
-    # Leave the environment/sensor seeds derived so a later master-seed
-    # override reseeds the whole run instead of only the bookkeeping field.
-    cfg["environment"]["seed"] = None
-    cfg["sensor"]["seed"] = None
-    fz = TUNED_FUZZY[name]
-    for axis in ("x", "z"):
-        cfg["gains"]["fuzzy"][axis] = {"kp": fz.kp, "ki": fz.ki, "kx": fz.kx}
-    pi = TUNED_PI[name]
-    for axis in ("x", "z"):
-        cfg["gains"]["pi"][axis] = {"kp": pi.kp, "ki": pi.ki}
-    return cfg
+def preset_scenario(
+    name: str, controller_kind: str = "fuzzy", seed: int = DEFAULT_SEED
+) -> Scenario:
+    """Look up a built-in experiment by name (exp1, exp2, exp3)."""
+    return _preset(preset_config(name), controller_kind, seed)
 
 
-def dump_yaml(data: Dict[str, Any], path) -> None:
-    Path(path).write_text(yaml.safe_dump(data, sort_keys=True, default_flow_style=False))
+def experiment1_scenario(controller_kind: str = "fuzzy", seed: int = DEFAULT_SEED) -> Scenario:
+    """Collision with a foreign block: regulate 10 N down, 0 N sideways."""
+    return _preset(preset_config("exp1"), controller_kind, seed)
+
+
+def experiment2_scenario(
+    controller_kind: str = "fuzzy", seed: int = DEFAULT_SEED, smooth: bool = False
+) -> Scenario:
+    """Sliding pass over an irregular floor: regulate 30 N down, x in motion
+    control only. `smooth=True` flattens the floor for convergence tests."""
+    raw = preset_config("exp2")
+    if smooth:
+        raw["name"] = "exp2-smooth"
+        raw["environment"]["obstacles"][0].update(roughness_amplitude=0.0, noise_amplitude=0.0)
+    return _preset(raw, controller_kind, seed)
+
+
+def experiment3_scenario(controller_kind: str = "fuzzy", seed: int = DEFAULT_SEED) -> Scenario:
+    """Experiment 2 with sliding friction: regulate 6 N along x and 30 N along z."""
+    return _preset(preset_config("exp3"), controller_kind, seed)
 
 
 def to_yaml(data: Dict[str, Any]) -> str:

@@ -9,7 +9,7 @@ scenario maps that onto world axes via its press-direction signs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Tuple
+from typing import ClassVar, Dict, NamedTuple, Tuple
 
 from .fuzzy import FuzzyInference
 
@@ -27,12 +27,17 @@ class AxisForce(NamedTuple):
 class PIGains:
     """Incremental PI coefficients: du = kp*de + ki*e, both in [m/N]."""
 
+    kind: ClassVar[str] = "pi"
     kp: float
     ki: float
 
     def __post_init__(self) -> None:
         if self.kp < 0.0 or self.ki < 0.0:
             raise ValueError("PI gains must be nonnegative")
+
+    def step(self, e: float, de: float, limits: CorrectionLimits, engine: FuzzyInference) -> float:
+        """Increment for error e and its change de, clamped to +-du_max."""
+        return pi_step(self, e, de, limits.du_max)
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,7 @@ class FuzzyPIGains:
     output to a displacement increment.
     """
 
+    kind: ClassVar[str] = "fuzzy"
     kp: float
     ki: float
     kx: float
@@ -52,10 +58,19 @@ class FuzzyPIGains:
         if self.kp < 0.0 or self.ki < 0.0 or self.kx < 0.0:
             raise ValueError("fuzzy-PI gains must be nonnegative")
 
+    def step(self, e: float, de: float, limits: CorrectionLimits, engine: FuzzyInference) -> float:
+        """Increment for error e and its change de; |du| <= kx, du_max unused."""
+        return fuzzy_pi_step(self, e, de, engine)
+
 
 @dataclass(frozen=True)
 class CorrectionLimits:
-    """Clamp limits for the accumulated correction and the per-tick increment."""
+    """Clamp limits for the accumulated correction and the per-tick increment.
+
+    du_max clamps the PI increment only. The fuzzy-PI increment is bounded
+    by its output scale kx instead, since the defuzzified output lies in
+    [-1, 1].
+    """
 
     u_min: float = -0.02
     u_max: float = 0.02
@@ -131,24 +146,13 @@ def accumulate(state: ControllerState, du: float, u_min: float, u_max: float) ->
 
 @dataclass
 class AxisController:
-    """One scalar force controller (PI or fuzzy-PI) with its state and limits."""
+    """One scalar force controller with its state and limits; the gains type
+    (PIGains or FuzzyPIGains) selects the control law."""
 
-    kind: str  # "pi" | "fuzzy"
-    pi_gains: PIGains | None = None
-    fuzzy_gains: FuzzyPIGains | None = None
+    gains: PIGains | FuzzyPIGains
     limits: CorrectionLimits = CorrectionLimits()
     engine: FuzzyInference = field(default_factory=FuzzyInference)
     state: ControllerState = field(default_factory=ControllerState)
-
-    def __post_init__(self) -> None:
-        if self.kind == "pi":
-            if self.pi_gains is None:
-                raise ValueError("PI controller needs pi_gains")
-        elif self.kind == "fuzzy":
-            if self.fuzzy_gains is None:
-                raise ValueError("fuzzy controller needs fuzzy_gains")
-        else:
-            raise ValueError(f"unknown controller kind: {self.kind!r}")
 
     def increment(self, f_d: float, f_e: float) -> Tuple[float, float]:
         """Error bookkeeping plus one control-law evaluation; no accumulation.
@@ -156,9 +160,7 @@ class AxisController:
         Returns (du, e).
         """
         e, de = error_step(f_d, f_e, self.state)
-        if self.kind == "pi":
-            return pi_step(self.pi_gains, e, de, self.limits.du_max), e
-        return fuzzy_pi_step(self.fuzzy_gains, e, de, self.engine), e
+        return self.gains.step(e, de, self.limits, self.engine), e
 
 
 @dataclass

@@ -57,14 +57,6 @@ class PlanarArm:
             self.l1 * math.sin(self.q1) + self.l2 * math.sin(q12),
         )
 
-    def ik(self, target: Pose, elbow: str = "down") -> Tuple[float, float]:
-        """Joint angles reaching `target`, on the requested elbow branch.
-
-        Raises Unreachable when the target lies outside the annulus
-        [|l1 - l2|, l1 + l2]. The "down" branch has q2 >= 0.
-        """
-        return ik(self.l1, self.l2, target, elbow)
-
     def jacobian(self) -> np.ndarray:
         """Analytic 2x2 Jacobian of fk, rows (dx/dq, dz/dq)."""
         s1 = math.sin(self.q1)
@@ -95,15 +87,13 @@ class PlanarArm:
         self.q2 += dq2
 
 
-def fk(l1: float, l2: float, q1: float, q2: float) -> Pose:
-    return Pose(
-        l1 * math.cos(q1) + l2 * math.cos(q1 + q2),
-        l1 * math.sin(q1) + l2 * math.sin(q1 + q2),
-    )
-
-
 def ik(l1: float, l2: float, target: Pose, elbow: str = "down") -> Tuple[float, float]:
-    """Closed-form planar 2-link inverse kinematics."""
+    """Closed-form planar 2-link inverse kinematics: joint angles reaching
+    `target` on the requested elbow branch ("down" has q2 >= 0).
+
+    Raises Unreachable when the target lies outside the annulus
+    [|l1 - l2|, l1 + l2].
+    """
     if elbow not in ("down", "up"):
         raise ValueError(f"unknown elbow branch: {elbow!r}")
     r2 = target.x * target.x + target.z * target.z
@@ -262,9 +252,13 @@ def _box_force(box: Box, p: Pose) -> Tuple[float, float]:
     return box.stiffness * depth * normal[0], box.stiffness * depth * normal[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensorModel:
-    """Force sensor: truth plus bias plus seeded Gaussian noise per axis."""
+    """Force sensor: truth plus bias plus Gaussian noise per axis.
+
+    The model holds no stream state: each run draws the noise from its own
+    generator seeded with `seed`, so runs are repeatable and independent.
+    """
 
     noise_sigma: float = 0.0
     bias: AxisForce = AxisForce(0.0, 0.0)
@@ -273,17 +267,16 @@ class SensorModel:
     def __post_init__(self) -> None:
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be nonnegative")
-        self.reset()
+        try:
+            np.random.SeedSequence(self.seed)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"sensor seed {self.seed!r}: {exc}") from None
 
-    def reset(self) -> None:
-        """Rewind the noise stream to the start; runs become repeatable."""
-        self._rng = np.random.default_rng(self.seed)
-
-    def sense(self, f_true: AxisForce) -> AxisForce:
+    def sense(self, f_true: AxisForce, rng: np.random.Generator) -> AxisForce:
         fx = f_true.x + self.bias.x
         fz = f_true.z + self.bias.z
         if self.noise_sigma > 0.0:
-            noise = self._rng.standard_normal(2)
+            noise = rng.standard_normal(2)
             fx += self.noise_sigma * noise[0]
             fz += self.noise_sigma * noise[1]
         return AxisForce(fx, fz)

@@ -1,4 +1,6 @@
-"""Built-in experiment scenarios and the tuned gains shipped with them.
+"""Built-in experiment scenarios, as partial config documents, and the tuned
+gains shipped with them. `forcemotion.config` fills in the schema defaults
+and builds the scenarios.
 
 Geometry is desk scale, consistent with the 2 x 0.5 m arm:
 
@@ -14,13 +16,9 @@ The gains below were produced by the shipped grid-search tuner
 """
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict
 
-from .control import AXES, AxisForce, CorrectionLimits, FuzzyPIGains, PIGains, SelectionMatrix
-from .plant import Box, Environment, Pose, RoughSurface, SensorModel
-from .sim import AxisGains, NominalPath, PressDirection, Scenario
-
-PRESET_NAMES = ("exp1", "exp2", "exp3")
+from .control import FuzzyPIGains, PIGains
 
 DEFAULT_SEED = 2211
 
@@ -36,148 +34,49 @@ TUNED_FUZZY: Dict[str, FuzzyPIGains] = {
     "exp3": FuzzyPIGains(kp=0.1, ki=1 / 30, kx=2e-3),
 }
 
-
-def default_gains(controller_kind: str, preset: str = "exp2") -> AxisGains:
-    if controller_kind == "pi":
-        return TUNED_PI[preset]
-    if controller_kind == "fuzzy":
-        return TUNED_FUZZY[preset]
-    raise ValueError(f"unknown controller kind: {controller_kind!r}")
-
-
-def _gains_for(controller_kind: str, preset: str, gains: Optional[AxisGains]) -> Dict[str, AxisGains]:
-    g = gains if gains is not None else default_gains(controller_kind, preset)
-    return {axis: g for axis in AXES}
-
-
-def experiment1_scenario(
-    controller_kind: str = "fuzzy",
-    gains: Optional[AxisGains] = None,
-    seed: int = DEFAULT_SEED,
-) -> Scenario:
-    """Collision with a foreign block: regulate 10 N down, 0 N sideways.
-
-    The nominal path dives 10 mm into the block top, so the uncontrolled
-    baseline peaks at ~100 N. The vertical correction is retract-only
-    (u_max = 0): the block intrudes into free space, so pressing deeper than
-    nominal is never useful and pre-contact windup is structurally excluded.
-    """
-    block = Box(x_min=0.55, x_max=0.75, z_min=0.10, z_max=0.30, stiffness=10_000.0)
-    path = NominalPath(
-        (
-            (0.0, Pose(0.65, 0.33)),
-            (0.8, Pose(0.65, 0.29)),
-        )
-    )
-    return Scenario(
-        name="exp1",
-        controller_kind=controller_kind,
-        setpoint=AxisForce(0.0, 10.0),
-        path=path,
-        environment=Environment((block,), seed=seed),
-        gains=_gains_for(controller_kind, "exp1", gains),
-        selection=SelectionMatrix.identity(),
-        press_direction=PressDirection(x=1, z=-1),
-        limits={
-            "x": CorrectionLimits(-0.02, 0.02, 5e-4),
-            "z": CorrectionLimits(-0.02, 0.0, 5e-4),
-        },
-        sensor=SensorModel(seed=seed + 1),
-        duration=3.0,
-        seed=seed,
-    )
-
-
-def experiment2_scenario(
-    controller_kind: str = "fuzzy",
-    gains: Optional[AxisGains] = None,
-    seed: int = DEFAULT_SEED,
-    smooth: bool = False,
-) -> Scenario:
-    """Sliding pass over an irregular floor: regulate 30 N down, x in motion
-    control only. `smooth=True` flattens the floor for convergence tests."""
-    floor = RoughSurface(
-        height_base=0.25,
-        roughness_amplitude=0.0 if smooth else 0.001,
-        roughness_wavelength=0.05,
-        noise_amplitude=0.0 if smooth else 2e-4,
-        stiffness=10_000.0,
-        friction_coeff=0.0,
-    )
-    path = NominalPath(
-        (
-            (0.0, Pose(0.55, 0.2475)),
-            (3.0, Pose(0.75, 0.2475)),
-        )
-    )
-    return Scenario(
-        name="exp2-smooth" if smooth else "exp2",
-        controller_kind=controller_kind,
-        setpoint=AxisForce(0.0, 30.0),
-        path=path,
-        environment=Environment((floor,), seed=seed),
-        gains=_gains_for(controller_kind, "exp2", gains),
-        selection=SelectionMatrix(x=False, z=True),
-        press_direction=PressDirection(x=1, z=-1),
-        sensor=SensorModel(seed=seed + 1),
-        duration=3.0,
-        seed=seed,
-    )
-
-
-def experiment3_scenario(
-    controller_kind: str = "fuzzy",
-    gains: Optional[AxisGains] = None,
-    seed: int = DEFAULT_SEED,
-) -> Scenario:
-    """Experiment-2 geometry with sliding friction: regulate 6 N along x and
-    30 N along z simultaneously. The friction coefficient (0.2) makes the
-    free-sliding drag sit near the 6 N set point once the normal force holds."""
-    floor = RoughSurface(
-        height_base=0.25,
-        roughness_amplitude=0.001,
-        roughness_wavelength=0.05,
-        noise_amplitude=2e-4,
-        stiffness=10_000.0,
-        friction_coeff=0.2,
-    )
-    path = NominalPath(
-        (
-            (0.0, Pose(0.55, 0.2475)),
-            (3.0, Pose(0.75, 0.2475)),
-        )
-    )
-    return Scenario(
-        name="exp3",
-        controller_kind=controller_kind,
-        setpoint=AxisForce(6.0, 30.0),
-        path=path,
-        environment=Environment((floor,), seed=seed),
-        gains=_gains_for(controller_kind, "exp3", gains),
-        selection=SelectionMatrix.identity(),
-        press_direction=PressDirection(x=1, z=-1),
-        sensor=SensorModel(seed=seed + 1),
-        duration=3.0,
-        seed=seed,
-    )
-
-
-_BUILDERS = {
-    "exp1": experiment1_scenario,
-    "exp2": experiment2_scenario,
-    "exp3": experiment3_scenario,
+# The path and the irregular floor of experiments 2 and 3.
+_SLIDE_PATH = [{"t": 0.0, "x": 0.55, "z": 0.2475}, {"t": 3.0, "x": 0.75, "z": 0.2475}]
+_ROUGH_FLOOR = {
+    "type": "rough_surface",
+    "height_base": 0.25,
+    "roughness_amplitude": 0.001,
+    "roughness_wavelength": 0.05,
+    "noise_amplitude": 2e-4,
+    "stiffness": 10_000.0,
+    "friction_coeff": 0.0,
 }
 
-
-def preset_scenario(
-    name: str,
-    controller_kind: str = "fuzzy",
-    gains: Optional[AxisGains] = None,
-    seed: int = DEFAULT_SEED,
-) -> Scenario:
-    """Look up a built-in experiment by name (exp1, exp2, exp3)."""
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}") from None
-    return builder(controller_kind, gains, seed)
+PRESETS: Dict[str, Dict[str, Any]] = {
+    # The path dives 10 mm into the block top, so the uncontrolled baseline
+    # peaks at ~100 N. The vertical correction is retract-only (u_max = 0):
+    # the block intrudes into free space, so pressing deeper than nominal is
+    # never useful and pre-contact windup is structurally excluded.
+    "exp1": {
+        "name": "exp1",
+        "setpoint": {"x": 0.0, "z": 10.0},
+        "limits": {"z": {"u_min": -0.02, "u_max": 0.0, "du_max": 5e-4}},
+        "path": [{"t": 0.0, "x": 0.65, "z": 0.33}, {"t": 0.8, "x": 0.65, "z": 0.29}],
+        "environment": {
+            "obstacles": [
+                {"type": "box", "x_min": 0.55, "x_max": 0.75, "z_min": 0.10, "z_max": 0.30,
+                 "stiffness": 10_000.0},
+            ]
+        },
+    },
+    "exp2": {
+        "name": "exp2",
+        "setpoint": {"x": 0.0, "z": 30.0},
+        "selection": {"x": False, "z": True},
+        "path": _SLIDE_PATH,
+        "environment": {"obstacles": [_ROUGH_FLOOR]},
+    },
+    # The friction coefficient (0.2) makes the free-sliding drag sit near the
+    # 6 N set point once the normal force holds.
+    "exp3": {
+        "name": "exp3",
+        "setpoint": {"x": 6.0, "z": 30.0},
+        "path": _SLIDE_PATH,
+        "environment": {"obstacles": [{**_ROUGH_FLOOR, "friction_coeff": 0.2}]},
+    },
+}
+PRESET_NAMES = tuple(PRESETS)

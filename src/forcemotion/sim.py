@@ -99,7 +99,6 @@ class Scenario:
     function of this object, seeds included."""
 
     name: str
-    controller_kind: str  # "pi" | "fuzzy"
     setpoint: AxisForce
     path: NominalPath
     environment: Environment
@@ -114,11 +113,8 @@ class Scenario:
     rules: RuleBase = field(default_factory=RuleBase.default)
     dt: float = 0.01
     duration: float = 3.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.controller_kind not in ("pi", "fuzzy"):
-            raise ValueError(f"unknown controller kind: {self.controller_kind!r}")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.duration < self.dt:
@@ -128,19 +124,24 @@ class Scenario:
                 raise ValueError(f"missing gains for axis {axis}")
             if axis not in self.limits:
                 raise ValueError(f"missing limits for axis {axis}")
-        want = PIGains if self.controller_kind == "pi" else FuzzyPIGains
-        for axis, g in self.gains.items():
-            if not isinstance(g, want):
-                raise ValueError(
-                    f"axis {axis}: {type(g).__name__} does not match "
-                    f"controller kind {self.controller_kind!r}"
-                )
+        law, law_z = type(self.gains["x"]), type(self.gains["z"])
+        if law is not law_z:
+            raise ValueError(
+                f"both axes must use one control law, got {law.__name__} and {law_z.__name__}"
+            )
+        if law not in (PIGains, FuzzyPIGains):
+            raise ValueError(f"unknown gains type {law.__name__}")
         reach_hi = self.arm.l1 + self.arm.l2
         reach_lo = abs(self.arm.l1 - self.arm.l2)
         for t, pose in self.path.waypoints:
             r = math.hypot(pose.x, pose.z)
             if r > reach_hi + 1e-12 or r < reach_lo - 1e-12:
                 raise ValueError(f"waypoint at t={t} is unreachable: {pose}")
+
+    @property
+    def controller_kind(self) -> str:
+        """The control law, "pi" or "fuzzy", as its gains type names it."""
+        return self.gains["x"].kind
 
 
 TRACE_COLUMNS = (
@@ -179,15 +180,6 @@ class Trace:
         return self.values.shape[0]
 
 
-def _build_controller(scenario: Scenario, axis: str, engine: FuzzyInference) -> AxisController:
-    gains = scenario.gains[axis]
-    if scenario.controller_kind == "pi":
-        return AxisController("pi", pi_gains=gains, limits=scenario.limits[axis])
-    return AxisController(
-        "fuzzy", fuzzy_gains=gains, limits=scenario.limits[axis], engine=engine
-    )
-
-
 def run(scenario: Scenario) -> Trace:
     """Simulate the scenario tick by tick; returns the full trace.
 
@@ -197,10 +189,10 @@ def run(scenario: Scenario) -> Trace:
     press = scenario.press_direction
     engine = FuzzyInference(rules=scenario.rules)
     hybrid = HybridForceController(
-        {axis: _build_controller(scenario, axis, engine) for axis in AXES},
+        {a: AxisController(scenario.gains[a], scenario.limits[a], engine) for a in AXES},
         scenario.selection,
     )
-    scenario.sensor.reset()
+    sensor_rng = np.random.default_rng(scenario.sensor.seed)
 
     start = scenario.path.pose_at(0.0)
     q1, q2 = ik(arm_p.l1, arm_p.l2, start, arm_p.elbow)
@@ -227,7 +219,7 @@ def run(scenario: Scenario) -> Trace:
             else (0.0, 0.0)
         )
         f_tool = scenario.environment.contact_force(pose, v)
-        sensed = scenario.sensor.sense(f_tool)
+        sensed = scenario.sensor.sense(f_tool, sensor_rng)
         # The controller regulates the force pressed onto the environment:
         # project the sensed tool force onto the press directions.
         measured = AxisForce(-press.x * sensed.x, -press.z * sensed.z)
@@ -393,15 +385,9 @@ class TuneEntry:
     failure: Optional[str]
 
 
-# Fixed enumeration and tie-break order for gain names.
-_GAIN_ORDER = ("kp", "ki", "kx")
-
-
 def _with_gains(scenario: Scenario, names: Sequence[str], values: Sequence[float]) -> Scenario:
-    kwargs = dict(zip(names, values))
-    cls = PIGains if scenario.controller_kind == "pi" else FuzzyPIGains
-    new_gains = {axis: cls(**kwargs) for axis in AXES}
-    return dataclasses.replace(scenario, gains=new_gains)
+    gains = type(scenario.gains["x"])(**dict(zip(names, values)))
+    return dataclasses.replace(scenario, gains={axis: gains for axis in AXES})
 
 
 def tune(
@@ -413,21 +399,21 @@ def tune(
 ) -> Tuple[TuneEntry, List[TuneEntry]]:
     """Exhaustive grid search over gain combinations, smallest objective wins.
 
+    The grid holds one value list per field of the scenario's gains type.
     Ties break on lower overshoot, then on the lexicographic order of the
-    gain tuple, so the winner does not depend on enumeration order. Returns
-    (best, leaderboard); the leaderboard carries every evaluated point.
+    gain tuple (in field order), so the winner does not depend on
+    enumeration order. Returns (best, leaderboard); the leaderboard carries
+    every evaluated point.
     """
     if not grid:
         raise ValueError("empty tuner grid")
-    names = [n for n in _GAIN_ORDER if n in grid]
+    law = type(scenario.gains["x"])
+    names = [f.name for f in dataclasses.fields(law)]
     extra = set(grid) - set(names)
     if extra:
         raise ValueError(f"unknown gain names in grid: {sorted(extra)}")
-    expected = ("kp", "ki") if scenario.controller_kind == "pi" else _GAIN_ORDER
-    if tuple(names) != expected:
-        raise ValueError(
-            f"{scenario.controller_kind} tuner grid must define {expected}, got {names}"
-        )
+    if len(grid) != len(names):
+        raise ValueError(f"{law.kind} tuner grid must define {names}, got {sorted(grid)}")
     setpoint = getattr(scenario.setpoint, axis)
 
     entries: List[TuneEntry] = []

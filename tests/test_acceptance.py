@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from forcemotion.cli import main as cli_main
+from forcemotion.config import experiment1_scenario, experiment2_scenario, experiment3_scenario
 from forcemotion.control import AxisForce, ControllerState, PIGains, SelectionMatrix
 from forcemotion.control import accumulate, error_step, fuzzy_pi_step, pi_step
 from forcemotion.fuzzy import (
@@ -24,12 +25,7 @@ from forcemotion.fuzzy import (
     defuzzify_coa,
 )
 from forcemotion.plant import PlanarArm, Pose, ik
-from forcemotion.presets import (
-    TUNED_FUZZY,
-    experiment1_scenario,
-    experiment2_scenario,
-    experiment3_scenario,
-)
+from forcemotion.presets import TUNED_FUZZY
 from forcemotion.sim import compute_metrics, run
 
 import oracles

@@ -56,6 +56,8 @@ class TestRunCommand:
             ("setpoint.z=.nan", "setpoint.z"),
             ("setpoint.x=-.inf", "setpoint.x"),
             ("press_direction.x=0.5", "press_direction.x"),
+            pytest.param("dt=" + "1" + "0" * 400, "dt", id="dt=401-digit-integer"),
+            ("duration=1e9", "duration"),
         ],
     )
     def test_bad_numbers_exit_2_naming_the_key(self, override, key, tmp_path, capsys):
@@ -65,7 +67,28 @@ class TestRunCommand:
             "--set", override, "--out", str(out),
         )
         assert code == 2
-        assert f"{key}: expected" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{key}: expected" in err
+        # PyYAML reads 1e9 and 1.0e9 as strings; the message says how to write the number.
+        if override == "duration=1e9":
+            assert "got the string '1e9'" in err and "write it as 1.0e+9" in err
+        assert not out.exists()
+
+    def test_huge_integer_seed_still_runs(self, tmp_path):
+        code = run_cli(
+            "run", "--preset", "exp1", "--controller", "pi",
+            "--seed", "1" + "0" * 400, "--out", str(tmp_path),
+        )
+        assert code == 0
+
+    def test_unusable_sensor_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        code = run_cli(
+            "run", "--preset", "exp1", "--controller", "pi",
+            "--set", "sensor.seed=-5", "--out", str(out),
+        )
+        assert code == 2
+        assert "sensor seed -5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_name_cannot_escape_out_dir(self, tmp_path, capsys):
@@ -221,6 +244,26 @@ class TestTuneCommand:
         )
         assert code == 2
         assert "tuner.grid.kp: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "controller,grid,key",
+        [
+            ("pi", ["tuner.grid.kp=[-1.0]", "tuner.grid.ki=[5.0e-5]"], "tuner.grid.kp"),
+            ("pi", ["tuner.grid.kx=[1.0e-3]"], "tuner.grid.kx"),
+            ("fuzzy", ["tuner.grid.kp=[0.1]"], "tuner.grid.ki"),
+        ],
+        ids=["negative-gain", "gain-the-law-lacks", "missing-gain"],
+    )
+    def test_bad_grid_is_config_error(self, controller, grid, key, tmp_path, capsys):
+        out = tmp_path / "results"
+        overrides = [arg for item in grid for arg in ("--set", item)]
+        code = run_cli(
+            "tune", "--preset", "exp2", "--controller", controller, *overrides,
+            "--out", str(out),
+        )
+        assert code == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_all_runs_failed_exit_code(self, tmp_path):

@@ -144,16 +144,8 @@ class TestAccumulate:
 
 def _hybrid(kind: str, selection=SelectionMatrix.identity(), limits=None, **gain_kwargs):
     limits = limits or CorrectionLimits()
-    controllers = {}
-    for axis in ("x", "z"):
-        if kind == "pi":
-            controllers[axis] = AxisController(
-                "pi", pi_gains=PIGains(**gain_kwargs), limits=limits
-            )
-        else:
-            controllers[axis] = AxisController(
-                "fuzzy", fuzzy_gains=FuzzyPIGains(**gain_kwargs), limits=limits
-            )
+    law = PIGains if kind == "pi" else FuzzyPIGains
+    controllers = {axis: AxisController(law(**gain_kwargs), limits) for axis in ("x", "z")}
     return HybridForceController(controllers, selection)
 
 
@@ -204,19 +196,11 @@ class TestHybridStep:
 
     def test_mixed_kind_controllers_per_axis(self):
         controllers = {
-            "x": AxisController("pi", pi_gains=PIGains(1e-4, 5e-5)),
-            "z": AxisController("fuzzy", fuzzy_gains=FuzzyPIGains(0.1, 1 / 30, 1e-3)),
+            "x": AxisController(PIGains(1e-4, 5e-5)),
+            "z": AxisController(FuzzyPIGains(0.1, 1 / 30, 1e-3)),
         }
         hybrid = HybridForceController(controllers, SelectionMatrix.identity())
         u, du, _ = hybrid.step(AxisForce(2.0, 20.0), AxisForce(0.0, 0.0))
         assert du[0] == pytest.approx(5e-5 * 2.0)
         assert du[1] > 0.0
         assert u == du
-
-    def test_requires_matching_gains(self):
-        with pytest.raises(ValueError):
-            AxisController("pi")
-        with pytest.raises(ValueError):
-            AxisController("fuzzy")
-        with pytest.raises(ValueError):
-            AxisController("bang-bang", pi_gains=PIGains(0, 0))

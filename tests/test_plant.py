@@ -256,17 +256,19 @@ class TestContact:
 class TestSensor:
     def test_identity_without_noise(self):
         sensor = SensorModel()
-        assert sensor.sense(AxisForce(3.0, 7.0)) == (3.0, 7.0)
+        assert sensor.sense(AxisForce(3.0, 7.0), np.random.default_rng(sensor.seed)) == (3.0, 7.0)
 
     def test_pure_bias(self):
         sensor = SensorModel(bias=AxisForce(1.0, 0.0))
-        assert sensor.sense(AxisForce(0.0, 0.0)) == (1.0, 0.0)
+        assert sensor.sense(AxisForce(0.0, 0.0), np.random.default_rng(sensor.seed)) == (1.0, 0.0)
 
     def test_deterministic_stream(self):
         a = SensorModel(noise_sigma=0.5, seed=9)
         b = SensorModel(noise_sigma=0.5, seed=9)
-        seq_a = [a.sense(AxisForce(1.0, 2.0)) for _ in range(10)]
-        seq_b = [b.sense(AxisForce(1.0, 2.0)) for _ in range(10)]
+        rng_a = np.random.default_rng(a.seed)
+        rng_b = np.random.default_rng(b.seed)
+        seq_a = [a.sense(AxisForce(1.0, 2.0), rng_a) for _ in range(10)]
+        seq_b = [b.sense(AxisForce(1.0, 2.0), rng_b) for _ in range(10)]
         assert seq_a == seq_b
-        a.reset()
-        assert [a.sense(AxisForce(1.0, 2.0)) for _ in range(10)] == seq_a
+        rng_a = np.random.default_rng(a.seed)
+        assert [a.sense(AxisForce(1.0, 2.0), rng_a) for _ in range(10)] == seq_a

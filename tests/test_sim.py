@@ -4,6 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from forcemotion.config import (
+    experiment1_scenario,
+    experiment2_scenario,
+    experiment3_scenario,
+    preset_scenario,
+)
 from forcemotion.control import (
     AxisForce,
     CorrectionLimits,
@@ -11,13 +17,7 @@ from forcemotion.control import (
     PIGains,
     SelectionMatrix,
 )
-from forcemotion.plant import Environment, Pose
-from forcemotion.presets import (
-    experiment1_scenario,
-    experiment2_scenario,
-    experiment3_scenario,
-    preset_scenario,
-)
+from forcemotion.plant import Environment, Pose, SensorModel
 from forcemotion.sim import (
     AllRunsFailed,
     ArmParams,
@@ -49,7 +49,6 @@ def make_trace(t, f_z, f_x=None):
 def free_space_scenario(**overrides):
     base = dict(
         name="free",
-        controller_kind="pi",
         setpoint=AxisForce(0.0, 0.0),
         path=NominalPath(((0.0, Pose(0.6, 0.2)), (1.0, Pose(0.7, 0.3)))),
         environment=Environment((), seed=1),
@@ -79,13 +78,13 @@ class TestNominalPath:
 
 class TestScenarioValidation:
     def test_rejects_unknown_controller(self):
-        with pytest.raises(ValueError):
-            free_space_scenario(controller_kind="pid")
+        with pytest.raises(ValueError, match="unknown gains type"):
+            free_space_scenario(gains={"x": (1e-4, 5e-5), "z": (1e-4, 5e-5)})
 
     def test_rejects_mismatched_gains(self):
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ValueError, match="one control law"):
             free_space_scenario(
-                gains={"x": FuzzyPIGains(0.1, 0.1, 1e-3), "z": FuzzyPIGains(0.1, 0.1, 1e-3)}
+                gains={"x": PIGains(1e-4, 5e-5), "z": FuzzyPIGains(0.1, 0.1, 1e-3)}
             )
 
     def test_rejects_unreachable_waypoint(self):
@@ -189,8 +188,6 @@ class TestRun:
     def test_exp3_regulates_through_sensor_noise(self):
         # Integral action rejects zero-mean sensor noise; steady means stay
         # inside the regulation bands.
-        from forcemotion.plant import SensorModel
-
         for kind in ("pi", "fuzzy"):
             scenario = dataclasses.replace(
                 experiment3_scenario(kind), sensor=SensorModel(noise_sigma=0.5, seed=777)
@@ -218,6 +215,21 @@ class TestRun:
         assert scenario.selection == SelectionMatrix(x=False, z=True)
         surface = scenario.environment.obstacles[0]
         assert surface.roughness_amplitude > 0.0
+
+    def test_sensor_model_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SensorModel().seed = 3
+
+    def test_shared_noisy_sensor_gives_order_independent_traces(self):
+        # run() draws the noise from its own generator, so two scenarios that
+        # share one SensorModel do not disturb each other's stream.
+        sensor = SensorModel(noise_sigma=0.5, seed=777)
+        a = dataclasses.replace(experiment3_scenario("pi"), sensor=sensor)
+        b = dataclasses.replace(experiment3_scenario("fuzzy"), sensor=sensor)
+        a_first, b_second = run(a).values, run(b).values
+        b_first, a_second = run(b).values, run(a).values
+        assert np.array_equal(a_first, a_second)
+        assert np.array_equal(b_first, b_second)
 
     def test_preset_lookup(self):
         assert preset_scenario("exp1", "pi").name == "exp1"

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -38,11 +39,14 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+# Every value is printed with "%.9g", one %-format per row; tests/test_golden.py
+# pins the bytes.
+_CSV_HEADER = ",".join(TRACE_COLUMNS) + "\n"
+_CSV_ROW = ",".join(["%.9g"] * len(TRACE_COLUMNS)) + "\n"
+
+
 def format_trace_csv(trace: Trace) -> str:
-    lines = [",".join(TRACE_COLUMNS)]
-    for row in trace.values:
-        lines.append(",".join(f"{v:.9g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return _CSV_HEADER + "".join([_CSV_ROW % tuple(row) for row in trace.values.tolist()])
 
 
 def _selected_axes(cfg: Dict[str, Any]) -> List[str]:
@@ -260,7 +264,10 @@ def _add_common(parser: argparse.ArgumentParser, with_controller: bool = True) -
     parser.add_argument("--seed", type=int, help="master seed override")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once: parse_args() fills a fresh namespace on
+    every call, and the `append` action copies its default list."""
     parser = argparse.ArgumentParser(
         prog="forcemotion",
         description="Planar hybrid force/motion control simulator",

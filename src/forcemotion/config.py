@@ -102,6 +102,8 @@ _OBSTACLE_DEFAULTS = {
 
 # Keys whose value may be None (filled in or resolved later).
 _NULLABLE = {"environment.seed", "sensor.seed", "rule_file"}
+# Seeds take any non-negative integer, however large; None derives them.
+_SEEDS = {"seed", "environment.seed", "sensor.seed"}
 # Keys holding free-form subtrees that get dedicated validation.
 _LIST_OF_MAPS = {"path", "environment.obstacles"}
 _FREE_MAPS = {"tuner.grid"}
@@ -111,15 +113,22 @@ _NAME_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 # and a signed exponent: 1e9 and 1.0e9 are strings, 1.0e+9 is a float.
 _EXPONENT_TEXT = re.compile(r"([-+]?\d+)(?:\.(\d*))?[eE]([-+]?)(\d+)")
 _FLOAT_MAX = sys.float_info.max
+# libyaml's C dumper shares SafeDumper's representer, but its emitter lays
+# out some text differently: it folds long double-quoted scalars (text with
+# non-printable or non-ASCII characters) at other columns, writes an empty
+# key as a simple key, and keeps keys of 123-128 characters simple. Documents
+# holding such text take the Python emitter, so the bytes never depend on it.
+_C_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_SIMPLE_KEY_MAX = 100
 
 
 def _type_name(value: Any) -> str:
     return type(value).__name__
 
 
-def _check_number(path: str, value: Any, real: bool = True) -> None:
-    """Reject non-numbers and non-finite floats; with `real`, also integers
-    too large to convert to float (integer keys such as seeds keep them)."""
+def _check_number(path: str, value: Any) -> None:
+    """Reject non-numbers, non-finite floats and integers too large to
+    convert to float (seeds keep them: see `_SEEDS`)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         exponent = isinstance(value, str) and _EXPONENT_TEXT.fullmatch(value)
         if exponent:
@@ -132,7 +141,7 @@ def _check_number(path: str, value: Any, real: bool = True) -> None:
         raise ConfigInvalid(f"{path}: expected a number, got {_type_name(value)}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigInvalid(f"{path}: expected a finite number, got {value}")
-    if real and abs(value) > _FLOAT_MAX:
+    if abs(value) > _FLOAT_MAX:
         raise ConfigInvalid(f"{path}: expected a number within float range, got a larger integer")
 
 
@@ -142,12 +151,16 @@ def _check_scalar(path: str, default: Any, value: Any) -> Any:
     if isinstance(value, float):
         # NaN and infinities are rejected whatever type the key holds.
         _check_number(path, value)
+    if path in _SEEDS:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ConfigInvalid(f"{path}: expected a non-negative integer, got {value!r}")
+        return value
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigInvalid(f"{path}: expected a boolean, got {_type_name(value)}")
         return value
     if isinstance(default, (int, float)):
-        _check_number(path, value, real=isinstance(default, float))
+        _check_number(path, value)
         return value
     if default == _REQUIRED and isinstance(value, int) and path != "controller":
         # The other required scalars (setpoint, path, obstacle extents) are floats.
@@ -248,6 +261,8 @@ def read_config(path) -> Dict[str, Any]:
         raw = yaml.safe_load(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigInvalid(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"config file {path} cannot be read: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigInvalid(f"config file {path} is not valid YAML: {exc}") from None
     if raw is not None and not isinstance(raw, dict):
@@ -296,7 +311,7 @@ def scenario_from_config(cfg: Dict[str, Any], controller: Optional[str] = None) 
 
 def _build_scenario(cfg: Dict[str, Any], controller: Optional[str]) -> Scenario:
     kind = controller or cfg["controller"]
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     env_seed = cfg["environment"]["seed"]
     sensor_seed = cfg["sensor"]["seed"]
 
@@ -308,12 +323,12 @@ def _build_scenario(cfg: Dict[str, Any], controller: Optional[str]) -> Scenario:
         else:
             obstacles.append(Box(**fields))
     environment = Environment(
-        tuple(obstacles), seed=seed if env_seed is None else int(env_seed)
+        tuple(obstacles), seed=seed if env_seed is None else env_seed
     )
     sensor = SensorModel(
         noise_sigma=float(cfg["sensor"]["noise_sigma"]),
         bias=AxisForce(float(cfg["sensor"]["bias"]["x"]), float(cfg["sensor"]["bias"]["z"])),
-        seed=seed + 1 if sensor_seed is None else int(sensor_seed),
+        seed=seed + 1 if sensor_seed is None else sensor_seed,
     )
     gains = {axis: _LAWS[kind](**cfg["gains"][kind][axis]) for axis in AXES}
     limits = {axis: CorrectionLimits(**cfg["limits"][axis]) for axis in ("x", "z")}
@@ -414,5 +429,25 @@ def experiment3_scenario(controller_kind: str = "fuzzy", seed: int = DEFAULT_SEE
     return _preset(preset_config("exp3"), controller_kind, seed)
 
 
+def _c_emits_alike(node: Any) -> bool:
+    """Whether libyaml writes `node` byte for byte as the Python emitter does:
+    all text printable ASCII, all keys nonempty strings of simple-key size."""
+    if isinstance(node, str):
+        return node.isascii() and node.isprintable()
+    if isinstance(node, dict):
+        return all(
+            isinstance(k, str) and 0 < len(k) < _SIMPLE_KEY_MAX and _c_emits_alike(k)
+            and _c_emits_alike(v)
+            for k, v in node.items()
+        )
+    if isinstance(node, list):
+        return all(_c_emits_alike(v) for v in node)
+    return True
+
+
 def to_yaml(data: Dict[str, Any]) -> str:
-    return yaml.safe_dump(data, sort_keys=True, default_flow_style=False)
+    """Emit a document as block-style YAML with sorted keys, byte for byte as
+    `yaml.safe_dump` does; libyaml's C emitter writes it when PyYAML has one
+    and the document holds no text on which the two emitters differ."""
+    dumper = _C_DUMPER if _c_emits_alike(data) else yaml.SafeDumper
+    return yaml.dump(data, Dumper=dumper, sort_keys=True, default_flow_style=False)

@@ -130,11 +130,6 @@ def fuzzy_pi_step(gains: FuzzyPIGains, e: float, de: float, engine: FuzzyInferen
     return gains.kx * engine.output(gains.ki * e, gains.kp * de)
 
 
-def apply_selection(s: SelectionMatrix, du_x: float, du_z: float) -> Tuple[float, float]:
-    """Zero the increments of axes not selected for force control."""
-    return (du_x if s.x else 0.0, du_z if s.z else 0.0)
-
-
 def accumulate(state: ControllerState, du: float, u_min: float, u_max: float) -> float:
     """Add du to the accumulated correction, clamped to [u_min, u_max].
 
@@ -153,14 +148,6 @@ class AxisController:
     limits: CorrectionLimits = CorrectionLimits()
     engine: FuzzyInference = field(default_factory=FuzzyInference)
     state: ControllerState = field(default_factory=ControllerState)
-
-    def increment(self, f_d: float, f_e: float) -> Tuple[float, float]:
-        """Error bookkeeping plus one control-law evaluation; no accumulation.
-
-        Returns (du, e).
-        """
-        e, de = error_step(f_d, f_e, self.state)
-        return self.gains.step(e, de, self.limits, self.engine), e
 
 
 @dataclass
@@ -183,17 +170,17 @@ class HybridForceController:
     def step(self, setpoint: AxisForce, measured: AxisForce) -> Tuple[Tuple[float, float], Tuple[float, float], Tuple[float, float]]:
         """One external-loop tick.
 
+        Every axis records its error; only selected axes evaluate their law,
+        and a deselected axis gets du = 0, so its correction never changes.
         Returns ((u_x, u_z), (du_x, du_z), (e_x, e_z)) where u is the
         accumulated correction after this tick.
         """
-        du = {}
-        e = {}
-        for axis in AXES:
+        u, du, e = [], [], []
+        for axis, selected, f_d, f_e in zip(AXES, self.selection, setpoint, measured):
             ctl = self.controllers[axis]
-            du[axis], e[axis] = ctl.increment(getattr(setpoint, axis), getattr(measured, axis))
-        du_x, du_z = apply_selection(self.selection, du["x"], du["z"])
-        u = []
-        for axis, du_axis in zip(AXES, (du_x, du_z)):
-            ctl = self.controllers[axis]
+            e_axis, de = error_step(f_d, f_e, ctl.state)
+            du_axis = ctl.gains.step(e_axis, de, ctl.limits, ctl.engine) if selected else 0.0
             u.append(accumulate(ctl.state, du_axis, ctl.limits.u_min, ctl.limits.u_max))
-        return (u[0], u[1]), (du_x, du_z), (e["x"], e["z"])
+            du.append(du_axis)
+            e.append(e_axis)
+        return tuple(u), tuple(du), tuple(e)

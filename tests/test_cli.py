@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
-from forcemotion.cli import main
-from forcemotion.sim import TRACE_COLUMNS
+from forcemotion.cli import format_trace_csv, main
+from forcemotion.sim import TRACE_COLUMNS, Trace
 
 
 def run_cli(*argv):
@@ -58,13 +60,21 @@ class TestRunCommand:
             ("press_direction.x=0.5", "press_direction.x"),
             pytest.param("dt=" + "1" + "0" * 400, "dt", id="dt=401-digit-integer"),
             ("duration=1e9", "duration"),
+            ("--seed=-5", "seed"),
+            ("seed=1.5", "seed"),
+            ("seed=true", "seed"),
+            ("environment.seed=-3", "environment.seed"),
+            ("sensor.seed=abc", "sensor.seed"),
+            ("sensor.seed=1.5", "sensor.seed"),
+            ("sensor.seed=false", "sensor.seed"),
         ],
     )
     def test_bad_numbers_exit_2_naming_the_key(self, override, key, tmp_path, capsys):
         out = tmp_path / "results"
+        flag = [override] if override.startswith("--") else ["--set", override]
         code = run_cli(
             "run", "--preset", "exp1", "--controller", "pi",
-            "--set", override, "--out", str(out),
+            *flag, "--out", str(out),
         )
         assert code == 2
         err = capsys.readouterr().err
@@ -88,7 +98,7 @@ class TestRunCommand:
             "--set", "sensor.seed=-5", "--out", str(out),
         )
         assert code == 2
-        assert "sensor seed -5" in capsys.readouterr().err
+        assert "sensor.seed: expected a non-negative integer, got -5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_name_cannot_escape_out_dir(self, tmp_path, capsys):
@@ -153,8 +163,42 @@ class TestRunCommand:
         assert run_cli("run", "--config", "/nonexistent.yaml") == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(Path.mkdir, id="directory"),
+            pytest.param(lambda p: p.write_bytes(b"\xff\xfe\x00"), id="not-utf8"),
+        ],
+    )
+    def test_unreadable_config_path_exits_2(self, make, tmp_path, capsys):
+        path = tmp_path / "cfg"
+        make(path)
+        assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        assert f"config file {path} cannot be read" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_requires_preset_or_config(self, capsys):
         assert run_cli("run") == 2
+
+
+class TestTraceCsv:
+    def test_matches_per_value_formatting(self):
+        # Reference: every value formatted on its own with an f-string.
+        def reference(trace):
+            lines = [",".join(TRACE_COLUMNS)]
+            for row in trace.values:
+                lines.append(",".join(f"{v:.9g}" for v in row))
+            return "\n".join(lines) + "\n"
+
+        rng = np.random.default_rng(5)
+        values = rng.normal(scale=1e3, size=(40, len(TRACE_COLUMNS)))
+        values[0, :5] = (-0.0, 1e-300, 5e-324, 1e17, 2.2250738585072014e-308 / 3)
+        values[1, :6] = (0.0, -1e17, 123456789.5, 1.0000000005, -2.5e-7, 1e16 + 2)
+        values[2] *= 1e-12
+        trace = Trace(values)
+        assert format_trace_csv(trace) == reference(trace)
+        empty = Trace(np.empty((0, len(TRACE_COLUMNS))))
+        assert format_trace_csv(empty) == reference(empty)
 
 
 class TestCompareCommand:

@@ -1,8 +1,10 @@
+import dataclasses
 import re
 
 import pytest
 import yaml
 
+from forcemotion.cli import main
 from forcemotion.config import (
     ConfigInvalid,
     apply_overrides,
@@ -13,6 +15,7 @@ from forcemotion.config import (
     validate_config,
 )
 from forcemotion.fuzzy import Label
+from forcemotion.sim import TuneEntry, WorkspaceViolation
 
 MINIMAL = {"controller": "pi", "setpoint": {"x": 0.0, "z": 10.0}}
 
@@ -175,3 +178,53 @@ class TestPresetsAndFiles:
         scenario = scenario_from_config(pinned)
         assert scenario.environment.seed == 7
         assert scenario.sensor.seed == 8
+
+
+def _safe_dump(doc):
+    return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
+
+
+class TestEmitter:
+    """to_yaml writes exactly the bytes yaml.safe_dump writes, whichever
+    dumper (libyaml's C emitter or the Python one) PyYAML provides."""
+
+    def test_run_summary(self, tmp_path):
+        assert main(["run", "--preset", "exp3", "--controller", "pi", "--out", str(tmp_path)]) == 0
+        doc = yaml.safe_load((tmp_path / "exp3_pi_summary.yaml").read_text())
+        assert to_yaml(doc) == _safe_dump(doc)
+
+    def test_compare_report(self, tmp_path):
+        assert main(["compare", "--preset", "exp1", "--out", str(tmp_path)]) == 0
+        doc = yaml.safe_load((tmp_path / "exp1_compare.yaml").read_text())
+        assert to_yaml(doc) == _safe_dump(doc)
+
+    def test_leaderboard_with_long_failure_and_inf_objective(self):
+        failure = str(WorkspaceViolation(37, 0.37, "target (1.234567, -0.987654) lies outside "
+                                         "the annulus 0.000000 <= r <= 1.000000 reachable by the arm"))
+        assert len(failure) > 80
+        entries = [
+            TuneEntry({"kp": 1e-4, "ki": 5e-5}, 12.5, 3.25, 0.41, 1.75, True, None),
+            TuneEntry({"kp": 0.0, "ki": 2.0e-3}, float("inf"), None, None, None, False, failure),
+        ]
+        doc = {
+            "scenario": "exp2",
+            "controller": "pi",
+            "axis": "z",
+            "entries": [dataclasses.asdict(e) for e in entries],
+        }
+        text = to_yaml(doc)
+        assert text == _safe_dump(doc)
+        assert yaml.safe_load(text)["entries"][1]["failure"] == failure
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            pytest.param({"rule_file": "/data/r\xe8gles/" + "exp\xe9rience_" * 8 + "/table.txt"},
+                         id="long-non-ascii-text"),
+            pytest.param({"note": "tab\tand newline\n" * 8}, id="long-escaped-text"),
+            pytest.param({"tuner": {"grid": {"": [1.0]}}}, id="empty-key"),
+            pytest.param({"tuner": {"grid": {"k" * 125: [1.0]}}}, id="125-character-key"),
+        ],
+    )
+    def test_text_the_c_emitter_lays_out_differently(self, doc):
+        assert to_yaml(doc) == _safe_dump(doc)

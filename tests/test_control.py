@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forcemotion import control
+from forcemotion.config import experiment2_scenario
 from forcemotion.control import (
     AxisController,
     AxisForce,
@@ -15,12 +18,12 @@ from forcemotion.control import (
     PIGains,
     SelectionMatrix,
     accumulate,
-    apply_selection,
     error_step,
     fuzzy_pi_step,
     pi_step,
 )
 from forcemotion.fuzzy import FuzzyInference
+from forcemotion.sim import run
 
 import oracles
 
@@ -105,26 +108,74 @@ class TestFuzzyPIStep:
 
 
 class TestSelection:
+    """The selection matrix decides which axes evaluate their law: a
+    deselected axis records its error but gets du = 0 and keeps u."""
+
+    GAINS = PIGains(kp=1e-4, ki=5e-5)
+    SETPOINT = AxisForce(2.0, 4.0)
+    MEASURED = AxisForce(0.0, 0.0)
+
+    def _step(self, selection, setpoint=SETPOINT):
+        hybrid = _hybrid("pi", selection=selection, kp=self.GAINS.kp, ki=self.GAINS.ki)
+        return hybrid.step(setpoint, self.MEASURED)
+
     def test_identity(self):
-        assert apply_selection(SelectionMatrix.identity(), 1.0, 2.0) == (1.0, 2.0)
+        u, du, e = self._step(SelectionMatrix.identity())
+        assert du == (pi_step(self.GAINS, 2.0, 0.0, 5e-4), pi_step(self.GAINS, 4.0, 0.0, 5e-4))
+        assert u == du
+        assert e == (2.0, 4.0)
 
     def test_masked_axis(self):
-        assert apply_selection(SelectionMatrix(False, True), 1.0, 2.0) == (0.0, 2.0)
+        u, du, e = self._step(SelectionMatrix(False, True))
+        assert du == (0.0, pi_step(self.GAINS, 4.0, 0.0, 5e-4))
+        assert u == du
+        assert e == (2.0, 4.0)
 
     def test_pure_motion_control(self):
-        assert apply_selection(SelectionMatrix.none(), 1.0, 2.0) == (0.0, 0.0)
+        u, du, e = self._step(SelectionMatrix.none())
+        assert (u, du) == ((0.0, 0.0), (0.0, 0.0))
+        assert e == (2.0, 4.0)
 
     @given(
         st.booleans(),
         st.booleans(),
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.floats(min_value=-1e3, max_value=1e3),
     )
     @settings(max_examples=50, deadline=None)
-    def test_idempotent(self, sx, sz, a, b):
-        s = SelectionMatrix(sx, sz)
-        once = apply_selection(s, a, b)
-        assert apply_selection(s, *once) == once
+    def test_idempotent(self, sx, sz, fx, fz):
+        # Masking the identity's increments with the selection gives the
+        # selected step's increments, and masking those again changes nothing.
+        setpoint = AxisForce(fx, fz)
+        _, du_all, e_all = self._step(SelectionMatrix.identity(), setpoint)
+        u, du, e = self._step(SelectionMatrix(sx, sz), setpoint)
+        masked = tuple(d if keep else 0.0 for d, keep in zip(du_all, (sx, sz)))
+        assert du == masked
+        assert tuple(d if keep else 0.0 for d, keep in zip(du, (sx, sz))) == du
+        assert u == du
+        assert e == e_all
+
+    def test_deselected_axis_evaluates_no_law(self, monkeypatch):
+        # exp2 regulates z only; its x axis must not call the fuzzy law.
+        calls = []
+
+        def counting(gains, e, de, engine):
+            calls.append(e)
+            return fuzzy_pi_step(gains, e, de, engine)
+
+        monkeypatch.setattr(control, "fuzzy_pi_step", counting)
+        scenario = experiment2_scenario("fuzzy")
+        assert scenario.selection == SelectionMatrix(False, True)
+        # A nonzero x setpoint makes the recorded x error visible; a
+        # deselected axis's setpoint does not steer the arm.
+        scenario = dataclasses.replace(scenario, setpoint=AxisForce(5.0, scenario.setpoint.z))
+        trace = run(scenario)
+        assert len(trace) == 301
+        assert len(calls) == 301
+        assert np.all(trace.column("du_x") == 0.0)
+        assert np.all(trace.column("u_x") == 0.0)
+        assert np.array_equal(trace.column("e_x"), 5.0 - trace.column("f_x"))
+        assert calls == list(trace.column("e_z"))
 
 
 class TestAccumulate:

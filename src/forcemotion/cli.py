@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional
 
 from . import config as cfgmod
 from .config import ConfigInvalid
-from .control import FuzzyPIGains
+from .control import AXES, FuzzyPIGains
 from .fuzzy import FuzzyInference, defuzzify_coa
 from .presets import PRESET_NAMES, TUNED_FUZZY
 from .sim import (
@@ -50,7 +50,7 @@ def format_trace_csv(trace: Trace) -> str:
 
 
 def _selected_axes(cfg: Dict[str, Any]) -> List[str]:
-    return [axis for axis in ("x", "z") if cfg["selection"][axis]]
+    return [axis for axis in AXES if cfg["selection"][axis]]
 
 
 def _effective_config(args) -> Dict[str, Any]:
@@ -129,7 +129,7 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     traces: Dict[str, Trace] = {}
     scenarios = {}
-    for kind in ("pi", "fuzzy"):
+    for kind in cfgmod._LAWS:
         scenario = cfgmod.scenario_from_config(cfg, controller=kind)
         scenarios[kind] = scenario
         traces[kind] = run(scenario)
@@ -175,7 +175,7 @@ def cmd_compare(args) -> int:
         if "error" in body:
             print(f"    {body['error']}")
             continue
-        for kind in ("pi", "fuzzy"):
+        for kind in cfgmod._LAWS:
             m = body[kind]
             settle = "not settled" if not m["settled"] else f"{m['settling_time']:.3f} s"
             print(
@@ -213,7 +213,7 @@ def cmd_tune(args) -> int:
         ),
     )
     best_cfg = copy.deepcopy(cfg)
-    for axis in ("x", "z"):
+    for axis in AXES:
         best_cfg["gains"][scenario.controller_kind][axis] = dict(best.gains)
     _atomic_write(best_path, cfgmod.to_yaml(best_cfg))
     print(f"wrote {board_path} and {best_path}")
@@ -222,7 +222,10 @@ def cmd_tune(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    gains = FuzzyPIGains(kp=args.kp, ki=args.ki, kx=args.kx)
+    try:
+        gains = FuzzyPIGains(kp=args.kp, ki=args.ki, kx=args.kx)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from None
     engine = FuzzyInference()
     e_norm = gains.ki * args.e
     de_norm = gains.kp * args.de
@@ -252,7 +255,7 @@ def _add_common(parser: argparse.ArgumentParser, with_controller: bool = True) -
     parser.add_argument("--preset", choices=PRESET_NAMES, help="built-in scenario")
     parser.add_argument("--config", help="YAML scenario config file")
     if with_controller:
-        parser.add_argument("--controller", choices=("pi", "fuzzy"), help="force loop law")
+        parser.add_argument("--controller", choices=tuple(cfgmod._LAWS), help="force loop law")
     parser.add_argument(
         "--set",
         action="append",

@@ -32,6 +32,16 @@ _REQUIRED = "__required__"
 
 # `controller` value -> gains type; the gains type carries the control law.
 _LAWS = {law.kind: law for law in (PIGains, FuzzyPIGains)}
+# Obstacle `type` value -> the obstacle type it builds.
+_OBSTACLES = {"rough_surface": RoughSurface, "box": Box}
+
+
+def _fields(cls) -> Dict[str, Any]:
+    """Each field of a dataclass mapped to its default, or to _REQUIRED."""
+    return {
+        f.name: _REQUIRED if f.default is dataclasses.MISSING else f.default
+        for f in dataclasses.fields(cls)
+    }
 
 
 def _tuned_gains(preset: str) -> Dict[str, Any]:
@@ -42,63 +52,38 @@ def _tuned_gains(preset: str) -> Dict[str, Any]:
     }
 
 
-# Schema and documented defaults. `setpoint` values and `controller` are the
-# only fields without defaults.
+# Schema and documented defaults: each section takes its keys and defaults
+# from the library type it builds. `setpoint` values and `controller` are
+# the only fields without defaults; the gains and path are exp2's.
 _DEFAULTS: Dict[str, Any] = {
     "name": "custom",
     "controller": _REQUIRED,
     "seed": DEFAULT_SEED,
-    "dt": 0.01,
-    "duration": 3.0,
-    "arm": {
-        "l1": 0.5,
-        "l2": 0.5,
-        "tau_servo": 0.04,
-        "qdot_max": 2.0,
-        "elbow": "down",
-    },
-    "setpoint": {"x": _REQUIRED, "z": _REQUIRED},
-    "selection": {"x": True, "z": True},
-    "press_direction": {"x": 1, "z": -1},
-    "limits": {
-        "x": {"u_min": -0.02, "u_max": 0.02, "du_max": 5e-4},
-        "z": {"u_min": -0.02, "u_max": 0.02, "du_max": 5e-4},
-    },
+    "dt": Scenario.dt,
+    "duration": Scenario.duration,
+    "arm": _fields(ArmParams),
+    "setpoint": {axis: _REQUIRED for axis in AXES},
+    "selection": SelectionMatrix.identity()._asdict(),
+    "press_direction": PressDirection()._asdict(),
+    "limits": {axis: _fields(CorrectionLimits) for axis in AXES},
     "gains": _tuned_gains("exp2"),
-    "path": [
-        {"t": 0.0, "x": 0.55, "z": 0.2475},
-        {"t": 3.0, "x": 0.75, "z": 0.2475},
-    ],
+    "path": PRESETS["exp2"]["path"],
     "environment": {"seed": None, "obstacles": []},
-    "sensor": {"noise_sigma": 0.0, "bias": {"x": 0.0, "z": 0.0}, "seed": None},
+    "sensor": {
+        "noise_sigma": SensorModel.noise_sigma,
+        "bias": SensorModel.bias._asdict(),
+        "seed": None,
+    },
     "rule_file": None,
     "tuner": {
         "axis": "z",
         "band_pct": 0.05,
-        "weights": {"overshoot": 10.0, "not_settled": 1000.0},
+        "weights": _fields(ObjectiveWeights),
         "grid": {},
     },
 }
 
-_OBSTACLE_DEFAULTS = {
-    "rough_surface": {
-        "type": "rough_surface",
-        "height_base": _REQUIRED,
-        "roughness_amplitude": 0.0,
-        "roughness_wavelength": 0.05,
-        "noise_amplitude": 0.0,
-        "stiffness": 10_000.0,
-        "friction_coeff": 0.0,
-    },
-    "box": {
-        "type": "box",
-        "x_min": _REQUIRED,
-        "x_max": _REQUIRED,
-        "z_min": _REQUIRED,
-        "z_max": _REQUIRED,
-        "stiffness": 10_000.0,
-    },
-}
+_OBSTACLE_DEFAULTS = {kind: {"type": kind, **_fields(cls)} for kind, cls in _OBSTACLES.items()}
 
 # Keys whose value may be None (filled in or resolved later).
 _NULLABLE = {"environment.seed", "sensor.seed", "rule_file"}
@@ -225,12 +210,11 @@ def validate_config(raw: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     """Fill defaults and reject unknown keys/bad types; returns the effective config."""
     effective = _merge(_DEFAULTS, raw or {}, "")
     if effective["controller"] not in _LAWS:
-        raise ConfigInvalid(
-            f"controller: expected 'pi' or 'fuzzy', got {effective['controller']!r}"
-        )
+        laws = " or ".join(map(repr, _LAWS))
+        raise ConfigInvalid(f"controller: expected {laws}, got {effective['controller']!r}")
     if effective["arm"]["elbow"] not in ("down", "up"):
         raise ConfigInvalid(f"arm.elbow: expected 'down' or 'up', got {effective['arm']['elbow']!r}")
-    if effective["tuner"]["axis"] not in ("x", "z"):
+    if effective["tuner"]["axis"] not in AXES:
         raise ConfigInvalid(f"tuner.axis: expected 'x' or 'z', got {effective['tuner']['axis']!r}")
     grid = effective["tuner"]["grid"]
     if not isinstance(grid, dict):
@@ -240,7 +224,7 @@ def validate_config(raw: Optional[Dict[str, Any]]) -> Dict[str, Any]:
             raise ConfigInvalid(f"tuner.grid.{gain}: expected a nonempty list")
         for v in values:
             _check_number(f"tuner.grid.{gain}", v)
-    for axis in ("x", "z"):
+    for axis in AXES:
         _check_number(f"setpoint.{axis}", effective["setpoint"][axis])
         if effective["press_direction"][axis] not in (1, -1):
             raise ConfigInvalid(
@@ -261,7 +245,8 @@ def read_config(path) -> Dict[str, Any]:
         raw = yaml.safe_load(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigInvalid(f"config file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: text that is not UTF-8, or an integer over Python's digit limit.
         raise ConfigInvalid(f"config file {path} cannot be read: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigInvalid(f"config file {path} is not valid YAML: {exc}") from None
@@ -289,6 +274,9 @@ def apply_overrides(raw: Dict[str, Any], overrides: List[str]) -> Dict[str, Any]
             value = yaml.safe_load(text)
         except yaml.YAMLError:
             value = text
+        except ValueError as exc:
+            # An integer literal over Python's digit limit.
+            raise ConfigInvalid(f"{key}: expected a value YAML can read ({exc})") from None
         node = updated
         parts = key.split(".")
         for part in parts[:-1]:
@@ -313,51 +301,30 @@ def _build_scenario(cfg: Dict[str, Any], controller: Optional[str]) -> Scenario:
     kind = controller or cfg["controller"]
     seed = cfg["seed"]
     env_seed = cfg["environment"]["seed"]
-    sensor_seed = cfg["sensor"]["seed"]
-
-    obstacles = []
-    for item in cfg["environment"]["obstacles"]:
-        fields = {k: v for k, v in item.items() if k != "type"}
-        if item["type"] == "rough_surface":
-            obstacles.append(RoughSurface(**fields))
-        else:
-            obstacles.append(Box(**fields))
-    environment = Environment(
-        tuple(obstacles), seed=seed if env_seed is None else env_seed
-    )
-    sensor = SensorModel(
-        noise_sigma=float(cfg["sensor"]["noise_sigma"]),
-        bias=AxisForce(float(cfg["sensor"]["bias"]["x"]), float(cfg["sensor"]["bias"]["z"])),
-        seed=seed + 1 if sensor_seed is None else sensor_seed,
-    )
-    gains = {axis: _LAWS[kind](**cfg["gains"][kind][axis]) for axis in AXES}
-    limits = {axis: CorrectionLimits(**cfg["limits"][axis]) for axis in ("x", "z")}
-    path = NominalPath(
-        tuple((float(w["t"]), Pose(float(w["x"]), float(w["z"]))) for w in cfg["path"])
-    )
+    sensor = cfg["sensor"]
+    obstacles = [
+        _OBSTACLES[item["type"]](**{k: v for k, v in item.items() if k != "type"})
+        for item in cfg["environment"]["obstacles"]
+    ]
     rules = RuleBase.default() if cfg["rule_file"] is None else RuleBase.from_file(cfg["rule_file"])
     return Scenario(
-        name=str(cfg["name"]),
-        setpoint=AxisForce(float(cfg["setpoint"]["x"]), float(cfg["setpoint"]["z"])),
-        path=path,
-        environment=environment,
-        gains=gains,
-        selection=SelectionMatrix(bool(cfg["selection"]["x"]), bool(cfg["selection"]["z"])),
-        press_direction=PressDirection(
-            int(cfg["press_direction"]["x"]), int(cfg["press_direction"]["z"])
+        name=cfg["name"],
+        setpoint=AxisForce(**cfg["setpoint"]),
+        path=NominalPath(tuple((w["t"], Pose(w["x"], w["z"])) for w in cfg["path"])),
+        environment=Environment(tuple(obstacles), seed=seed if env_seed is None else env_seed),
+        gains={axis: _LAWS[kind](**cfg["gains"][kind][axis]) for axis in AXES},
+        selection=SelectionMatrix(**cfg["selection"]),
+        press_direction=PressDirection(**cfg["press_direction"]),
+        limits={axis: CorrectionLimits(**cfg["limits"][axis]) for axis in AXES},
+        arm=ArmParams(**cfg["arm"]),
+        sensor=SensorModel(
+            noise_sigma=sensor["noise_sigma"],
+            bias=AxisForce(**sensor["bias"]),
+            seed=seed + 1 if sensor["seed"] is None else sensor["seed"],
         ),
-        limits=limits,
-        arm=ArmParams(
-            l1=float(cfg["arm"]["l1"]),
-            l2=float(cfg["arm"]["l2"]),
-            tau_servo=float(cfg["arm"]["tau_servo"]),
-            qdot_max=float(cfg["arm"]["qdot_max"]),
-            elbow=str(cfg["arm"]["elbow"]),
-        ),
-        sensor=sensor,
         rules=rules,
-        dt=float(cfg["dt"]),
-        duration=float(cfg["duration"]),
+        dt=cfg["dt"],
+        duration=cfg["duration"],
     )
 
 
@@ -376,13 +343,12 @@ def tuner_settings(cfg: Dict[str, Any]) -> Dict[str, Any]:
             raise ConfigInvalid(f"tuner.grid.{gain}: missing; the {kind} law tunes {names}")
         if min(grid[gain]) < 0:
             raise ConfigInvalid(f"tuner.grid.{gain}: expected nonnegative gains, got {min(grid[gain])}")
+    if t["band_pct"] <= 0:
+        raise ConfigInvalid(f"tuner.band_pct: expected a positive number, got {t['band_pct']}")
     return {
         "axis": t["axis"],
         "band_pct": float(t["band_pct"]),
-        "weights": ObjectiveWeights(
-            overshoot=float(t["weights"]["overshoot"]),
-            not_settled=float(t["weights"]["not_settled"]),
-        ),
+        "weights": ObjectiveWeights(**t["weights"]),
         "grid": {k: [float(v) for v in vs] for k, vs in t["grid"].items()},
     }
 

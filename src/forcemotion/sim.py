@@ -33,6 +33,9 @@ from .plant import Environment, PlanarArm, Pose, SensorModel, Unreachable, ik
 
 AxisGains = Union[PIGains, FuzzyPIGains]
 
+# Upper bound on duration / dt: run() allocates one trace row per tick.
+_MAX_TICKS = 10**6
+
 
 class WorkspaceViolation(Exception):
     """The commanded pose left the arm workspace; the run was aborted."""
@@ -92,6 +95,10 @@ class ArmParams:
     qdot_max: float = 2.0
     elbow: str = "down"
 
+    def __post_init__(self) -> None:
+        # Reject what PlanarArm rejects here, not when run() builds the arm.
+        PlanarArm(self.l1, self.l2, tau_servo=self.tau_servo, qdot_max=self.qdot_max)
+
 
 @dataclass
 class Scenario:
@@ -119,6 +126,11 @@ class Scenario:
             raise ValueError("dt must be positive")
         if self.duration < self.dt:
             raise ValueError("duration must be at least one tick")
+        if not self.duration / self.dt <= _MAX_TICKS:
+            raise ValueError(
+                f"duration / dt: expected at most {_MAX_TICKS} ticks, got "
+                f"duration {self.duration} / dt {self.dt} = {self.duration / self.dt:.6g}"
+            )
         for axis in AXES:
             if axis not in self.gains:
                 raise ValueError(f"missing gains for axis {axis}")

@@ -67,6 +67,7 @@ class TestRunCommand:
             ("sensor.seed=abc", "sensor.seed"),
             ("sensor.seed=1.5", "sensor.seed"),
             ("sensor.seed=false", "sensor.seed"),
+            pytest.param("seed=" + "1" * 4401, "seed", id="seed=4401-digit-integer"),
         ],
     )
     def test_bad_numbers_exit_2_naming_the_key(self, override, key, tmp_path, capsys):
@@ -82,6 +83,25 @@ class TestRunCommand:
         # PyYAML reads 1e9 and 1.0e9 as strings; the message says how to write the number.
         if override == "duration=1e9":
             assert "got the string '1e9'" in err and "write it as 1.0e+9" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("dt=1.0e-300", "duration / dt"),
+            ("dt=5.0e-324", "duration / dt"),
+            ("arm.tau_servo=0.0", "tau_servo must be positive"),
+            ("arm.qdot_max=-1.0", "qdot_max must be positive"),
+        ],
+    )
+    def test_bad_scenario_values_exit_2(self, override, message, tmp_path, capsys):
+        out = tmp_path / "results"
+        code = run_cli(
+            "run", "--preset", "exp2", "--controller", "pi",
+            "--set", override, "--out", str(out),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_huge_integer_seed_still_runs(self, tmp_path):
@@ -168,6 +188,7 @@ class TestRunCommand:
         [
             pytest.param(Path.mkdir, id="directory"),
             pytest.param(lambda p: p.write_bytes(b"\xff\xfe\x00"), id="not-utf8"),
+            pytest.param(lambda p: p.write_text("seed: " + "1" * 4401), id="4401-digit-integer"),
         ],
     )
     def test_unreadable_config_path_exits_2(self, make, tmp_path, capsys):
@@ -296,8 +317,10 @@ class TestTuneCommand:
             ("pi", ["tuner.grid.kp=[-1.0]", "tuner.grid.ki=[5.0e-5]"], "tuner.grid.kp"),
             ("pi", ["tuner.grid.kx=[1.0e-3]"], "tuner.grid.kx"),
             ("fuzzy", ["tuner.grid.kp=[0.1]"], "tuner.grid.ki"),
+            ("pi", [*GRID_ARGS[1::2], "tuner.band_pct=-0.5"], "tuner.band_pct"),
+            ("pi", [*GRID_ARGS[1::2], "tuner.band_pct=0.0"], "tuner.band_pct"),
         ],
-        ids=["negative-gain", "gain-the-law-lacks", "missing-gain"],
+        ids=["negative-gain", "gain-the-law-lacks", "missing-gain", "negative-band", "zero-band"],
     )
     def test_bad_grid_is_config_error(self, controller, grid, key, tmp_path, capsys):
         out = tmp_path / "results"
@@ -337,6 +360,10 @@ class TestInferCommand:
         out = capsys.readouterr().out
         assert "e=PL & de=PL -> pl" in out
         assert "centroid = 0.888889" in out
+
+    def test_negative_gain_is_config_error(self, capsys):
+        assert run_cli("infer", "--e", "1", "--de", "0", "--kp", "-1") == 2
+        assert "config error: fuzzy-PI gains must be nonnegative" in capsys.readouterr().err
 
     def test_negated_inputs_negate_output(self, capsys):
         assert run_cli("infer", "--e", "12", "--de", "3") == 0

@@ -1,11 +1,13 @@
 import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 import yaml
 
 from forcemotion.cli import main
 from forcemotion.config import (
+    _OBSTACLE_DEFAULTS,
     ConfigInvalid,
     apply_overrides,
     load_config,
@@ -18,6 +20,18 @@ from forcemotion.fuzzy import Label
 from forcemotion.sim import TuneEntry, WorkspaceViolation
 
 MINIMAL = {"controller": "pi", "setpoint": {"x": 0.0, "z": 10.0}}
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _dotted_keys(node, prefix=""):
+    """Dotted paths of every mapping key; lists and `tuner.grid` are leaves."""
+    keys = set()
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        keys.add(path)
+        if isinstance(value, dict) and path != "tuner.grid":
+            keys |= _dotted_keys(value, path + ".")
+    return keys
 
 
 class TestValidation:
@@ -228,3 +242,20 @@ class TestEmitter:
     )
     def test_text_the_c_emitter_lays_out_differently(self, doc):
         assert to_yaml(doc) == _safe_dump(doc)
+
+
+class TestReadmeSchema:
+    """The schema block under "## Configuration" in README.md lists every key."""
+
+    @staticmethod
+    def _schema():
+        section = README.read_text().split("## Configuration", 1)[1]
+        return yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+
+    def test_names_exactly_the_accepted_keys(self):
+        schema = self._schema()
+        assert _dotted_keys(schema) == _dotted_keys(validate_config(schema))
+
+    def test_rough_surface_entry_names_every_obstacle_key(self):
+        (surface,) = self._schema()["environment"]["obstacles"]
+        assert set(surface) == set(_OBSTACLE_DEFAULTS["rough_surface"])

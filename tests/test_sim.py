@@ -97,6 +97,32 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             free_space_scenario(duration=0.001)
 
+    @pytest.mark.parametrize(
+        "timing", [{"dt": 1.0e-6}, {"dt": 1.0e-300}, {"dt": 5.0e-324}, {"duration": math.inf}]
+    )
+    def test_rejects_too_many_ticks(self, timing):
+        # Checked before run() allocates the trace, one row per tick.
+        with pytest.raises(ValueError, match="duration / dt"):
+            free_space_scenario(**timing)
+
+    def test_accepts_a_million_ticks(self):
+        dt = 2.0 ** -20
+        assert free_space_scenario(dt=dt, duration=10**6 * dt).dt == dt
+        with pytest.raises(ValueError, match="duration / dt"):
+            free_space_scenario(dt=dt, duration=(10**6 + 1) * dt)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("l1", 0.0, "link lengths must be positive"),
+            ("tau_servo", 0.0, "tau_servo must be positive"),
+            ("qdot_max", -1.0, "qdot_max must be positive"),
+        ],
+    )
+    def test_arm_params_apply_the_arm_checks(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ArmParams(**{field: value})
+
 
 class TestRun:
     def test_free_space_tracks_nominal(self):

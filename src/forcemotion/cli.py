@@ -10,6 +10,7 @@ import argparse
 import copy
 import dataclasses
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -222,6 +223,10 @@ def cmd_tune(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    for flag in ("e", "de", "kp", "ki", "kx"):
+        value = getattr(args, flag)
+        if not math.isfinite(value):
+            raise ConfigInvalid(f"--{flag}: expected a finite number, got {value}")
     try:
         gains = FuzzyPIGains(kp=args.kp, ki=args.ki, kx=args.kx)
     except ValueError as exc:

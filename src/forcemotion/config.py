@@ -297,27 +297,48 @@ def scenario_from_config(cfg: Dict[str, Any], controller: Optional[str] = None) 
         raise ConfigInvalid(str(exc)) from exc
 
 
+def _build(key: str, cls, **kwargs) -> Any:
+    """cls(**kwargs); a failed check is reported under the config key `key`,
+    joined to the field the message starts with when it names one."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        message = str(exc)
+        named = message.split(" ", 1)[0] in {f.name for f in dataclasses.fields(cls)}
+        raise ConfigInvalid(f"{key}.{message}" if named else f"{key}: {message}") from None
+
+
 def _build_scenario(cfg: Dict[str, Any], controller: Optional[str]) -> Scenario:
     kind = controller or cfg["controller"]
     seed = cfg["seed"]
     env_seed = cfg["environment"]["seed"]
     sensor = cfg["sensor"]
     obstacles = [
-        _OBSTACLES[item["type"]](**{k: v for k, v in item.items() if k != "type"})
-        for item in cfg["environment"]["obstacles"]
+        _build(f"environment.obstacles[{i}]", _OBSTACLES[item["type"]],
+               **{k: v for k, v in item.items() if k != "type"})
+        for i, item in enumerate(cfg["environment"]["obstacles"])
     ]
     rules = RuleBase.default() if cfg["rule_file"] is None else RuleBase.from_file(cfg["rule_file"])
     return Scenario(
         name=cfg["name"],
         setpoint=AxisForce(**cfg["setpoint"]),
-        path=NominalPath(tuple((w["t"], Pose(w["x"], w["z"])) for w in cfg["path"])),
+        path=_build(
+            "path", NominalPath, waypoints=tuple((w["t"], Pose(w["x"], w["z"])) for w in cfg["path"])
+        ),
         environment=Environment(tuple(obstacles), seed=seed if env_seed is None else env_seed),
-        gains={axis: _LAWS[kind](**cfg["gains"][kind][axis]) for axis in AXES},
+        gains={
+            axis: _build(f"gains.{kind}.{axis}", _LAWS[kind], **cfg["gains"][kind][axis])
+            for axis in AXES
+        },
         selection=SelectionMatrix(**cfg["selection"]),
         press_direction=PressDirection(**cfg["press_direction"]),
-        limits={axis: CorrectionLimits(**cfg["limits"][axis]) for axis in AXES},
-        arm=ArmParams(**cfg["arm"]),
-        sensor=SensorModel(
+        limits={
+            axis: _build(f"limits.{axis}", CorrectionLimits, **cfg["limits"][axis]) for axis in AXES
+        },
+        arm=_build("arm", ArmParams, **cfg["arm"]),
+        sensor=_build(
+            "sensor",
+            SensorModel,
             noise_sigma=sensor["noise_sigma"],
             bias=AxisForce(**sensor["bias"]),
             seed=seed + 1 if sensor["seed"] is None else sensor["seed"],
@@ -343,6 +364,11 @@ def tuner_settings(cfg: Dict[str, Any]) -> Dict[str, Any]:
             raise ConfigInvalid(f"tuner.grid.{gain}: missing; the {kind} law tunes {names}")
         if min(grid[gain]) < 0:
             raise ConfigInvalid(f"tuner.grid.{gain}: expected nonnegative gains, got {min(grid[gain])}")
+    if not cfg["selection"][t["axis"]]:
+        raise ConfigInvalid(
+            f"tuner.axis: {t['axis']!r} is not force controlled (selection.{t['axis']} is false), "
+            "so every grid point would score alike; tune a selected axis"
+        )
     if t["band_pct"] <= 0:
         raise ConfigInvalid(f"tuner.band_pct: expected a positive number, got {t['band_pct']}")
     return {

@@ -32,7 +32,7 @@ class PIGains:
     ki: float
 
     def __post_init__(self) -> None:
-        if self.kp < 0.0 or self.ki < 0.0:
+        if not (self.kp >= 0.0 and self.ki >= 0.0):
             raise ValueError("PI gains must be nonnegative")
 
     def step(self, e: float, de: float, limits: CorrectionLimits, engine: FuzzyInference) -> float:
@@ -55,7 +55,7 @@ class FuzzyPIGains:
     kx: float
 
     def __post_init__(self) -> None:
-        if self.kp < 0.0 or self.ki < 0.0 or self.kx < 0.0:
+        if not (self.kp >= 0.0 and self.ki >= 0.0 and self.kx >= 0.0):
             raise ValueError("fuzzy-PI gains must be nonnegative")
 
     def step(self, e: float, de: float, limits: CorrectionLimits, engine: FuzzyInference) -> float:
@@ -77,9 +77,9 @@ class CorrectionLimits:
     du_max: float = 5e-4
 
     def __post_init__(self) -> None:
-        if self.u_min > self.u_max:
+        if not self.u_min <= self.u_max:
             raise ValueError("u_min must not exceed u_max")
-        if self.du_max < 0.0:
+        if not self.du_max >= 0.0:
             raise ValueError("du_max must be nonnegative")
 
 
@@ -107,15 +107,6 @@ class SelectionMatrix(NamedTuple):
         return cls(False, False)
 
 
-def error_step(f_d: float, f_e: float, state: ControllerState) -> Tuple[float, float]:
-    """Force error and its change for one axis; de is 0 on the first call."""
-    e = f_d - f_e
-    de = 0.0 if not state.initialized else e - state.e_prev
-    state.e_prev = e
-    state.initialized = True
-    return e, de
-
-
 def pi_step(gains: PIGains, e: float, de: float, du_max: float = float("inf")) -> float:
     """Incremental PI increment, clamped to +-du_max."""
     du = gains.kp * de + gains.ki * e
@@ -130,15 +121,6 @@ def fuzzy_pi_step(gains: FuzzyPIGains, e: float, de: float, engine: FuzzyInferen
     return gains.kx * engine.output(gains.ki * e, gains.kp * de)
 
 
-def accumulate(state: ControllerState, du: float, u_min: float, u_max: float) -> float:
-    """Add du to the accumulated correction, clamped to [u_min, u_max].
-
-    The clamp doubles as the anti-windup mechanism.
-    """
-    state.u_accum = min(max(state.u_accum + du, u_min), u_max)
-    return state.u_accum
-
-
 @dataclass
 class AxisController:
     """One scalar force controller with its state and limits; the gains type
@@ -148,6 +130,20 @@ class AxisController:
     limits: CorrectionLimits = CorrectionLimits()
     engine: FuzzyInference = field(default_factory=FuzzyInference)
     state: ControllerState = field(default_factory=ControllerState)
+
+    def step(self, f_d: float, f_e: float, selected: bool = True) -> Tuple[float, float, float]:
+        """One tick: error e = f_d - f_e and its change de (0 on the first
+        call), the law's increment du (0 when deselected), and du added to
+        the correction, clamped to [u_min, u_max]; the clamp doubles as the
+        anti-windup mechanism. Returns (u, du, e)."""
+        state = self.state
+        e = f_d - f_e
+        de = e - state.e_prev if state.initialized else 0.0
+        state.e_prev = e
+        state.initialized = True
+        du = self.gains.step(e, de, self.limits, self.engine) if selected else 0.0
+        state.u_accum = min(max(state.u_accum + du, self.limits.u_min), self.limits.u_max)
+        return state.u_accum, du, e
 
 
 @dataclass
@@ -175,12 +171,6 @@ class HybridForceController:
         Returns ((u_x, u_z), (du_x, du_z), (e_x, e_z)) where u is the
         accumulated correction after this tick.
         """
-        u, du, e = [], [], []
-        for axis, selected, f_d, f_e in zip(AXES, self.selection, setpoint, measured):
-            ctl = self.controllers[axis]
-            e_axis, de = error_step(f_d, f_e, ctl.state)
-            du_axis = ctl.gains.step(e_axis, de, ctl.limits, ctl.engine) if selected else 0.0
-            u.append(accumulate(ctl.state, du_axis, ctl.limits.u_min, ctl.limits.u_max))
-            du.append(du_axis)
-            e.append(e_axis)
-        return tuple(u), tuple(du), tuple(e)
+        u_x, du_x, e_x = self.controllers["x"].step(setpoint.x, measured.x, self.selection.x)
+        u_z, du_z, e_z = self.controllers["z"].step(setpoint.z, measured.z, self.selection.z)
+        return (u_x, u_z), (du_x, du_z), (e_x, e_z)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,11 +42,11 @@ class PlanarArm:
     qdot_max: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.l1 <= 0.0 or self.l2 <= 0.0:
+        if not (self.l1 > 0.0 and self.l2 > 0.0):
             raise ValueError("link lengths must be positive")
-        if self.tau_servo <= 0.0:
+        if not self.tau_servo > 0.0:
             raise ValueError("tau_servo must be positive")
-        if self.qdot_max <= 0.0:
+        if not self.qdot_max > 0.0:
             raise ValueError("qdot_max must be positive")
 
     def fk(self) -> Pose:
@@ -59,21 +59,25 @@ class PlanarArm:
 
     def jacobian(self) -> np.ndarray:
         """Analytic 2x2 Jacobian of fk, rows (dx/dq, dz/dq)."""
-        s1 = math.sin(self.q1)
-        c1 = math.cos(self.q1)
-        s12 = math.sin(self.q1 + self.q2)
-        c12 = math.cos(self.q1 + self.q2)
-        return np.array(
-            [
-                [-self.l1 * s1 - self.l2 * s12, -self.l2 * s12],
-                [self.l1 * c1 + self.l2 * c12, self.l2 * c12],
-            ]
-        )
+        return _jacobians(self.l1, self.l2, np.array([[self.q1, self.q2]]))[0]
 
-    def joint_torques(self, f: AxisForce) -> Tuple[float, float]:
-        """Joint torques equivalent to the Cartesian tool force: J^T f."""
-        tau = self.jacobian().T @ np.array([f.x, f.z])
-        return float(tau[0]), float(tau[1])
+    def joint_torques(
+        self, f: Union[AxisForce, np.ndarray], q: Optional[np.ndarray] = None
+    ) -> Union[Tuple[float, float], np.ndarray]:
+        """Joint torques equivalent to the Cartesian tool force: J^T f.
+
+        One AxisForce at the current joint angles gives (tau1, tau2). An
+        (N, 2) array of forces at the (N, 2) joint angles `q` gives an (N, 2)
+        array from one stacked matmul, bit for bit the per-state J^T f: the
+        Jacobian stack is C-contiguous and multiplied through its transpose
+        view (einsum or elementwise products round differently).
+        """
+        single = q is None
+        if single:
+            f, q = np.array([f]), np.array([[self.q1, self.q2]])
+        jac = _jacobians(self.l1, self.l2, q)
+        tau = np.matmul(jac.transpose(0, 2, 1), f[:, :, None])[:, :, 0]
+        return (float(tau[0, 0]), float(tau[0, 1])) if single else tau
 
     def servo_step(self, q_des: Tuple[float, float], dt: float) -> None:
         """First-order step toward q_des, rate-limited per joint."""
@@ -85,6 +89,20 @@ class PlanarArm:
         dq2 = min(max(alpha * (q_des[1] - self.q2), -dq_max), dq_max)
         self.q1 += dq1
         self.q2 += dq2
+
+
+def _jacobians(l1: float, l2: float, q: np.ndarray) -> np.ndarray:
+    """C-contiguous (N, 2, 2) stack of fk Jacobians at the (N, 2) joint angles q."""
+    q1 = q[:, 0]
+    q12 = q1 + q[:, 1]
+    s12 = np.sin(q12)
+    c12 = np.cos(q12)
+    jac = np.empty((len(q), 2, 2))
+    jac[:, 0, 0] = -l1 * np.sin(q1) - l2 * s12
+    jac[:, 0, 1] = -l2 * s12
+    jac[:, 1, 0] = l1 * np.cos(q1) + l2 * c12
+    jac[:, 1, 1] = l2 * c12
+    return jac
 
 
 def ik(l1: float, l2: float, target: Pose, elbow: str = "down") -> Tuple[float, float]:
@@ -132,13 +150,13 @@ class RoughSurface:
     friction_coeff: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.stiffness <= 0.0:
+        if not self.stiffness > 0.0:
             raise ValueError("stiffness must be positive")
-        if self.roughness_amplitude < 0.0 or self.noise_amplitude < 0.0:
+        if not (self.roughness_amplitude >= 0.0 and self.noise_amplitude >= 0.0):
             raise ValueError("amplitudes must be nonnegative")
-        if self.roughness_wavelength <= 0.0:
+        if not self.roughness_wavelength > 0.0:
             raise ValueError("roughness_wavelength must be positive")
-        if self.friction_coeff < 0.0:
+        if not self.friction_coeff >= 0.0:
             raise ValueError("friction_coeff must be nonnegative")
 
 
@@ -154,9 +172,9 @@ class Box:
     stiffness: float = 10_000.0
 
     def __post_init__(self) -> None:
-        if self.x_min >= self.x_max or self.z_min >= self.z_max:
+        if not (self.x_min < self.x_max and self.z_min < self.z_max):
             raise ValueError("box extents must be ordered")
-        if self.stiffness <= 0.0:
+        if not self.stiffness > 0.0:
             raise ValueError("stiffness must be positive")
 
 
@@ -166,9 +184,13 @@ _NOISE_COMPONENTS = 8
 
 
 class _NoiseProfile(NamedTuple):
-    """Fixed sinusoid mixture; a pure, order-independent function of x."""
+    """Fixed sinusoid mixture; a pure, order-independent function of x.
 
-    freqs: Tuple[float, ...]
+    Components are sin(omega*x + phase) with omega = (2*pi)*frequency, held
+    as Python floats: the profile is evaluated every tick.
+    """
+
+    omegas: Tuple[float, ...]
     phases: Tuple[float, ...]
     amplitude: float
 
@@ -176,8 +198,8 @@ class _NoiseProfile(NamedTuple):
         if self.amplitude == 0.0:
             return 0.0
         total = 0.0
-        for f, p in zip(self.freqs, self.phases):
-            total += math.sin(2.0 * math.pi * f * x + p)
+        for w, p in zip(self.omegas, self.phases):
+            total += math.sin(w * x + p)
         return self.amplitude * total / _NOISE_COMPONENTS
 
 
@@ -196,11 +218,12 @@ class Environment:
                 rng = np.random.default_rng([self.seed, index])
                 # Component frequencies sit at 1..4 cycles per roughness wavelength.
                 wavelength = obstacle.roughness_wavelength
+                freqs = (rng.uniform(1.0, 4.0, _NOISE_COMPONENTS) / wavelength).tolist()
                 profiles.append(
                     _NoiseProfile(
-                        tuple(rng.uniform(1.0, 4.0, _NOISE_COMPONENTS) / wavelength),
-                        tuple(rng.uniform(0.0, 2.0 * math.pi, _NOISE_COMPONENTS)),
-                        obstacle.noise_amplitude,
+                        tuple(2.0 * math.pi * f for f in freqs),
+                        tuple(rng.uniform(0.0, 2.0 * math.pi, _NOISE_COMPONENTS).tolist()),
+                        float(obstacle.noise_amplitude),
                     )
                 )
             else:
@@ -265,7 +288,7 @@ class SensorModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0.0:
+        if not self.noise_sigma >= 0.0:
             raise ValueError("noise_sigma must be nonnegative")
         try:
             np.random.SeedSequence(self.seed)
@@ -276,7 +299,7 @@ class SensorModel:
         fx = f_true.x + self.bias.x
         fz = f_true.z + self.bias.z
         if self.noise_sigma > 0.0:
-            noise = rng.standard_normal(2)
-            fx += self.noise_sigma * noise[0]
-            fz += self.noise_sigma * noise[1]
+            nx, nz = rng.standard_normal(2).tolist()
+            fx += self.noise_sigma * nx
+            fz += self.noise_sigma * nz
         return AxisForce(fx, fz)

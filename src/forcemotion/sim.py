@@ -2,11 +2,12 @@
 force/motion loop, performance metrics, controller comparison, and a
 grid-search gain tuner.
 
-Per tick the loop (1) interpolates the nominal pose, (2) offsets it by the
+Per tick the loop (1) takes the nominal pose, (2) offsets it by the
 accumulated correction mapped through the press-direction signs, (3) solves
 inverse kinematics, (4) steps the joint servo, (5) evaluates contact forces
 at the actual pose, (6) senses them, and (7) runs the external force loop to
-update the correction for the next tick.
+update the correction for the next tick. The nominal poses are interpolated
+before the loop and the joint torques computed after it.
 """
 from __future__ import annotations
 
@@ -195,10 +196,20 @@ class Trace:
 def run(scenario: Scenario) -> Trace:
     """Simulate the scenario tick by tick; returns the full trace.
 
+    The loop carries only the joint angles (in the arm), the correction u,
+    the controller state and the previous pose. Time, the nominal poses and
+    the joint torques depend on nothing the loop feeds back, so they are
+    computed for the whole trace outside it.
+
     Raises WorkspaceViolation when a commanded pose cannot be reached.
     """
     arm_p = scenario.arm
-    press = scenario.press_direction
+    l1, l2, elbow = arm_p.l1, arm_p.l2, arm_p.elbow
+    px, pz = scenario.press_direction
+    dt = scenario.dt
+    setpoint = scenario.setpoint
+    contact_force = scenario.environment.contact_force
+    sense = scenario.sensor.sense
     engine = FuzzyInference(rules=scenario.rules)
     hybrid = HybridForceController(
         {a: AxisController(scenario.gains[a], scenario.limits[a], engine) for a in AXES},
@@ -206,59 +217,41 @@ def run(scenario: Scenario) -> Trace:
     )
     sensor_rng = np.random.default_rng(scenario.sensor.seed)
 
-    start = scenario.path.pose_at(0.0)
-    q1, q2 = ik(arm_p.l1, arm_p.l2, start, arm_p.elbow)
-    arm = PlanarArm(arm_p.l1, arm_p.l2, q1, q2, arm_p.tau_servo, arm_p.qdot_max)
+    q1, q2 = ik(l1, l2, scenario.path.pose_at(0.0), elbow)
+    arm = PlanarArm(l1, l2, q1, q2, arm_p.tau_servo, arm_p.qdot_max)
 
-    n_ticks = int(round(scenario.duration / scenario.dt)) + 1
-    rows = np.empty((n_ticks, len(TRACE_COLUMNS)))
-    u = (0.0, 0.0)
-    prev_pose = arm.fk()
+    n_ticks = int(round(scenario.duration / dt)) + 1
+    # arange(N) * dt is k * dt bit for bit.
+    t = np.arange(n_ticks) * dt
+    nominal = [scenario.path.pose_at(tk) for tk in t.tolist()]
+    rows = []
+    u_x = u_z = 0.0
+    prev = arm.fk()
+    v = (0.0, 0.0)
 
-    for k in range(n_ticks):
-        t = k * scenario.dt
-        nominal = scenario.path.pose_at(t)
-        commanded = Pose(nominal.x + press.x * u[0], nominal.z + press.z * u[1])
+    for k, (nom_x, nom_z) in enumerate(nominal):
         try:
-            q_des = ik(arm_p.l1, arm_p.l2, commanded, arm_p.elbow)
+            q_des = ik(l1, l2, Pose(nom_x + px * u_x, nom_z + pz * u_z), elbow)
         except Unreachable as exc:
-            raise WorkspaceViolation(k, t, str(exc)) from exc
-        arm.servo_step(q_des, scenario.dt)
+            raise WorkspaceViolation(k, k * dt, str(exc)) from exc
+        arm.servo_step(q_des, dt)
         pose = arm.fk()
-        v = (
-            ((pose.x - prev_pose.x) / scenario.dt, (pose.z - prev_pose.z) / scenario.dt)
-            if k > 0
-            else (0.0, 0.0)
-        )
-        f_tool = scenario.environment.contact_force(pose, v)
-        sensed = scenario.sensor.sense(f_tool, sensor_rng)
+        if k > 0:
+            v = ((pose.x - prev.x) / dt, (pose.z - prev.z) / dt)
+        f_tool = contact_force(pose, v)
+        sensed = sense(f_tool, sensor_rng)
         # The controller regulates the force pressed onto the environment:
         # project the sensed tool force onto the press directions.
-        measured = AxisForce(-press.x * sensed.x, -press.z * sensed.z)
-        tau = arm.joint_torques(AxisForce(-f_tool.x, -f_tool.z))
-        u_next, du, e = hybrid.step(scenario.setpoint, measured)
-        rows[k] = (
-            t,
-            measured.x,
-            measured.z,
-            e[0],
-            e[1],
-            du[0],
-            du[1],
-            u[0],
-            u[1],
-            nominal.x,
-            nominal.z,
-            pose.x,
-            pose.z,
-            arm.q1,
-            arm.q2,
-            tau[0],
-            tau[1],
-        )
-        u = u_next
-        prev_pose = pose
-    return Trace(rows)
+        measured = AxisForce(-px * sensed.x, -pz * sensed.z)
+        u_next, du, e = hybrid.step(setpoint, measured)
+        rows.append((*measured, *e, *du, u_x, u_z, *pose, arm.q1, arm.q2, *f_tool))
+        u_x, u_z = u_next
+        prev = pose
+
+    logged = np.array(rows)
+    # The torque the tool force exerts on the joints: J(q)^T (-f_tool).
+    tau = arm.joint_torques(-logged[:, 12:14], logged[:, 10:12])
+    return Trace(np.column_stack((t, logged[:, :8], nominal, logged[:, 8:12], tau)))
 
 
 @dataclass(frozen=True)
@@ -314,9 +307,11 @@ def compute_metrics(
     settling_time = float(t[first + settle_idx]) if settled else None
 
     tail = f[int(round(0.8 * (len(f) - 1))):]
-    rms = float(np.sqrt(np.mean((tail - setpoint) ** 2)))
     dt = float(t[1] - t[0]) if len(t) > 1 else 0.0
-    itae = float(np.sum(t * np.abs(setpoint - f)) * dt)
+    # Forces beyond float range once squared or summed give inf, silently.
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean((tail - setpoint) ** 2)))
+        itae = float(np.sum(t * np.abs(setpoint - f)) * dt)
     return Metrics(
         overshoot_pct=overshoot,
         settling_time=settling_time,

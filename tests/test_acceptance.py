@@ -14,8 +14,8 @@ import pytest
 
 from forcemotion.cli import main as cli_main
 from forcemotion.config import experiment1_scenario, experiment2_scenario, experiment3_scenario
-from forcemotion.control import AxisForce, ControllerState, PIGains, SelectionMatrix
-from forcemotion.control import accumulate, error_step, fuzzy_pi_step, pi_step
+from forcemotion.control import AxisController, AxisForce, CorrectionLimits, PIGains, SelectionMatrix
+from forcemotion.control import fuzzy_pi_step
 from forcemotion.fuzzy import (
     AggregatedOutput,
     FuzzyInference,
@@ -171,13 +171,10 @@ def test_criterion_7_pi_form_equivalence():
     kp, ki = 2.3e-4, 6.1e-5
     errors = rng.uniform(-20.0, 20.0, size=1000)
     expected = oracles.pi_closed_form(kp, ki, errors)
-    state = ControllerState()
-    gains = PIGains(kp, ki)
+    ctl = AxisController(PIGains(kp, ki), CorrectionLimits(-math.inf, math.inf, math.inf))
     worst = 0.0
     for k, e_k in enumerate(errors):
-        e, de = error_step(float(e_k), 0.0, state)
-        du = pi_step(gains, e, de)
-        u = accumulate(state, du, -math.inf, math.inf)
+        u, _, _ = ctl.step(float(e_k), 0.0)
         worst = max(worst, abs(u - expected[k]))
     assert worst <= 1e-12
     print(f"ACCEPTANCE 7: PASS - incremental PI matches the discretized "

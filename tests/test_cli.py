@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,8 @@ import yaml
 
 from forcemotion.cli import format_trace_csv, main
 from forcemotion.sim import TRACE_COLUMNS, Trace
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -103,6 +106,47 @@ class TestRunCommand:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("arm.tau_servo=0.0", "config error: arm.tau_servo must be positive"),
+            ("limits.z.du_max=-1.0", "config error: limits.z.du_max must be nonnegative"),
+            ("gains.pi.z.kp=-1.0", "config error: gains.pi.z: PI gains must be nonnegative"),
+            ("sensor.noise_sigma=-1.0", "config error: sensor.noise_sigma must be nonnegative"),
+            (
+                "environment.obstacles=[{type: rough_surface, height_base: 0.25, stiffness: 0.0}]",
+                "config error: environment.obstacles[0].stiffness must be positive",
+            ),
+            (
+                "environment.obstacles=[{type: rough_surface, height_base: 0.25},"
+                " {type: box, x_min: 0.7, x_max: 0.6, z_min: 0.1, z_max: 0.2}]",
+                "config error: environment.obstacles[1]: box extents must be ordered",
+            ),
+        ],
+        ids=["arm", "limits", "gains", "sensor", "obstacle-field", "obstacle"],
+    )
+    def test_library_checks_name_the_config_key(self, override, message, tmp_path, capsys):
+        out = tmp_path / "results"
+        code = run_cli(
+            "run", "--preset", "exp2", "--controller", "pi",
+            "--set", override, "--out", str(out),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_force_beyond_float_range_reports_inf_without_warning(self, tmp_path, capsys):
+        # The squared force error overflows: the steady-state RMS is inf.
+        code = run_cli(
+            "run", "--preset", "exp2", "--controller", "pi",
+            "--set", "sensor.bias.z=1.0e+300", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert "steady RMS inf N" in capsys.readouterr().out
+        summary = yaml.safe_load((tmp_path / "exp2_pi_summary.yaml").read_text())
+        assert summary["metrics"]["z"]["steady_state_rms"] == math.inf
 
     def test_huge_integer_seed_still_runs(self, tmp_path):
         code = run_cli(
@@ -333,6 +377,20 @@ class TestTuneCommand:
         assert f"config error: {key}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "override", ["selection.z=false", "tuner.axis=x"], ids=["axis-deselected", "deselected-axis"]
+    )
+    def test_tuned_axis_must_be_selected(self, override, tmp_path, capsys):
+        # A deselected axis evaluates no law, so every grid point would score alike.
+        out = tmp_path / "results"
+        code = run_cli(
+            "tune", "--config", str(ROOT / "tuning" / "exp2_pi_best.yaml"),
+            "--set", override, "--out", str(out),
+        )
+        assert code == 2
+        assert "config error: tuner.axis: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_runs_failed_exit_code(self, tmp_path):
         config = tmp_path / "free.yaml"
         config.write_text(
@@ -364,6 +422,13 @@ class TestInferCommand:
     def test_negative_gain_is_config_error(self, capsys):
         assert run_cli("infer", "--e", "1", "--de", "0", "--kp", "-1") == 2
         assert "config error: fuzzy-PI gains must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--e", "--de", "--kp", "--ki", "--kx"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_input_exits_2_naming_the_flag(self, flag, value, capsys):
+        args = {"--e": "1", "--de": "0", flag: value}
+        assert run_cli("infer", *(f"{name}={v}" for name, v in args.items())) == 2
+        assert f"config error: {flag}: expected a finite number" in capsys.readouterr().err
 
     def test_negated_inputs_negate_output(self, capsys):
         assert run_cli("infer", "--e", "12", "--de", "3") == 0

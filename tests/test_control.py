@@ -17,8 +17,6 @@ from forcemotion.control import (
     HybridForceController,
     PIGains,
     SelectionMatrix,
-    accumulate,
-    error_step,
     fuzzy_pi_step,
     pi_step,
 )
@@ -39,23 +37,48 @@ class TestGainsValidation:
         with pytest.raises(ValueError):
             CorrectionLimits(u_min=0.01, u_max=-0.01)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: PIGains(kp=v, ki=0.0),
+            lambda v: PIGains(kp=0.0, ki=v),
+            lambda v: FuzzyPIGains(kp=v, ki=0.1, kx=1e-3),
+            lambda v: FuzzyPIGains(kp=0.1, ki=v, kx=1e-3),
+            lambda v: FuzzyPIGains(kp=0.1, ki=0.1, kx=v),
+            lambda v: CorrectionLimits(u_min=v),
+            lambda v: CorrectionLimits(u_max=v),
+            lambda v: CorrectionLimits(du_max=v),
+        ],
+        ids=["pi.kp", "pi.ki", "fuzzy.kp", "fuzzy.ki", "fuzzy.kx", "u_min", "u_max", "du_max"],
+    )
+    def test_nan_rejected(self, make):
+        with pytest.raises(ValueError):
+            make(math.nan)
+
+
+UNCLAMPED = CorrectionLimits(-math.inf, math.inf, math.inf)
+
 
 class TestErrorStep:
+    """The error formation inside AxisController.step, seen through an
+    unclamped PI law with kp = 1 and ki = 0, whose increment is de."""
+
     def test_on_setpoint(self):
-        state = ControllerState(e_prev=0.0, initialized=True)
-        assert error_step(30.0, 30.0, state) == (0.0, 0.0)
+        ctl = AxisController(PIGains(1.0, 0.0), UNCLAMPED, state=ControllerState(0.0, 0.0, True))
+        _, de, e = ctl.step(30.0, 30.0)
+        assert (e, de) == (0.0, 0.0)
 
     def test_direct_evaluation(self):
-        state = ControllerState(e_prev=3.0, initialized=True)
-        e, de = error_step(30.0, 25.0, state)
+        ctl = AxisController(PIGains(1.0, 0.0), UNCLAMPED, state=ControllerState(0.0, 3.0, True))
+        _, de, e = ctl.step(30.0, 25.0)
         assert (e, de) == (5.0, 2.0)
-        assert state.e_prev == 5.0
+        assert ctl.state.e_prev == 5.0
 
     def test_first_call_has_zero_change(self):
-        state = ControllerState()
-        e, de = error_step(10.0, 0.0, state)
+        ctl = AxisController(PIGains(1.0, 0.0), UNCLAMPED)
+        _, de, e = ctl.step(10.0, 0.0)
         assert (e, de) == (10.0, 0.0)
-        assert state.initialized
+        assert ctl.state.initialized
 
 
 class TestPIStep:
@@ -179,18 +202,32 @@ class TestSelection:
 
 
 class TestAccumulate:
+    """The accumulation inside AxisController.step, seen through a PI law
+    with kp = 0 and ki = 1, whose increment is the error du = f_d - 0."""
+
+    @staticmethod
+    def _step(u_accum, du, u_min, u_max):
+        ctl = AxisController(
+            PIGains(0.0, 1.0),
+            CorrectionLimits(u_min, u_max, math.inf),
+            state=ControllerState(u_accum=u_accum),
+        )
+        u, _, _ = ctl.step(du, 0.0)
+        assert ctl.state.u_accum == u
+        return u
+
     def test_zero(self):
-        state = ControllerState()
-        assert accumulate(state, 0.0, -0.02, 0.02) == 0.0
+        assert self._step(0.0, 0.0, -0.02, 0.02) == 0.0
 
     def test_sum(self):
-        state = ControllerState(u_accum=1e-3)
-        assert accumulate(state, 5e-4, -0.02, 0.02) == pytest.approx(1.5e-3)
+        assert self._step(1e-3, 5e-4, -0.02, 0.02) == pytest.approx(1.5e-3)
 
     def test_clamp_boundary(self):
-        state = ControllerState(u_accum=9.9e-3)
-        assert accumulate(state, 5e-4, -1e-2, 1e-2) == 1e-2
-        assert state.u_accum == 1e-2
+        assert self._step(9.9e-3, 5e-4, -1e-2, 1e-2) == 1e-2
+
+    def test_deselected_axis_keeps_u(self):
+        ctl = AxisController(PIGains(0.0, 1.0), state=ControllerState(u_accum=1e-3))
+        assert ctl.step(5.0, 0.0, selected=False) == (1e-3, 0.0, 5.0)
 
 
 def _hybrid(kind: str, selection=SelectionMatrix.identity(), limits=None, **gain_kwargs):
@@ -237,12 +274,9 @@ class TestHybridStep:
         kp, ki = 3.1e-4, 7.7e-5
         errors = rng.uniform(-10.0, 10.0, size=1000)
         expected = oracles.pi_closed_form(kp, ki, errors)
-        state = ControllerState()
-        gains = PIGains(kp, ki)
+        ctl = AxisController(PIGains(kp, ki), UNCLAMPED)
         for k, e_k in enumerate(errors):
-            e, de = error_step(float(e_k), 0.0, state)
-            du = pi_step(gains, e, de)
-            u = accumulate(state, du, -math.inf, math.inf)
+            u, _, _ = ctl.step(float(e_k), 0.0)
             assert u == pytest.approx(expected[k], abs=1e-12)
 
     def test_mixed_kind_controllers_per_axis(self):

@@ -126,6 +126,31 @@ class TestJointTorques:
         assert combined == pytest.approx(tuple(parts), abs=1e-12)
 
 
+    def test_whole_trace_matches_per_tick_bit_for_bit(self):
+        # One stacked matmul over a trace's joint angles and tool forces must
+        # give the bits of J^T f taken one tick at a time.
+        rng = np.random.default_rng(20131)
+        n = 50_000
+        q = rng.uniform(-math.pi, math.pi, (n, 2))
+        f = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+        assert np.all(f != 0.0)
+        arm = make_arm()
+        tau = arm.joint_torques(f, q)
+        assert tau.shape == (n, 2)
+        l1, l2 = arm.l1, arm.l2
+        expected = np.empty((n, 2))
+        for k, ((q1, q2), force) in enumerate(zip(q.tolist(), f.tolist())):
+            s1, c1 = math.sin(q1), math.cos(q1)
+            s12, c12 = math.sin(q1 + q2), math.cos(q1 + q2)
+            jac = np.array([[-l1 * s1 - l2 * s12, -l2 * s12], [l1 * c1 + l2 * c12, l2 * c12]])
+            expected[k] = jac.T @ np.array(force)
+        assert np.array_equal(tau.view(np.int64), expected.view(np.int64))
+
+    def test_single_force_gives_python_floats(self):
+        tau = make_arm(0.4, 0.8).joint_torques(AxisForce(2.5, -4.0))
+        assert [type(v) for v in tau] == [float, float]
+
+
 class TestServo:
     def test_fixed_point(self):
         arm = make_arm(0.3, -0.2)
@@ -245,6 +270,40 @@ class TestContact:
         env = Environment((surface,), seed=7)
         for x in np.linspace(0.0, 1.0, 500):
             assert abs(env.surface_height(0, float(x)) - 0.25) <= 2e-4 + 1e-12
+
+    def test_noise_profile_holds_python_floats(self):
+        # The profile is evaluated every tick; numpy scalars there are slow
+        # and would leak into the force loop.
+        surface = RoughSurface(height_base=0.25, noise_amplitude=2e-4)
+        env = Environment((surface,), seed=7)
+        profile = env._noise[0]
+        values = [*profile.omegas, *profile.phases, profile.amplitude]
+        assert len(values) == 17
+        assert {type(v) for v in values} == {float}
+        assert type(env.surface_height(0, 0.6)) is float
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: PlanarArm(l1=v),
+            lambda v: PlanarArm(tau_servo=v),
+            lambda v: PlanarArm(qdot_max=v),
+            lambda v: RoughSurface(0.25, stiffness=v),
+            lambda v: RoughSurface(0.25, noise_amplitude=v),
+            lambda v: RoughSurface(0.25, roughness_wavelength=v),
+            lambda v: RoughSurface(0.25, friction_coeff=v),
+            lambda v: Box(v, 0.6, 0.1, 0.2),
+            lambda v: Box(0.5, 0.6, 0.1, 0.2, stiffness=v),
+            lambda v: SensorModel(noise_sigma=v),
+        ],
+        ids=[
+            "l1", "tau_servo", "qdot_max", "stiffness", "noise_amplitude", "wavelength",
+            "friction", "box.x_min", "box.stiffness", "noise_sigma",
+        ],
+    )
+    def test_nan_rejected(self, make):
+        with pytest.raises(ValueError):
+            make(math.nan)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -10,14 +10,16 @@ from forcemotion.config import (
     experiment3_scenario,
     preset_scenario,
 )
+from forcemotion import sim
 from forcemotion.control import (
     AxisForce,
     CorrectionLimits,
     FuzzyPIGains,
+    HybridForceController,
     PIGains,
     SelectionMatrix,
 )
-from forcemotion.plant import Environment, Pose, SensorModel
+from forcemotion.plant import Environment, PlanarArm, Pose, SensorModel
 from forcemotion.sim import (
     AllRunsFailed,
     ArmParams,
@@ -256,6 +258,44 @@ class TestRun:
         b_first, a_second = run(b).values, run(a).values
         assert np.array_equal(a_first, a_second)
         assert np.array_equal(b_first, b_second)
+
+    @pytest.mark.parametrize("kind", ["pi", "fuzzy"])
+    def test_loop_values_are_python_floats(self, kind, monkeypatch):
+        # Every value the tick loop carries or logs is a Python float: a
+        # numpy scalar leaking in (from the noise profile, the sensor draw or
+        # the controller) slows every operation it meets.
+        seen = []
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def recording(*args, **kwargs):
+                result = original(*args, **kwargs)
+                seen.append((name, result))
+                return result
+
+            monkeypatch.setattr(owner, name, recording)
+
+        for owner, name in [
+            (sim, "ik"),
+            (PlanarArm, "fk"),
+            (Environment, "contact_force"),
+            (SensorModel, "sense"),
+            (HybridForceController, "step"),
+        ]:
+            spy(owner, name)
+        for preset in ("exp1", "exp2", "exp3"):
+            scenario = preset_scenario(preset, kind)
+            run(dataclasses.replace(scenario, sensor=SensorModel(noise_sigma=0.5, seed=3)))
+
+        def leaves(value):
+            if isinstance(value, tuple):
+                return [leaf for item in value for leaf in leaves(item)]
+            return [value]
+
+        assert {name for name, _ in seen} == {"ik", "fk", "contact_force", "sense", "step"}
+        leaked = {(name, type(v).__name__) for name, r in seen for v in leaves(r) if type(v) is not float}
+        assert not leaked
 
     def test_preset_lookup(self):
         assert preset_scenario("exp1", "pi").name == "exp1"

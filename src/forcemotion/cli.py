@@ -78,6 +78,12 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _num(value: float, spec: str) -> str:
+    """`value` formatted with the fixed-point `spec`, or as .3e from 1e9 on,
+    where fixed point would print every one of up to ~300 digits."""
+    return format(value, spec if abs(value) < 1e9 else ".3e")
+
+
 def _metrics_summary(cfg: Dict[str, Any], trace: Trace) -> Dict[str, Any]:
     metrics: Dict[str, Any] = {}
     for axis in _selected_axes(cfg):
@@ -116,11 +122,13 @@ def cmd_run(args) -> int:
         if "error" in m:
             print(f"  {axis}: {m['error']}")
         else:
-            settle = "not settled" if not m["settled"] else f"settled at {m['settling_time']:.3f} s"
+            settle = "not settled"
+            if m["settled"]:
+                settle = f"settled at {_num(m['settling_time'], '.3f')} s"
             print(
                 f"  {axis}: setpoint {cfg['setpoint'][axis]} N, overshoot "
-                f"{m['overshoot_pct']:.2f} %, {settle}, steady RMS "
-                f"{m['steady_state_rms']:.3f} N"
+                f"{_num(m['overshoot_pct'], '.2f')} %, {settle}, steady RMS "
+                f"{_num(m['steady_state_rms'], '.3f')} N"
             )
     return 0
 
@@ -178,10 +186,11 @@ def cmd_compare(args) -> int:
             continue
         for kind in cfgmod._LAWS:
             m = body[kind]
-            settle = "not settled" if not m["settled"] else f"{m['settling_time']:.3f} s"
+            settle = "not settled" if not m["settled"] else f"{_num(m['settling_time'], '.3f')} s"
             print(
-                f"    {kind:5s} overshoot {m['overshoot_pct']:8.2f} %  settling {settle:>12s}  "
-                f"rms {m['steady_state_rms']:.3f} N  itae {m['itae']:.3f}"
+                f"    {kind:5s} overshoot {_num(m['overshoot_pct'], '.2f'):>8s} %  "
+                f"settling {settle:>12s}  rms {_num(m['steady_state_rms'], '.3f')} N  "
+                f"itae {_num(m['itae'], '.3f')}"
             )
     return 0
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Tuple
 
@@ -37,6 +36,8 @@ class Label(enum.IntEnum):
 
 
 LABELS: Tuple[Label, ...] = tuple(Label)
+_N_LABELS = len(LABELS)
+_NL, _PL = Label.NL, Label.PL
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,14 @@ def fuzzify(x: float, family: MembershipFamily) -> FuzzySet:
     if x == x:  # NaN has degree 0 in every label
         w = family.half_width
         k = int((x - lo) / w)
-        for i in range(max(k - 1, 0), min(k + 3, len(LABELS))):
+        for i in range(max(k - 1, 0), min(k + 3, _N_LABELS)):
             t = 1.0 - abs(x - centers[i]) / w
             if t > 0.0:
                 degrees[LABELS[i]] = t
-    return FuzzySet(degrees)
+    # FuzzySet(degrees) without its range check: each degree lies in (0, 1].
+    fuzzy_set = object.__new__(FuzzySet)
+    object.__setattr__(fuzzy_set, "degrees", degrees)
+    return fuzzy_set
 
 
 # 7x7 PI-type rule table. Rows are de from PL (top) to NL (bottom), columns
@@ -195,6 +199,9 @@ class RuleBase:
         return cls.parse(_DEFAULT_TABLE)
 
 
+_new_tuple = tuple.__new__
+
+
 class RuleFiring(NamedTuple):
     """One fired rule: antecedent labels, consequent label, min-AND strength."""
 
@@ -207,13 +214,15 @@ class RuleFiring(NamedTuple):
 def fire_rules(e_set: FuzzySet, de_set: FuzzySet, rules: RuleBase) -> List[RuleFiring]:
     """Evaluate every rule whose antecedents both have nonzero degree."""
     table = rules.table
+    de_degrees = de_set.degrees.items()
     firings = []
     for e_label, mu_e in e_set.degrees.items():
-        for de_label, mu_de in de_set.degrees.items():
+        for de_label, mu_de in de_degrees:
             strength = mu_de if mu_de < mu_e else mu_e
             if strength > 0.0:
+                # What RuleFiring(...) does, without its Python-level __new__.
                 firings.append(
-                    RuleFiring(e_label, de_label, table[(e_label, de_label)], strength)
+                    _new_tuple(RuleFiring, (e_label, de_label, table[e_label, de_label], strength))
                 )
     return firings
 
@@ -246,7 +255,12 @@ def infer(
     for _, _, out_label, strength in fire_rules(e_set, de_set, rules):
         if strength > clips.get(out_label, 0.0):
             clips[out_label] = strength
-    return AggregatedOutput(out_family, clips)
+    # AggregatedOutput(out_family, clips) without its range check: each clip
+    # is the minimum of two degrees of checked sets, so it lies in [0, 1].
+    agg = object.__new__(AggregatedOutput)
+    object.__setattr__(agg, "family", out_family)
+    object.__setattr__(agg, "clips", clips)
+    return agg
 
 
 def defuzzify_coa(agg: AggregatedOutput) -> float:
@@ -258,14 +272,17 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
     segment. Returns 0 when no rule fired (zero total area).
 
     The preset traces are pinned by hash, so the floating-point operations
-    and their order are fixed: every clipped shape keeps its line on every
-    segment (a triangle's foot can evaluate to ~2e-16, not 0), crossings
-    are cut 1e-15 inside the segment, and the envelope is the first line
-    of maximal value at each sub-segment's midpoint. Each shape is
-    evaluated once per breakpoint, and a segment on which every shape is
-    exactly 0 is skipped, since it adds no cut and no area.
+    behind every contribution to the area and the moment, and their order,
+    are fixed. Each clipped shape is evaluated once per breakpoint. On each
+    segment only the live shapes, those nonzero at either end, get a line.
+    Liveness is read off the computed values, since a triangle's foot can
+    evaluate to ~2e-16, not 0. A single live line is integrated directly.
+    Otherwise the segment is cut at crossings and the first line of maximal
+    value is integrated on each piece (see `_add_envelope`, unrolled here
+    for the two lines of a two-shape aggregate).
     """
-    if not agg.clips:
+    clips = agg.clips
+    if not clips:
         return 0.0
     family = agg.family
     centers = family.centers
@@ -274,78 +291,141 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
 
     shapes = []
     breakpoints = {lo, hi}
-    for label, clip in agg.clips.items():
-        c = centers[label.value + 3]
+    for label, clip in clips.items():
+        c = centers[label + 3]
         flat = w * (1.0 - clip)
-        if label is Label.NL:
-            kinks = (lo, c + flat, c + w)
-        elif label is Label.PL:
-            kinks = (c - w, c - flat, hi)
+        if label is _NL:
+            breakpoints.update((c + flat, c + w))
+        elif label is _PL:
+            breakpoints.update((c - w, c - flat))
         else:
-            kinks = (c - w, c - flat, c + flat, c + w)
-        for x in kinks:
-            if lo <= x <= hi:
-                breakpoints.add(x)
-        shapes.append((c, clip))
+            breakpoints.update((c - w, c - flat, c + flat, c + w))
+        # A shape clipped at 0 is 0 everywhere, so it is never live.
+        if clip > 0.0:
+            shapes.append((c, clip, 1 << len(shapes)))
+    if not shapes:
+        return 0.0
+    # A segment's live mask differs from `full` when some shape is 0 at both
+    # of its ends. A shape clipped at 0 is so on every segment.
+    full = (1 << len(shapes)) - 1 if len(shapes) == len(clips) else -1
     xs = sorted(breakpoints)
-
-    # Value of each clipped shape at each breakpoint: min(clip, membership).
-    # Breakpoints lie in [lo, hi], where a shoulder equals its triangle
-    # (both are 1.0 at the end center), so one expression covers every label.
-    rows = []
-    for c, clip in shapes:
-        row = []
-        for x in xs:
-            t = 1.0 - abs(x - c) / w
-            if not t > 0.0:
-                t = 0.0
-            row.append(t if t < clip else clip)
-        rows.append(row)
-    columns = list(zip(*rows))
-    points = list(zip(xs, columns, map(any, columns)))
+    if xs[0] != lo or xs[-1] != hi:  # kinks beyond the universe
+        xs = xs[xs.index(lo) : xs.index(hi) + 1]
 
     area = 0.0
     moment = 0.0
-    for (a, fas, live_a), (b, fbs, live_b) in zip(points, points[1:]):
-        if not (live_a or live_b):
-            continue
+    # Breakpoint b's values, min(clip, membership), and the bit mask of the
+    # shapes nonzero there. Breakpoints lie in [lo, hi], where a shoulder
+    # equals its triangle (both are 1.0 at the end center), so one
+    # expression covers every label. The first segment, [lo, lo], is empty.
+    a, fas, nonzero_a = lo, None, 0
+    for b in xs:
+        fbs = []
+        nonzero_b = 0
+        for c, clip, bit in shapes:
+            t = 1.0 - abs(b - c) / w
+            if t > 0.0:
+                fbs.append(t if t < clip else clip)
+                nonzero_b |= bit
+            else:
+                fbs.append(0.0)
+        live = nonzero_a | nonzero_b
         span = b - a
-        if span <= 1e-15:
-            continue
-        # Each clipped shape is linear on [a, b]; reconstruct its line.
-        lines = []
-        for fa, fb in zip(fas, fbs):
-            m = (fb - fa) / span
-            lines.append((m, fa - m * a))
-        # The envelope may switch lines inside the interval: split at crossings.
-        cuts = [a, b]
-        if len(lines) > 1:
-            inner_lo, inner_hi = a + 1e-15, b - 1e-15
-            for (mi, qi), (mj, qj) in combinations(lines, 2):
-                if mi != mj:
-                    x = (qj - qi) / (mi - mj)
-                    if inner_lo < x < inner_hi:
-                        cuts.append(x)
-            cuts.sort()
-        for p, r in zip(cuts, cuts[1:]):
-            if r - p <= 1e-15:
-                continue
-            mid = 0.5 * (p + r)
-            # The first line of maximal value at the midpoint.
-            m, q = lines[0]
-            top = m * mid + q
-            for mk, qk in lines:
-                v = mk * mid + qk
-                if v > top:
-                    m, q, top = mk, qk, v
-            if top <= 0.0:
-                continue
-            squares = r * r - p * p
-            area += 0.5 * m * squares + q * (r - p)
-            moment += m * (r**3 - p**3) / 3.0 + 0.5 * q * squares
+        if live and span > 1e-15:
+            dead = live != full
+            ends = None
+            if not live & (live - 1):
+                i = live.bit_length() - 1
+                fa = fas[i]
+                fb = fbs[i]
+                m = (fb - fa) / span
+                q = fa - m * a
+                # A dead shape's y = 0 can cut at the root (see _add_envelope).
+                if dead and m != 0.0 and a + 1e-15 < -q / m < b - 1e-15:
+                    ends = ((fa, fb),)
+                elif m * (0.5 * (a + b)) + q > 0.0:
+                    squares = b * b - a * a
+                    area += 0.5 * m * squares + q * span
+                    moment += m * (b**3 - a**3) / 3.0 + 0.5 * q * squares
+            elif dead or len(fbs) > 2:
+                ends = [(fa, fb) for i, (fa, fb) in enumerate(zip(fas, fbs)) if live >> i & 1]
+            else:
+                # Two shapes, both live: `_add_envelope` unrolled for two
+                # lines, the common case on the overlap of adjacent labels.
+                (fa1, fa2), (fb1, fb2) = fas, fbs
+                m1 = (fb1 - fa1) / span
+                q1 = fa1 - m1 * a
+                m2 = (fb2 - fa2) / span
+                q2 = fa2 - m2 * a
+                cut = False
+                if m1 != m2:
+                    x = (q2 - q1) / (m1 - m2)
+                    cut = a + 1e-15 < x < b - 1e-15
+                for p, r in ((a, x), (x, b)) if cut else ((a, b),):
+                    if r - p > 1e-15:
+                        mid = 0.5 * (p + r)
+                        m, q = m1, q1
+                        top = m * mid + q
+                        v = m2 * mid + q2
+                        if v > top:
+                            m, q, top = m2, q2, v
+                        if top > 0.0:
+                            squares = r * r - p * p
+                            area += 0.5 * m * squares + q * (r - p)
+                            moment += m * (r**3 - p**3) / 3.0 + 0.5 * q * squares
+            if ends:
+                area, moment = _add_envelope(area, moment, ends, a, b, span, dead)
+        a, fas, nonzero_a = b, fbs, nonzero_b
     if area <= _EMPTY_AGGREGATE_AREA:
         return 0.0
     return moment / area
+
+
+def _add_envelope(area, moment, ends, a, b, span, dead):
+    """Add to (area, moment) the integrals over [a, b] of the maximum of the
+    lines through (a, fa) and (b, fb), for (fa, fb) in `ends`.
+
+    [a, b] is cut at the crossings that fall more than 1e-15 inside it.
+    Each piece integrates the first line of maximal value at its midpoint,
+    if that value is positive. When `dead`, some shape is 0 at both ends:
+    its line y = 0 is never the strict maximum, but it crosses each line at
+    that line's root. The root lies at or beyond an end of [a, b] and is cut
+    only where rounding puts it inside, which subnormal heights can do.
+    """
+    lines = []
+    for fa, fb in ends:
+        m = (fb - fa) / span
+        lines.append((m, fa - m * a))
+    cuts = [a, b]
+    inner_lo = a + 1e-15
+    inner_hi = b - 1e-15
+    for i, (mi, qi) in enumerate(lines):
+        if dead and mi != 0.0 and inner_lo < -qi / mi < inner_hi:
+            cuts.append(-qi / mi)
+        for mj, qj in lines[i + 1 :]:
+            if mi != mj:
+                x = (qj - qi) / (mi - mj)
+                if inner_lo < x < inner_hi:
+                    cuts.append(x)
+    cuts.sort()
+    first = lines[0]
+    rest = lines[1:]
+    p = a
+    for r in cuts[1:]:
+        if r - p > 1e-15:
+            mid = 0.5 * (p + r)
+            m, q = first
+            top = m * mid + q
+            for mk, qk in rest:
+                v = mk * mid + qk
+                if v > top:
+                    m, q, top = mk, qk, v
+            if top > 0.0:
+                squares = r * r - p * p
+                area += 0.5 * m * squares + q * (r - p)
+                moment += m * (r**3 - p**3) / 3.0 + 0.5 * q * squares
+        p = r
+    return area, moment
 
 
 @dataclass(frozen=True)
@@ -371,4 +451,7 @@ class FuzzyInference:
         return fire_rules(e_set, de_set, self.rules)
 
     def output(self, e_norm: float, de_norm: float) -> float:
-        return defuzzify_coa(self.aggregate(e_norm, de_norm))
+        family = self.input_family
+        return defuzzify_coa(
+            infer(fuzzify(e_norm, family), fuzzify(de_norm, family), self.rules, self.output_family)
+        )

@@ -79,12 +79,16 @@ class PlanarArm:
         tau = np.matmul(jac.transpose(0, 2, 1), f[:, :, None])[:, :, 0]
         return (float(tau[0, 0]), float(tau[0, 1])) if single else tau
 
-    def servo_step(self, q_des: Tuple[float, float], dt: float) -> None:
-        """First-order step toward q_des, rate-limited per joint."""
-        if dt <= 0.0:
+    def servo_rates(self, dt: float) -> Tuple[float, float]:
+        """(alpha, dq_max) for servo steps of length dt: the first-order gain
+        1 - exp(-dt / tau_servo) and the per-joint limit qdot_max * dt."""
+        if not dt > 0.0:
             raise ValueError("dt must be positive")
-        alpha = 1.0 - math.exp(-dt / self.tau_servo)
-        dq_max = self.qdot_max * dt
+        return 1.0 - math.exp(-dt / self.tau_servo), self.qdot_max * dt
+
+    def servo_step(self, q_des: Tuple[float, float], alpha: float, dq_max: float) -> None:
+        """First-order step toward q_des, rate-limited per joint, with the
+        gain and limit of `servo_rates`."""
         dq1 = min(max(alpha * (q_des[0] - self.q1), -dq_max), dq_max)
         dq2 = min(max(alpha * (q_des[1] - self.q2), -dq_max), dq_max)
         self.q1 += dq1

@@ -220,6 +220,7 @@ def run(scenario: Scenario) -> Trace:
     q1, q2 = ik(l1, l2, scenario.path.pose_at(0.0), elbow)
     arm = PlanarArm(l1, l2, q1, q2, arm_p.tau_servo, arm_p.qdot_max)
 
+    alpha, dq_max = arm.servo_rates(dt)
     n_ticks = int(round(scenario.duration / dt)) + 1
     # arange(N) * dt is k * dt bit for bit.
     t = np.arange(n_ticks) * dt
@@ -234,7 +235,7 @@ def run(scenario: Scenario) -> Trace:
             q_des = ik(l1, l2, Pose(nom_x + px * u_x, nom_z + pz * u_z), elbow)
         except Unreachable as exc:
             raise WorkspaceViolation(k, k * dt, str(exc)) from exc
-        arm.servo_step(q_des, dt)
+        arm.servo_step(q_des, alpha, dq_max)
         pose = arm.fk()
         if k > 0:
             v = ((pose.x - prev.x) / dt, (pose.z - prev.z) / dt)

@@ -56,6 +56,69 @@ def riemann_coa(clips: dict, n: int = 10**6) -> float:
     return float((mu * xs).sum() / total)
 
 
+def segment_crossing_coa(clips: dict) -> float:
+    """The segment-and-crossing centroid integrator that the engine's
+    bit-exact digests were recorded from, kept as the reference for them.
+
+    `clips` maps label index (0..6) to clip height, in the order the engine
+    would see the labels. Every clipped shape keeps its line on every
+    segment with a nonzero shape, crossings of every pair of lines are cut
+    1e-15 inside the segment, and each piece integrates the first line of
+    maximal value at its midpoint.
+    """
+    centers = [float(c) for c in CENTERS]
+    lo, hi = centers[0], centers[-1]
+    w = HALF_WIDTH
+    shapes = []
+    breakpoints = {lo, hi}
+    for index, clip in clips.items():
+        c = centers[index]
+        flat = w * (1.0 - clip)
+        if index == 0:
+            kinks = (lo, c + flat, c + w)
+        elif index == len(centers) - 1:
+            kinks = (c - w, c - flat, hi)
+        else:
+            kinks = (c - w, c - flat, c + flat, c + w)
+        breakpoints.update(x for x in kinks if lo <= x <= hi)
+        shapes.append((c, clip))
+    xs = sorted(breakpoints)
+    rows = [[min(clip, max(1.0 - abs(x - c) / w, 0.0)) for x in xs] for c, clip in shapes]
+    columns = list(zip(*rows))
+    area = moment = 0.0
+    for a, b, fas, fbs in zip(xs, xs[1:], columns, columns[1:]):
+        span = b - a
+        if not (any(fas) or any(fbs)) or span <= 1e-15:
+            continue
+        lines = []
+        for fa, fb in zip(fas, fbs):
+            m = (fb - fa) / span
+            lines.append((m, fa - m * a))
+        cuts = [a, b]
+        for i, (mi, qi) in enumerate(lines):
+            for mj, qj in lines[i + 1 :]:
+                if mi != mj:
+                    x = (qj - qi) / (mi - mj)
+                    if a + 1e-15 < x < b - 1e-15:
+                        cuts.append(x)
+        cuts.sort()
+        for p, r in zip(cuts, cuts[1:]):
+            if r - p <= 1e-15:
+                continue
+            mid = 0.5 * (p + r)
+            m, q = lines[0]
+            top = m * mid + q
+            for mk, qk in lines:
+                if mk * mid + qk > top:
+                    m, q, top = mk, qk, mk * mid + qk
+            if top <= 0.0:
+                continue
+            squares = r * r - p * p
+            area += 0.5 * m * squares + q * (r - p)
+            moment += m * (r**3 - p**3) / 3.0 + 0.5 * q * squares
+    return 0.0 if area <= 1e-12 else moment / area
+
+
 def pi_closed_form(kp: float, ki: float, errors: np.ndarray, u0: float = 0.0) -> np.ndarray:
     """Discretized PI position form: u_k = kp*e_k + ki*sum(e_1..e_k) + (u0 - kp*e_1).
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -147,6 +148,27 @@ class TestRunCommand:
         assert "steady RMS inf N" in capsys.readouterr().out
         summary = yaml.safe_load((tmp_path / "exp2_pi_summary.yaml").read_text())
         assert summary["metrics"]["z"]["steady_state_rms"] == math.inf
+
+    def test_huge_metrics_print_in_exponent_form(self, tmp_path, capsys):
+        # A finite overshoot of ~3.3e300 % (and an ITAE of ~4.5e300) printed
+        # in fixed point filled 369- and 672-character lines.
+        argv = ("--preset", "exp2", "--set", "sensor.bias.z=1.0e+300", "--out", str(tmp_path))
+        assert run_cli("run", "--controller", "pi", *argv) == 0
+        assert run_cli("compare", *argv) == 0
+        out = capsys.readouterr().out
+        assert "overshoot 3.333e+300 %" in out
+        assert "itae 4.515e+300" in out
+        # One line from run, one per law from compare (the "wrote" lines hold tmp paths).
+        metric_lines = [line for line in out.splitlines() if "overshoot" in line]
+        assert len(metric_lines) == 3
+        assert max(len(line) for line in metric_lines) < 120
+        # Only the printed lines change: the files keep every digit.
+        digests = {
+            "exp2_pi_summary.yaml": "981cc63bb6f1a19a73dbc1b127a2d97e8fec9ce228b580c55b4e95974fc33ec0",
+            "exp2_compare.yaml": "34aaab3868705f8306662525b3c29652d09c0b4d782f25a7428f6dc09fd2ceec",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     def test_huge_integer_seed_still_runs(self, tmp_path):
         code = run_cli(

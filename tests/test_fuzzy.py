@@ -305,6 +305,86 @@ class TestBitExactness:
             "cdd4edb0cb7ba17408c5028c799a405f43229c2c4eaf680dd53215cf54715c2e"
         )
 
+    # Heights at the edges of the arithmetic: 0, the smallest subnormal, the
+    # largest double below 1, 1, and values whose single-label area straddles
+    # the 1e-12 empty-aggregate threshold (a lone inner label has area ~2h/3).
+    EDGE_HEIGHTS = (
+        0.0,
+        5e-324,
+        1e-12,
+        np.nextafter(1.5e-12, 0.0),
+        1.5e-12,
+        np.nextafter(1.5e-12, 1.0),
+        3e-12,
+        1e-6,
+        0.25,
+        1 / 3,
+        0.5,
+        2 / 3,
+        1.0 - 2.0**-53,
+        1.0,
+    )
+
+    @classmethod
+    def _edge_case_clip_sets(cls):
+        heights = [float(h) for h in cls.EDGE_HEIGHTS]
+        labels = list(Label)
+        sets = []
+        # Every single label at every height.
+        sets += [{label: h} for label in labels for h in heights]
+        # The two shoulders together, in both insertion orders.
+        for h1 in heights:
+            for h2 in heights:
+                sets.append({Label.NL: h1, Label.PL: h2})
+                sets.append({Label.PL: h2, Label.NL: h1})
+        # Adjacent labels, equal heights and then every ordered pair of heights.
+        for left, right in zip(labels, labels[1:]):
+            sets += [{left: h, right: h} for h in heights]
+            sets += [{right: h2, left: h1} for h1 in heights for h2 in heights]
+        # All seven labels: equal heights, then heights drawn from the edge set.
+        sets += [{label: h for label in labels} for h in heights]
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            order = rng.permutation(7)
+            picks = rng.integers(0, len(heights), 7)
+            sets.append({labels[i]: heights[j] for i, j in zip(order, picks)})
+        # Random subsets with edge heights, equal neighbours made likely.
+        for _ in range(2000):
+            count = int(rng.integers(1, 8))
+            chosen = rng.choice(7, size=count, replace=False)
+            picks = rng.integers(0, len(heights), count)
+            if count > 1 and rng.random() < 0.5:
+                picks[1:] = picks[0]
+            sets.append({labels[i]: heights[j] for i, j in zip(chosen, picks)})
+        return sets
+
+    def test_defuzzify_digest_on_edge_case_clip_sets(self):
+        sets = self._edge_case_clip_sets()
+        values = [defuzzify_coa(AggregatedOutput(FAMILY, clips)) for clips in sets]
+        assert len(values) == 4264
+        assert self._digest(values) == (
+            "9de5c4807444418dad6b9c4749305bd72361ee8a740c0414a4150c3be46f8656"
+        )
+
+    def test_matches_reference_integrator_bit_for_bit(self):
+        # Heights spread over every binade down to the subnormals, where the
+        # line of a shape that is 0 on a segment can still cut it.
+        rng = np.random.default_rng(5)
+        edge = np.array(self.EDGE_HEIGHTS)
+        for _ in range(3000):
+            count = int(rng.integers(1, 8))
+            indices = rng.choice(7, size=count, replace=False)
+            heights = np.where(
+                rng.random(count) < 0.5,
+                10.0 ** rng.uniform(-323.0, 0.0, count),
+                rng.choice(edge, count),
+            )
+            clips = {int(i): float(h) for i, h in zip(indices, heights)}
+            value = defuzzify_coa(
+                AggregatedOutput(FAMILY, {Label(i - 3): h for i, h in clips.items()})
+            )
+            assert value.hex() == oracles.segment_crossing_coa(clips).hex(), clips
+
     @pytest.mark.parametrize(
         "clips",
         [

@@ -57,3 +57,39 @@ def test_traced_functions_stay_on_the_call_path(controller, tmp_path):
     else:
         unused |= {"control.pi_step"}
     assert {name for name, n in calls.items() if n == 0} == unused
+
+
+@pytest.mark.parametrize(
+    "preset,inputs,calls,fired,clips",
+    [("exp1", 1204, 602, 1313, 848), ("exp2", 602, 301, 1202, 602)],
+)
+def test_fuzzy_layer_call_counts_per_run(preset, inputs, calls, fired, clips, tmp_path):
+    # The benchmark's fuzzy.*.calls, rules_fired_per_call and clips_per_call
+    # count these: a faster engine must not change what they measure. One
+    # engine call per selected axis and tick (exp1 regulates x and z, exp2
+    # only z, 301 ticks each), fuzzify once for e and once for de.
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    totals = {"fired": 0, "clips": 0}
+
+    def on_fire(args, firings):
+        totals["fired"] += len(firings)
+
+    def on_infer(args, agg):
+        totals["clips"] += len(agg.clips)
+
+    main = tracer.wrap("cli.main", cli.main)
+    spans.install(tracer, _noop, on_fire, on_infer)
+    try:
+        argv = ["run", "--preset", preset, "--controller", "fuzzy", "--out", str(tmp_path)]
+        assert main(argv) == 0
+    finally:
+        tracer.restore()
+    counts = {name: n for name, (n, _) in tracer.totals().items() if name.startswith("fuzzy.")}
+    assert counts == {
+        "fuzzy.fuzzify": inputs,
+        "fuzzy.infer": calls,
+        "fuzzy.fire_rules": calls,
+        "fuzzy.defuzzify_coa": calls,
+    }
+    assert totals == {"fired": fired, "clips": clips}

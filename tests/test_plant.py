@@ -154,35 +154,41 @@ class TestJointTorques:
 class TestServo:
     def test_fixed_point(self):
         arm = make_arm(0.3, -0.2)
-        arm.servo_step((0.3, -0.2), dt=0.01)
+        arm.servo_step((0.3, -0.2), *arm.servo_rates(0.01))
         assert (arm.q1, arm.q2) == (0.3, -0.2)
 
     def test_small_time_constant_snaps_within_rate_limit(self):
         arm = PlanarArm(q1=0.0, q2=0.0, tau_servo=1e-9, qdot_max=1000.0)
-        arm.servo_step((0.5, -0.4), dt=0.01)
+        arm.servo_step((0.5, -0.4), *arm.servo_rates(0.01))
         assert (arm.q1, arm.q2) == pytest.approx((0.5, -0.4), abs=1e-9)
 
     def test_first_order_response(self):
         # One step of length tau covers 1 - exp(-1) of the remaining distance.
         arm = PlanarArm(q1=0.0, q2=0.0, tau_servo=0.04, qdot_max=1000.0)
-        arm.servo_step((1.0, 0.0), dt=0.04)
+        arm.servo_step((1.0, 0.0), *arm.servo_rates(0.04))
         assert arm.q1 == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
     def test_rate_limit(self):
         arm = PlanarArm(q1=0.0, q2=0.0, tau_servo=1e-9, qdot_max=2.0)
-        arm.servo_step((1.0, -1.0), dt=0.01)
+        arm.servo_step((1.0, -1.0), *arm.servo_rates(0.01))
         assert (arm.q1, arm.q2) == pytest.approx((0.02, -0.02))
 
     def test_distance_non_increasing(self):
         arm = PlanarArm(q1=-1.0, q2=1.2, tau_servo=0.04, qdot_max=2.0)
         target = (0.8, -0.5)
+        rates = arm.servo_rates(0.01)
         previous = math.inf
         for _ in range(200):
-            arm.servo_step(target, dt=0.01)
+            arm.servo_step(target, *rates)
             distance = math.hypot(arm.q1 - target[0], arm.q2 - target[1])
             assert distance <= previous + 1e-15
             previous = distance
         assert previous < 1e-6
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
+    def test_rates_reject_non_positive_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            make_arm(0.0, 0.0).servo_rates(dt)
 
 
 class TestContact:

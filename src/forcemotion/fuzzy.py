@@ -121,10 +121,7 @@ def fuzzify(x: float, family: MembershipFamily) -> FuzzySet:
             t = 1.0 - abs(x - centers[i]) / w
             if t > 0.0:
                 degrees[LABELS[i]] = t
-    # FuzzySet(degrees) without its range check: each degree lies in (0, 1].
-    fuzzy_set = object.__new__(FuzzySet)
-    object.__setattr__(fuzzy_set, "degrees", degrees)
-    return fuzzy_set
+    return FuzzySet(degrees)
 
 
 # 7x7 PI-type rule table. Rows are de from PL (top) to NL (bottom), columns
@@ -199,9 +196,6 @@ class RuleBase:
         return cls.parse(_DEFAULT_TABLE)
 
 
-_new_tuple = tuple.__new__
-
-
 class RuleFiring(NamedTuple):
     """One fired rule: antecedent labels, consequent label, min-AND strength."""
 
@@ -220,10 +214,7 @@ def fire_rules(e_set: FuzzySet, de_set: FuzzySet, rules: RuleBase) -> List[RuleF
         for de_label, mu_de in de_degrees:
             strength = mu_de if mu_de < mu_e else mu_e
             if strength > 0.0:
-                # What RuleFiring(...) does, without its Python-level __new__.
-                firings.append(
-                    _new_tuple(RuleFiring, (e_label, de_label, table[e_label, de_label], strength))
-                )
+                firings.append(RuleFiring(e_label, de_label, table[e_label, de_label], strength))
     return firings
 
 
@@ -255,12 +246,7 @@ def infer(
     for _, _, out_label, strength in fire_rules(e_set, de_set, rules):
         if strength > clips.get(out_label, 0.0):
             clips[out_label] = strength
-    # AggregatedOutput(out_family, clips) without its range check: each clip
-    # is the minimum of two degrees of checked sets, so it lies in [0, 1].
-    agg = object.__new__(AggregatedOutput)
-    object.__setattr__(agg, "family", out_family)
-    object.__setattr__(agg, "clips", clips)
-    return agg
+    return AggregatedOutput(out_family, clips)
 
 
 def defuzzify_coa(agg: AggregatedOutput) -> float:
@@ -278,8 +264,8 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
     Liveness is read off the computed values, since a triangle's foot can
     evaluate to ~2e-16, not 0. A single live line is integrated directly.
     Otherwise the segment is cut at crossings and the first line of maximal
-    value is integrated on each piece (see `_add_envelope`, unrolled here
-    for the two lines of a two-shape aggregate).
+    value is integrated on each piece; the two lines of a two-shape
+    aggregate get their one crossing without a search.
     """
     clips = agg.clips
     if not clips:
@@ -332,100 +318,86 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
         live = nonzero_a | nonzero_b
         span = b - a
         if live and span > 1e-15:
+            # A shape 0 at both ends ("dead" here) has the line y = 0. It is
+            # never the strict maximum, but it crosses each live line at that
+            # line's root. The root lies at or beyond an end of [a, b] and is
+            # cut only where rounding puts it inside, which subnormal heights
+            # can do.
             dead = live != full
-            ends = None
+            inner_lo = a + 1e-15
+            inner_hi = b - 1e-15
+            # Each branch integrates the segment itself (lines = None) or sets
+            # its live `lines` and `cuts`, the right ends of the pieces: the
+            # crossings and roots more than 1e-15 inside [a, b], sorted, then b.
             if not live & (live - 1):
                 i = live.bit_length() - 1
                 fa = fas[i]
-                fb = fbs[i]
-                m = (fb - fa) / span
+                m = (fbs[i] - fa) / span
                 q = fa - m * a
-                # A dead shape's y = 0 can cut at the root (see _add_envelope).
-                if dead and m != 0.0 and a + 1e-15 < -q / m < b - 1e-15:
-                    ends = ((fa, fb),)
-                elif m * (0.5 * (a + b)) + q > 0.0:
-                    squares = b * b - a * a
-                    area += 0.5 * m * squares + q * span
-                    moment += m * (b**3 - a**3) / 3.0 + 0.5 * q * squares
-            elif dead or len(fbs) > 2:
-                ends = [(fa, fb) for i, (fa, fb) in enumerate(zip(fas, fbs)) if live >> i & 1]
-            else:
-                # Two shapes, both live: `_add_envelope` unrolled for two
-                # lines, the common case on the overlap of adjacent labels.
+                if dead and m != 0.0 and inner_lo < -q / m < inner_hi:
+                    lines = [(m, q)]
+                    cuts = [-q / m, b]
+                else:
+                    lines = None
+                    if m * (0.5 * (a + b)) + q > 0.0:
+                        squares = b * b - a * a
+                        area += 0.5 * m * squares + q * span
+                        moment += m * (b**3 - a**3) / 3.0 + 0.5 * q * squares
+            elif full == 3:
+                # Both lines of a two-shape aggregate with no shape clipped at
+                # 0, so neither is dead. The common case, on the overlap of
+                # adjacent labels: one crossing, no search or sort.
                 (fa1, fa2), (fb1, fb2) = fas, fbs
                 m1 = (fb1 - fa1) / span
                 q1 = fa1 - m1 * a
                 m2 = (fb2 - fa2) / span
                 q2 = fa2 - m2 * a
-                cut = False
+                lines = [(m1, q1), (m2, q2)]
+                cuts = [b]
                 if m1 != m2:
                     x = (q2 - q1) / (m1 - m2)
-                    cut = a + 1e-15 < x < b - 1e-15
-                for p, r in ((a, x), (x, b)) if cut else ((a, b),):
+                    if inner_lo < x < inner_hi:
+                        cuts = [x, b]
+            else:
+                lines = []
+                for i, (fa, fb) in enumerate(zip(fas, fbs)):
+                    if live >> i & 1:
+                        m = (fb - fa) / span
+                        lines.append((m, fa - m * a))
+                cuts = [b]
+                for i, (mi, qi) in enumerate(lines):
+                    if dead and mi != 0.0 and inner_lo < -qi / mi < inner_hi:
+                        cuts.append(-qi / mi)
+                    for mj, qj in lines[i + 1 :]:
+                        if mi != mj:
+                            x = (qj - qi) / (mi - mj)
+                            if inner_lo < x < inner_hi:
+                                cuts.append(x)
+                cuts.sort()
+            if lines:
+                # Each piece integrates the first line of maximal value at
+                # its midpoint, if that value is positive.
+                first = lines[0]
+                rest = lines[1:]
+                p = a
+                for r in cuts:
                     if r - p > 1e-15:
                         mid = 0.5 * (p + r)
-                        m, q = m1, q1
+                        m, q = first
                         top = m * mid + q
-                        v = m2 * mid + q2
-                        if v > top:
-                            m, q, top = m2, q2, v
+                        for mk, qk in rest:
+                            v = mk * mid + qk
+                            if v > top:
+                                m, q, top = mk, qk, v
                         if top > 0.0:
                             squares = r * r - p * p
                             area += 0.5 * m * squares + q * (r - p)
                             moment += m * (r**3 - p**3) / 3.0 + 0.5 * q * squares
-            if ends:
-                area, moment = _add_envelope(area, moment, ends, a, b, span, dead)
+                    p = r
         a, fas, nonzero_a = b, fbs, nonzero_b
     if area <= _EMPTY_AGGREGATE_AREA:
         return 0.0
     return moment / area
-
-
-def _add_envelope(area, moment, ends, a, b, span, dead):
-    """Add to (area, moment) the integrals over [a, b] of the maximum of the
-    lines through (a, fa) and (b, fb), for (fa, fb) in `ends`.
-
-    [a, b] is cut at the crossings that fall more than 1e-15 inside it.
-    Each piece integrates the first line of maximal value at its midpoint,
-    if that value is positive. When `dead`, some shape is 0 at both ends:
-    its line y = 0 is never the strict maximum, but it crosses each line at
-    that line's root. The root lies at or beyond an end of [a, b] and is cut
-    only where rounding puts it inside, which subnormal heights can do.
-    """
-    lines = []
-    for fa, fb in ends:
-        m = (fb - fa) / span
-        lines.append((m, fa - m * a))
-    cuts = [a, b]
-    inner_lo = a + 1e-15
-    inner_hi = b - 1e-15
-    for i, (mi, qi) in enumerate(lines):
-        if dead and mi != 0.0 and inner_lo < -qi / mi < inner_hi:
-            cuts.append(-qi / mi)
-        for mj, qj in lines[i + 1 :]:
-            if mi != mj:
-                x = (qj - qi) / (mi - mj)
-                if inner_lo < x < inner_hi:
-                    cuts.append(x)
-    cuts.sort()
-    first = lines[0]
-    rest = lines[1:]
-    p = a
-    for r in cuts[1:]:
-        if r - p > 1e-15:
-            mid = 0.5 * (p + r)
-            m, q = first
-            top = m * mid + q
-            for mk, qk in rest:
-                v = mk * mid + qk
-                if v > top:
-                    m, q, top = mk, qk, v
-            if top > 0.0:
-                squares = r * r - p * p
-                area += 0.5 * m * squares + q * (r - p)
-                moment += m * (r**3 - p**3) / 3.0 + 0.5 * q * squares
-        p = r
-    return area, moment
 
 
 @dataclass(frozen=True)

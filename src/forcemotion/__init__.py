@@ -24,7 +24,6 @@ from .fuzzy import (
     FuzzyInference,
     FuzzySet,
     Label,
-    MembershipFamily,
     RuleBase,
     defuzzify_coa,
     fuzzify,
@@ -64,7 +63,6 @@ __all__ = [
     "FuzzyPIGains",
     "FuzzySet",
     "Label",
-    "MembershipFamily",
     "Metrics",
     "NoContact",
     "NominalPath",

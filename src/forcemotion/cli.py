@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from . import config as cfgmod
+from . import fuzzy
 from .config import ConfigInvalid
 from .control import AXES, FuzzyPIGains
-from .fuzzy import FuzzyInference, defuzzify_coa
 from .presets import PRESET_NAMES, TUNED_FUZZY
 from .sim import (
     AllRunsFailed,
@@ -240,12 +240,15 @@ def cmd_infer(args) -> int:
         gains = FuzzyPIGains(kp=args.kp, ki=args.ki, kx=args.kx)
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from None
-    engine = FuzzyInference()
+    rules = fuzzy.RuleBase.default()
     e_norm = gains.ki * args.e
     de_norm = gains.kp * args.de
-    firings = engine.firings(e_norm, de_norm)
-    agg = engine.aggregate(e_norm, de_norm)
-    centroid = defuzzify_coa(agg)
+    e_set = fuzzy.fuzzify(e_norm)
+    de_set = fuzzy.fuzzify(de_norm)
+    # `infer` fires the rules again; the firings are fired here for printing.
+    firings = fuzzy.fire_rules(e_set, de_set, rules)
+    agg = fuzzy.infer(e_set, de_set, rules)
+    centroid = fuzzy.defuzzify_coa(agg)
     du = gains.kx * centroid
     print(f"e = {args.e:g} N, de = {args.de:g} N")
     print(f"scaled inputs: ki*e = {e_norm:.6f}, kp*de = {de_norm:.6f} (clamped to [-1, 1])")

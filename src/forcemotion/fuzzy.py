@@ -12,9 +12,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Tuple
 
-UNIVERSE_MIN = -1.0
-UNIVERSE_MAX = 1.0
-
 # Aggregates with less total mass than this defuzzify to 0 (no rule fired).
 _EMPTY_AGGREGATE_AREA = 1e-12
 
@@ -39,51 +36,13 @@ LABELS: Tuple[Label, ...] = tuple(Label)
 _N_LABELS = len(LABELS)
 _NL, _PL = Label.NL, Label.PL
 
-
-@dataclass(frozen=True)
-class MembershipFamily:
-    """Triangular membership functions with saturating outer shoulders.
-
-    Seven centers on [-1, 1], symmetric about 0. With the default layout
-    (evenly spaced centers, half_width equal to the spacing) adjacent
-    triangles overlap at 50% and the degrees of any point sum to 1.
-    """
-
-    centers: Tuple[float, ...] = (-1.0, -2 / 3, -1 / 3, 0.0, 1 / 3, 2 / 3, 1.0)
-    half_width: float = 1 / 3
-
-    def __post_init__(self) -> None:
-        if len(self.centers) != len(LABELS):
-            raise ValueError(f"expected {len(LABELS)} centers, got {len(self.centers)}")
-        if any(b <= a for a, b in zip(self.centers, self.centers[1:])):
-            raise ValueError("centers must be strictly increasing")
-        mid = self.centers[len(LABELS) // 2]
-        if mid != 0.0:
-            raise ValueError(f"center of ZR must be 0, got {mid}")
-        for low, high in zip(self.centers, reversed(self.centers)):
-            if abs(low + high) > 1e-12:
-                raise ValueError("centers must be symmetric about 0")
-        if self.half_width <= 0.0:
-            raise ValueError("half_width must be positive")
-        # Partition of unity needs even spacing matched by the half width.
-        spacing = self.centers[1] - self.centers[0]
-        for a, b in zip(self.centers, self.centers[1:]):
-            if abs((b - a) - spacing) > 1e-12:
-                raise ValueError("centers must be evenly spaced")
-        if abs(self.half_width - spacing) > 1e-12:
-            raise ValueError("half_width must equal the center spacing")
-
-    def center(self, label: Label) -> float:
-        return self.centers[label.value + 3]
-
-    def membership(self, label: Label, x: float) -> float:
-        """Degree of `x` in `label`: triangle, saturated beyond the end centers."""
-        if label is Label.NL and x <= self.centers[0]:
-            return 1.0
-        if label is Label.PL and x >= self.centers[-1]:
-            return 1.0
-        t = 1.0 - abs(x - self.center(label)) / self.half_width
-        return t if t > 0.0 else 0.0
+# The one partition of [-1, 1], shared by inputs and output: triangles on
+# evenly spaced centres with half-width equal to the spacing, so adjacent
+# labels overlap at 50% and the degrees of any point sum to 1 (a Ruspini
+# partition). NL and PL saturate at 1 beyond the end centres. The universe
+# is scaled through the gains (ki, kp on the inputs, kx on the output).
+CENTERS: Tuple[float, ...] = (-1.0, -2 / 3, -1 / 3, 0.0, 1 / 3, 2 / 3, 1.0)
+HALF_WIDTH = 1 / 3
 
 
 @dataclass(frozen=True)
@@ -101,24 +60,21 @@ class FuzzySet:
         return self.degrees.get(label, 0.0)
 
 
-def fuzzify(x: float, family: MembershipFamily) -> FuzzySet:
-    """Map a crisp value to membership degrees, clamping x to the universe.
+def fuzzify(x: float) -> FuzzySet:
+    """Map a crisp value to membership degrees, clamping x to [-1, 1].
 
-    Gives the degrees of `MembershipFamily.membership`, bit for bit. Only
-    labels whose center is within one spacing of x can be nonzero, so the
-    triangle is evaluated for the four labels k-1 .. k+2 around the center
-    k at or below x, a one-label margin on each side. Once x is clamped, a
-    shoulder equals its triangle (both are 1.0 at the end center).
+    Only labels whose center is within one spacing of x can be nonzero, so
+    the triangle is evaluated for the four labels k-1 .. k+2 around the
+    center k at or below x, a one-label margin on each side. Once x is
+    clamped, a shoulder equals its triangle (both are 1.0 at the end
+    center).
     """
-    centers = family.centers
-    lo = centers[0]
-    x = min(max(x, lo), centers[-1])
+    x = min(max(x, -1.0), 1.0)
     degrees = {}
     if x == x:  # NaN has degree 0 in every label
-        w = family.half_width
-        k = int((x - lo) / w)
+        k = int((x + 1.0) / HALF_WIDTH)
         for i in range(max(k - 1, 0), min(k + 3, _N_LABELS)):
-            t = 1.0 - abs(x - centers[i]) / w
+            t = 1.0 - abs(x - CENTERS[i]) / HALF_WIDTH
             if t > 0.0:
                 degrees[LABELS[i]] = t
     return FuzzySet(degrees)
@@ -226,7 +182,6 @@ class AggregatedOutput:
     clipped it; labels that never fired are omitted.
     """
 
-    family: MembershipFamily
     clips: Dict[Label, float]
 
     def __post_init__(self) -> None:
@@ -235,18 +190,13 @@ class AggregatedOutput:
                 raise ValueError(f"clip of {label.name} out of [0, 1]: {clip}")
 
 
-def infer(
-    e_set: FuzzySet,
-    de_set: FuzzySet,
-    rules: RuleBase,
-    out_family: MembershipFamily,
-) -> AggregatedOutput:
+def infer(e_set: FuzzySet, de_set: FuzzySet, rules: RuleBase) -> AggregatedOutput:
     """Mamdani inference: min-AND firing, clip implication, max aggregation."""
     clips: Dict[Label, float] = {}
     for _, _, out_label, strength in fire_rules(e_set, de_set, rules):
         if strength > clips.get(out_label, 0.0):
             clips[out_label] = strength
-    return AggregatedOutput(out_family, clips)
+    return AggregatedOutput(clips)
 
 
 def defuzzify_coa(agg: AggregatedOutput) -> float:
@@ -270,15 +220,13 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
     clips = agg.clips
     if not clips:
         return 0.0
-    family = agg.family
-    centers = family.centers
-    lo, hi = centers[0], centers[-1]
-    w = family.half_width
+    lo, hi = CENTERS[0], CENTERS[-1]
+    w = HALF_WIDTH
 
     shapes = []
     breakpoints = {lo, hi}
     for label, clip in clips.items():
-        c = centers[label + 3]
+        c = CENTERS[label + 3]
         flat = w * (1.0 - clip)
         if label is _NL:
             breakpoints.update((c + flat, c + w))
@@ -402,28 +350,14 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
 
 @dataclass(frozen=True)
 class FuzzyInference:
-    """Bundled engine: families plus rule base, from normalized inputs to output.
+    """Bundled engine: the rule base on the fixed partition, from normalized
+    inputs to output.
 
     `output` runs the full fuzzify -> infer -> defuzzify pipeline on
     already-scaled inputs and returns a crisp value in [-1, 1].
     """
 
-    input_family: MembershipFamily = MembershipFamily()
-    output_family: MembershipFamily = MembershipFamily()
     rules: RuleBase = field(default_factory=RuleBase.default)
 
-    def aggregate(self, e_norm: float, de_norm: float) -> AggregatedOutput:
-        e_set = fuzzify(e_norm, self.input_family)
-        de_set = fuzzify(de_norm, self.input_family)
-        return infer(e_set, de_set, self.rules, self.output_family)
-
-    def firings(self, e_norm: float, de_norm: float) -> List[RuleFiring]:
-        e_set = fuzzify(e_norm, self.input_family)
-        de_set = fuzzify(de_norm, self.input_family)
-        return fire_rules(e_set, de_set, self.rules)
-
     def output(self, e_norm: float, de_norm: float) -> float:
-        family = self.input_family
-        return defuzzify_coa(
-            infer(fuzzify(e_norm, family), fuzzify(de_norm, family), self.rules, self.output_family)
-        )
+        return defuzzify_coa(infer(fuzzify(e_norm), fuzzify(de_norm), self.rules))

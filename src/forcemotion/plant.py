@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -61,23 +61,16 @@ class PlanarArm:
         """Analytic 2x2 Jacobian of fk, rows (dx/dq, dz/dq)."""
         return _jacobians(self.l1, self.l2, np.array([[self.q1, self.q2]]))[0]
 
-    def joint_torques(
-        self, f: Union[AxisForce, np.ndarray], q: Optional[np.ndarray] = None
-    ) -> Union[Tuple[float, float], np.ndarray]:
-        """Joint torques equivalent to the Cartesian tool force: J^T f.
+    def joint_torques(self, f: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Joint torques equivalent to the Cartesian tool forces: J^T f.
 
-        One AxisForce at the current joint angles gives (tau1, tau2). An
-        (N, 2) array of forces at the (N, 2) joint angles `q` gives an (N, 2)
-        array from one stacked matmul, bit for bit the per-state J^T f: the
-        Jacobian stack is C-contiguous and multiplied through its transpose
-        view (einsum or elementwise products round differently).
+        An (N, 2) array of forces at the (N, 2) joint angles `q` gives an
+        (N, 2) array from one stacked matmul, bit for bit the per-state
+        J^T f: the Jacobian stack is C-contiguous and multiplied through its
+        transpose view (einsum or elementwise products round differently).
         """
-        single = q is None
-        if single:
-            f, q = np.array([f]), np.array([[self.q1, self.q2]])
         jac = _jacobians(self.l1, self.l2, q)
-        tau = np.matmul(jac.transpose(0, 2, 1), f[:, :, None])[:, :, 0]
-        return (float(tau[0, 0]), float(tau[0, 1])) if single else tau
+        return np.matmul(jac.transpose(0, 2, 1), f[:, :, None])[:, :, 0]
 
     def servo_rates(self, dt: float) -> Tuple[float, float]:
         """(alpha, dq_max) for servo steps of length dt: the first-order gain
@@ -114,13 +107,14 @@ def ik(l1: float, l2: float, target: Pose, elbow: str = "down") -> Tuple[float, 
     `target` on the requested elbow branch ("down" has q2 >= 0).
 
     Raises Unreachable when the target lies outside the annulus
-    [|l1 - l2|, l1 + l2].
+    [|l1 - l2|, l1 + l2] or has a NaN coordinate.
     """
     if elbow not in ("down", "up"):
         raise ValueError(f"unknown elbow branch: {elbow!r}")
     r2 = target.x * target.x + target.z * target.z
     r = math.sqrt(r2)
-    if r > l1 + l2 + 1e-12 or r < abs(l1 - l2) - 1e-12:
+    # Negated, so that a NaN radius (false in every comparison) raises too.
+    if not abs(l1 - l2) - 1e-12 <= r <= l1 + l2 + 1e-12:
         raise Unreachable(
             f"target ({target.x:.4f}, {target.z:.4f}) outside workspace "
             f"[{abs(l1 - l2):.4f}, {l1 + l2:.4f}]"

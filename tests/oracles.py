@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Default family geometry, restated independently of the package.
+# The fixed partition, restated independently of the package.
 CENTERS = np.array([-1.0, -2 / 3, -1 / 3, 0.0, 1 / 3, 2 / 3, 1.0])
 HALF_WIDTH = 1 / 3
 LABEL_NAMES = ("NL", "NM", "NS", "ZR", "PS", "PM", "PL")

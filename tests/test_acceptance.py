@@ -14,13 +14,12 @@ import pytest
 
 from forcemotion.cli import main as cli_main
 from forcemotion.config import experiment1_scenario, experiment2_scenario, experiment3_scenario
-from forcemotion.control import AxisController, AxisForce, CorrectionLimits, PIGains, SelectionMatrix
+from forcemotion.control import AxisController, CorrectionLimits, PIGains, SelectionMatrix
 from forcemotion.control import fuzzy_pi_step
 from forcemotion.fuzzy import (
     AggregatedOutput,
     FuzzyInference,
     Label,
-    MembershipFamily,
     RuleBase,
     defuzzify_coa,
 )
@@ -30,8 +29,6 @@ from forcemotion.sim import compute_metrics, run
 
 import oracles
 from table_fixture import RULE_TABLE_CELLS
-
-FAMILY = MembershipFamily()
 
 
 def final_fraction(values: np.ndarray, fraction: float) -> np.ndarray:
@@ -72,7 +69,7 @@ def test_criterion_2_defuzzifier_against_oracle():
         count = int(rng.integers(1, 5))
         labels = rng.choice(7, size=count, replace=False)
         clips = {int(i): float(rng.uniform(0.05, 1.0)) for i in labels}
-        agg = AggregatedOutput(FAMILY, {Label(i - 3): c for i, c in clips.items()})
+        agg = AggregatedOutput({Label(i - 3): c for i, c in clips.items()})
         diff = abs(defuzzify_coa(agg) - oracles.riemann_coa(clips))
         worst = max(worst, diff)
         assert diff <= 1e-6
@@ -157,10 +154,11 @@ def test_criterion_6_kinematics_suite():
     assert worst_jac <= 1e-6
 
     arm = PlanarArm(0.5, 0.5, 0.37, -0.81)
-    f = AxisForce(2.25, -6.5)
-    tau = arm.joint_torques(f)
-    doubled = arm.joint_torques(AxisForce(2 * f.x, 2 * f.z))
-    assert doubled == (2 * tau[0], 2 * tau[1])
+    q = np.array([[arm.q1, arm.q2]])
+    f = np.array([[2.25, -6.5]])
+    tau = arm.joint_torques(f, q)
+    doubled = arm.joint_torques(2 * f, q)
+    assert doubled.tolist() == (2 * tau).tolist()
     print(f"ACCEPTANCE 6: PASS - fk/ik round trip worst {worst_rt:.1e} m <= 1e-9, "
           f"Jacobian vs finite differences worst {worst_jac:.1e} <= 1e-6, "
           "torque map exactly linear under doubling")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from forcemotion import fuzzy
 from forcemotion.cli import format_trace_csv, main
 from forcemotion.sim import TRACE_COLUMNS, Trace
 
@@ -245,6 +246,18 @@ class TestRunCommand:
         leftovers = list(out.iterdir()) if out.exists() else []
         assert leftovers == []
 
+    def test_nan_correction_aborts_with_workspace_exit(self, tmp_path, capsys):
+        # Forces sensed as inf make de = inf - inf = NaN, which the PI clamp
+        # passes on into the commanded pose.
+        out = tmp_path / "results"
+        code = run_cli(
+            "run", "--preset", "exp2", "--controller", "pi",
+            "--set", "sensor.noise_sigma=1.0e+308", "--out", str(out),
+        )
+        assert code == 3
+        assert "nan) outside workspace" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, capsys):
         assert run_cli("run", "--config", "/nonexistent.yaml") == 2
         assert "not found" in capsys.readouterr().err
@@ -430,6 +443,37 @@ class TestTuneCommand:
 
 
 class TestInferCommand:
+    # The whole stdout is pinned by SHA-256, byte for byte.
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (("--e", "1", "--de", "0.5"),
+             "e3ef413425c0d3f3471eeb3f00e9e07499a0d0e805c20e598d5cb1a15323fbd3"),
+            (("--e", "0", "--de", "0"),
+             "369c2ac83cbabe5290b974bc3479b1baee49b3fd5c60fbbeaf83da4a543bd324"),
+            (("--e", "40", "--de", "-3"),
+             "c6fb250a4e452adea242e8465947eaa7b092a06c37a7686ccb6b75239148fecf"),
+            (("--e", "2.5", "--de", "-1.2", "--kp", "0.05", "--ki", "0.2", "--kx", "0.002"),
+             "88d91a7709135ab78cfb6aafab56573c628a37cd5812ab186d3b499f37908a61"),
+        ],
+        ids=["small", "zero", "saturated-e", "custom-gains"],
+    )
+    def test_stdout_is_pinned(self, argv, digest, capsys):
+        assert run_cli("infer", *argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_fuzzifies_each_input_once(self, monkeypatch, capsys):
+        calls = []
+        original = fuzzy.fuzzify
+
+        def spy(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(fuzzy, "fuzzify", spy)
+        assert run_cli("infer", "--e", "1", "--de", "0.5", "--ki", "0.5", "--kp", "0.1") == 0
+        assert calls == [0.5, 0.05]
+
     def test_zero_inputs_give_zero_output(self, capsys):
         assert run_cli("infer", "--e", "0", "--de", "0") == 0
         out = capsys.readouterr().out

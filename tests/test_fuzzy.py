@@ -10,7 +10,6 @@ from forcemotion.fuzzy import (
     FuzzyInference,
     FuzzySet,
     Label,
-    MembershipFamily,
     RuleBase,
     defuzzify_coa,
     fire_rules,
@@ -21,7 +20,6 @@ from forcemotion.fuzzy import (
 import oracles
 from table_fixture import RULE_TABLE_CELLS
 
-FAMILY = MembershipFamily()
 RULES = RuleBase.default()
 
 
@@ -40,47 +38,20 @@ class TestLabels:
 
 
 class TestMembershipFamily:
-    def test_default_layout(self):
-        assert FAMILY.centers[3] == 0.0
-        assert FAMILY.center(Label.ZR) == 0.0
-        assert FAMILY.center(Label.PL) == 1.0
-        assert FAMILY.half_width == pytest.approx(1 / 3)
-
-    def test_rejects_bad_centers(self):
-        with pytest.raises(ValueError):
-            MembershipFamily(centers=(0, 1, 2, 3, 4, 5, 6))
-        with pytest.raises(ValueError):
-            MembershipFamily(centers=(-1, -0.5, -0.2, 0.0, 0.2, 0.1, 1.0))
-        with pytest.raises(ValueError):
-            MembershipFamily(half_width=0.0)
-        with pytest.raises(ValueError, match="evenly spaced"):
-            MembershipFamily(centers=(-1, -0.5, -0.2, 0.0, 0.2, 0.5, 1.0))
-        with pytest.raises(ValueError, match="half_width"):
-            MembershipFamily(half_width=0.5)
-
-    def test_narrow_family_keeps_partition_of_unity(self):
-        family = MembershipFamily(
-            centers=(-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9), half_width=0.3
-        )
-        for x in np.linspace(-1.0, 1.0, 101):
-            assert sum(fuzzify(float(x), family).degrees.values()) == pytest.approx(
-                1.0, abs=1e-12
-            )
-
     def test_shoulders_saturate(self):
-        assert FAMILY.membership(Label.NL, -5.0) == 1.0
-        assert FAMILY.membership(Label.PL, 5.0) == 1.0
-        assert FAMILY.membership(Label.NL, -2 / 3) == 0.0
+        assert fuzzify(-5.0).degrees == {Label.NL: 1.0}
+        assert fuzzify(5.0).degrees == {Label.PL: 1.0}
+        assert fuzzify(-2 / 3).degree(Label.NL) == 0.0
 
 
 class TestFuzzify:
     def test_center_of_zr(self):
-        fs = fuzzify(0.0, FAMILY)
+        fs = fuzzify(0.0)
         assert fs.degree(Label.ZR) == 1.0
         assert all(fs.degree(l) == 0.0 for l in Label if l is not Label.ZR)
 
     def test_clamped_beyond_pl(self):
-        fs = fuzzify(1.7, FAMILY)
+        fs = fuzzify(1.7)
         assert fs.degree(Label.PL) == 1.0
         assert sum(fs.degrees.values()) == 1.0
 
@@ -89,21 +60,28 @@ class TestFuzzify:
         reference = oracles.fuzzify_reference(0.5)
         assert reference["PS"] == pytest.approx(0.5, abs=1e-12)
         assert reference["PM"] == pytest.approx(0.5, abs=1e-12)
-        fs = fuzzify(0.5, FAMILY)
+        fs = fuzzify(0.5)
         assert fs.degree(Label.PS) == pytest.approx(0.5, abs=1e-12)
         assert fs.degree(Label.PM) == pytest.approx(0.5, abs=1e-12)
         assert fs.degree(Label.ZR) == 0.0
 
+    @pytest.mark.parametrize(
+        "x,expected",
+        [(float("nan"), {}), (float("inf"), {Label.PL: 1.0}), (float("-inf"), {Label.NL: 1.0})],
+    )
+    def test_non_finite_input(self, x, expected):
+        assert fuzzify(x).degrees == expected
+
     @given(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_partition_of_unity(self, x):
-        fs = fuzzify(x, FAMILY)
+        fs = fuzzify(x)
         assert sum(fs.degrees.values()) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_at_most_two_adjacent_labels(self, x):
-        fs = fuzzify(x, FAMILY)
+        fs = fuzzify(x)
         nonzero = sorted(l.value for l in fs.degrees)
         assert 1 <= len(nonzero) <= 2
         if len(nonzero) == 2:
@@ -112,7 +90,7 @@ class TestFuzzify:
     def test_matches_reference_evaluator_on_grid(self):
         for x in np.linspace(-1.0, 1.0, 201):
             reference = oracles.fuzzify_reference(float(x))
-            fs = fuzzify(float(x), FAMILY)
+            fs = fuzzify(float(x))
             for label in Label:
                 assert fs.degree(label) == pytest.approx(reference[label.name], abs=1e-12)
 
@@ -173,17 +151,17 @@ class TestRuleBase:
 
 class TestInfer:
     def test_single_rule_full_strength(self):
-        agg = infer(FuzzySet({Label.ZR: 1.0}), FuzzySet({Label.ZR: 1.0}), RULES, FAMILY)
+        agg = infer(FuzzySet({Label.ZR: 1.0}), FuzzySet({Label.ZR: 1.0}), RULES)
         assert agg.clips == {Label.ZR: 1.0}
 
     def test_saturated_positive_corner(self):
-        agg = infer(FuzzySet({Label.PL: 1.0}), FuzzySet({Label.PL: 1.0}), RULES, FAMILY)
+        agg = infer(FuzzySet({Label.PL: 1.0}), FuzzySet({Label.PL: 1.0}), RULES)
         assert agg.clips == {Label.PL: 1.0}
 
     def test_two_rule_split(self):
         # Hand enumeration of the de = ZR row: (PS, ZR) -> ps, (PM, ZR) -> pm.
         e_set = FuzzySet({Label.PS: 0.5, Label.PM: 0.5})
-        agg = infer(e_set, FuzzySet({Label.ZR: 1.0}), RULES, FAMILY)
+        agg = infer(e_set, FuzzySet({Label.ZR: 1.0}), RULES)
         assert agg.clips == {Label.PS: 0.5, Label.PM: 0.5}
 
     def test_firings_report_strengths(self):
@@ -196,30 +174,28 @@ class TestInfer:
 
     def test_zero_error_input_builds_only_zr_shapes(self):
         for de_norm in np.linspace(-1.0, 1.0, 21):
-            agg = infer(
-                FuzzySet({Label.ZR: 1.0}), fuzzify(float(de_norm), FAMILY), RULES, FAMILY
-            )
+            agg = infer(FuzzySet({Label.ZR: 1.0}), fuzzify(float(de_norm)), RULES)
             assert set(agg.clips) == {Label.ZR}
 
 
 class TestDefuzzify:
     def test_symmetric_shape_centers_on_zero(self):
-        agg = AggregatedOutput(FAMILY, {Label.ZR: 1.0})
+        agg = AggregatedOutput({Label.ZR: 1.0})
         assert defuzzify_coa(agg) == pytest.approx(0.0, abs=1e-9)
 
     def test_antisymmetric_aggregate_is_zero(self):
-        agg = AggregatedOutput(FAMILY, {Label.NL: 0.7, Label.PL: 0.7})
+        agg = AggregatedOutput({Label.NL: 0.7, Label.PL: 0.7})
         assert defuzzify_coa(agg) == pytest.approx(0.0, abs=1e-9)
 
     def test_saturated_shoulder_matches_oracle(self):
-        agg = AggregatedOutput(FAMILY, {Label.PL: 1.0})
+        agg = AggregatedOutput({Label.PL: 1.0})
         expected = oracles.riemann_coa({6: 1.0})
         value = defuzzify_coa(agg)
         assert value == pytest.approx(expected, abs=1e-6)
         assert value == pytest.approx(8 / 9, abs=1e-12)
 
     def test_no_rule_fired_returns_zero(self):
-        assert defuzzify_coa(AggregatedOutput(FAMILY, {})) == 0.0
+        assert defuzzify_coa(AggregatedOutput({})) == 0.0
 
     def test_oracle_equivalence_on_random_sets(self):
         rng = np.random.default_rng(411)
@@ -227,7 +203,7 @@ class TestDefuzzify:
             count = int(rng.integers(1, 5))
             labels = rng.choice(7, size=count, replace=False)
             clips = {int(i): float(rng.uniform(0.05, 1.0)) for i in labels}
-            agg = AggregatedOutput(FAMILY, {Label(i - 3): c for i, c in clips.items()})
+            agg = AggregatedOutput({Label(i - 3): c for i, c in clips.items()})
             assert defuzzify_coa(agg) == pytest.approx(
                 oracles.riemann_coa(clips), abs=1e-6
             )
@@ -241,7 +217,7 @@ class TestDefuzzify:
     )
     @settings(max_examples=100, deadline=None)
     def test_bounded_by_universe(self, clips):
-        agg = AggregatedOutput(FAMILY, {Label(i - 3): c for i, c in clips.items()})
+        agg = AggregatedOutput({Label(i - 3): c for i, c in clips.items()})
         assert -1.0 <= defuzzify_coa(agg) <= 1.0
 
 
@@ -300,7 +276,7 @@ class TestBitExactness:
             heights[rng.random(count) < 0.2] = 1.0
             heights[rng.random(count) < 0.05] = 0.0
             clips = {Label(int(i) - 3): float(h) for i, h in zip(labels, heights)}
-            values.append(defuzzify_coa(AggregatedOutput(FAMILY, clips)))
+            values.append(defuzzify_coa(AggregatedOutput(clips)))
         assert self._digest(values) == (
             "cdd4edb0cb7ba17408c5028c799a405f43229c2c4eaf680dd53215cf54715c2e"
         )
@@ -360,7 +336,7 @@ class TestBitExactness:
 
     def test_defuzzify_digest_on_edge_case_clip_sets(self):
         sets = self._edge_case_clip_sets()
-        values = [defuzzify_coa(AggregatedOutput(FAMILY, clips)) for clips in sets]
+        values = [defuzzify_coa(AggregatedOutput(clips)) for clips in sets]
         assert len(values) == 4264
         assert self._digest(values) == (
             "9de5c4807444418dad6b9c4749305bd72361ee8a740c0414a4150c3be46f8656"
@@ -381,7 +357,7 @@ class TestBitExactness:
             )
             clips = {int(i): float(h) for i, h in zip(indices, heights)}
             value = defuzzify_coa(
-                AggregatedOutput(FAMILY, {Label(i - 3): h for i, h in clips.items()})
+                AggregatedOutput({Label(i - 3): h for i, h in clips.items()})
             )
             assert value.hex() == oracles.segment_crossing_coa(clips).hex(), clips
 
@@ -395,4 +371,4 @@ class TestBitExactness:
         ],
     )
     def test_symmetric_aggregates_are_exactly_zero(self, clips):
-        assert defuzzify_coa(AggregatedOutput(FAMILY, clips)) == 0.0
+        assert defuzzify_coa(AggregatedOutput(clips)) == 0.0

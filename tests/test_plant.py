@@ -49,6 +49,11 @@ class TestInverseKinematics:
         with pytest.raises(Unreachable):
             ik(0.8, 0.2, Pose(0.1, 0.0))  # inside the inner annulus radius
 
+    @pytest.mark.parametrize("target", [Pose(math.nan, 0.3), Pose(0.5, math.nan)])
+    def test_nan_target_is_unreachable(self, target):
+        with pytest.raises(Unreachable):
+            ik(0.5, 0.5, target)
+
     def test_elbow_branches_mirror(self):
         down = ik(0.5, 0.5, Pose(0.6, 0.3), elbow="down")
         up = ik(0.5, 0.5, Pose(0.6, 0.3), elbow="up")
@@ -102,29 +107,33 @@ class TestJacobian:
             )
 
 
+def torques(arm, fx, fz):
+    """joint_torques of one force at the arm's joint angles, as a one-row array."""
+    return arm.joint_torques(np.array([[fx, fz]]), np.array([[arm.q1, arm.q2]]))
+
+
 class TestJointTorques:
     def test_zero_force(self):
-        assert make_arm().joint_torques(AxisForce(0.0, 0.0)) == (0.0, 0.0)
+        assert torques(make_arm(), 0.0, 0.0).tolist() == [[0.0, 0.0]]
 
     def test_downward_force_at_stretch(self):
         # tau = J^T f with the finite-difference-verified Jacobian.
-        tau = make_arm(0.0, 0.0).joint_torques(AxisForce(0.0, -10.0))
-        assert tau == pytest.approx((-10.0, -5.0))
+        tau = torques(make_arm(0.0, 0.0), 0.0, -10.0)
+        assert tau[0] == pytest.approx((-10.0, -5.0))
 
     def test_doubling_force_doubles_torque_exactly(self):
         arm = make_arm(0.7, -1.1)
-        f = AxisForce(3.3, -7.7)
-        tau = arm.joint_torques(f)
-        doubled = arm.joint_torques(AxisForce(2 * f.x, 2 * f.z))
-        assert doubled == (2 * tau[0], 2 * tau[1])
+        fx, fz = 3.3, -7.7
+        tau = torques(arm, fx, fz)
+        doubled = torques(arm, 2 * fx, 2 * fz)
+        assert doubled.tolist() == (2 * tau).tolist()
 
     def test_linearity_random_combination(self):
         arm = make_arm(0.3, 0.9)
         fa, fb = AxisForce(1.2, -0.4), AxisForce(-2.0, 5.5)
-        combined = arm.joint_torques(AxisForce(fa.x + fb.x, fa.z + fb.z))
-        parts = np.array(arm.joint_torques(fa)) + np.array(arm.joint_torques(fb))
-        assert combined == pytest.approx(tuple(parts), abs=1e-12)
-
+        combined = torques(arm, fa.x + fb.x, fa.z + fb.z)
+        parts = torques(arm, *fa) + torques(arm, *fb)
+        assert combined[0] == pytest.approx(tuple(parts[0]), abs=1e-12)
 
     def test_whole_trace_matches_per_tick_bit_for_bit(self):
         # One stacked matmul over a trace's joint angles and tool forces must
@@ -145,10 +154,6 @@ class TestJointTorques:
             jac = np.array([[-l1 * s1 - l2 * s12, -l2 * s12], [l1 * c1 + l2 * c12, l2 * c12]])
             expected[k] = jac.T @ np.array(force)
         assert np.array_equal(tau.view(np.int64), expected.view(np.int64))
-
-    def test_single_force_gives_python_floats(self):
-        tau = make_arm(0.4, 0.8).joint_torques(AxisForce(2.5, -4.0))
-        assert [type(v) for v in tau] == [float, float]
 
 
 class TestServo:

@@ -46,6 +46,7 @@ from .sim import (
     compare,
     compute_metrics,
     run,
+    run_batch,
     tune,
 )
 
@@ -90,6 +91,7 @@ __all__ = [
     "infer",
     "preset_scenario",
     "run",
+    "run_batch",
     "tune",
 ]
 

@@ -320,7 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A reader that went away shows up here, not in the exit-time flush.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nobody reads stdout any more: send what is left to devnull, so that
+        # the flush at exit stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, NamedTuple, Tuple
 
+import numpy as np
+
 from .fuzzy import FuzzyInference
 
 AXES = ("x", "z")
@@ -105,6 +107,16 @@ class SelectionMatrix(NamedTuple):
     @classmethod
     def none(cls) -> "SelectionMatrix":
         return cls(False, False)
+
+
+def clamp(a: np.ndarray, lo, hi) -> np.ndarray:
+    """Elementwise `min(max(a, lo), hi)` with Python's rules, in place: on a
+    tie the first argument wins, so -0.0 against 0.0 keeps its sign, and NaN
+    passes through. (np.maximum and np.minimum return the second on a tie.)
+    Returns `a`, overwritten."""
+    np.copyto(a, lo, where=lo > a)
+    np.copyto(a, hi, where=hi < a)
+    return a
 
 
 def pi_step(gains: PIGains, e: float, de: float, du_max: float = float("inf")) -> float:

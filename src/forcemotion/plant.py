@@ -14,7 +14,7 @@ from typing import List, NamedTuple, Tuple, Union
 
 import numpy as np
 
-from .control import AxisForce
+from .control import AxisForce, clamp
 
 
 class Unreachable(Exception):
@@ -88,6 +88,23 @@ class PlanarArm:
         self.q2 += dq2
 
 
+# The batch functions below compute, for a (2, B) array of joint angles,
+# positions or forces (one column per member), what the scalar function
+# computes for each member, bit for bit: the same float operations in the
+# same order. numpy's sqrt, sin and cos round as math's do.
+
+
+def servo_step_batch(q: np.ndarray, q_des: np.ndarray, alpha: float, dq_max: float) -> np.ndarray:
+    """`PlanarArm.servo_step` for (2, B) joint angles; returns the new angles."""
+    return q + clamp(alpha * (q_des - q), -dq_max, dq_max)
+
+
+def fk_batch(l1: float, l2: float, q: np.ndarray) -> np.ndarray:
+    """`PlanarArm.fk` for (2, B) joint angles: the (2, B) tool positions."""
+    q12 = q[0] + q[1]
+    return np.array((l1 * np.cos(q[0]) + l2 * np.cos(q12), l1 * np.sin(q[0]) + l2 * np.sin(q12)))
+
+
 def _jacobians(l1: float, l2: float, q: np.ndarray) -> np.ndarray:
     """C-contiguous (N, 2, 2) stack of fk Jacobians at the (N, 2) joint angles q."""
     q1 = q[:, 0]
@@ -115,10 +132,7 @@ def ik(l1: float, l2: float, target: Pose, elbow: str = "down") -> Tuple[float, 
     r = math.sqrt(r2)
     # Negated, so that a NaN radius (false in every comparison) raises too.
     if not abs(l1 - l2) - 1e-12 <= r <= l1 + l2 + 1e-12:
-        raise Unreachable(
-            f"target ({target.x:.4f}, {target.z:.4f}) outside workspace "
-            f"[{abs(l1 - l2):.4f}, {l1 + l2:.4f}]"
-        )
+        raise outside_workspace(l1, l2, target)
     cos_q2 = (r2 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
     cos_q2 = min(max(cos_q2, -1.0), 1.0)
     q2 = math.acos(cos_q2)
@@ -128,6 +142,36 @@ def ik(l1: float, l2: float, target: Pose, elbow: str = "down") -> Tuple[float, 
         l2 * math.sin(q2), l1 + l2 * math.cos(q2)
     )
     return q1, q2
+
+
+def outside_workspace(l1: float, l2: float, target: Pose) -> Unreachable:
+    """The error `ik` raises for an unreachable target."""
+    return Unreachable(
+        f"target ({target.x:.4f}, {target.z:.4f}) outside workspace "
+        f"[{abs(l1 - l2):.4f}, {l1 + l2:.4f}]"
+    )
+
+
+def ik_batch(l1: float, l2: float, target: np.ndarray, elbow: str = "down") -> Tuple[np.ndarray, np.ndarray]:
+    """`ik` for (2, B) targets: the (2, B) joint angles and the (B,) mask of
+    reachable targets. The angles of an unreachable target mean nothing.
+
+    math.acos and both math.atan2 run per member: numpy's arccos and
+    arctan2 differ from them in the last bit.
+    """
+    if elbow not in ("down", "up"):
+        raise ValueError(f"unknown elbow branch: {elbow!r}")
+    x, z = target
+    r2 = x * x + z * z
+    r = np.sqrt(r2)
+    reachable = (abs(l1 - l2) - 1e-12 <= r) & (r <= l1 + l2 + 1e-12)
+    cos_q2 = clamp((r2 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2), -1.0, 1.0)
+    q2 = np.array(list(map(math.acos, cos_q2.tolist())))
+    if elbow == "up":
+        q2 = -q2
+    bearing = list(map(math.atan2, z.tolist(), x.tolist()))
+    bend = list(map(math.atan2, (l2 * np.sin(q2)).tolist(), (l1 + l2 * np.cos(q2)).tolist()))
+    return np.array((np.subtract(bearing, bend), q2)), reachable
 
 
 @dataclass(frozen=True)
@@ -200,6 +244,16 @@ class _NoiseProfile(NamedTuple):
             total += math.sin(w * x + p)
         return self.amplitude * total / _NOISE_COMPONENTS
 
+    def heights(self, x: np.ndarray):
+        """`height` at each of the points x. The components are summed in
+        order, as `height` sums them (np.sum would pair them differently)."""
+        if self.amplitude == 0.0:
+            return 0.0
+        total = 0.0
+        for component in np.sin(np.array(self.omegas)[:, None] * x + np.array(self.phases)[:, None]):
+            total = total + component
+        return self.amplitude * total / _NOISE_COMPONENTS
+
 
 @dataclass
 class Environment:
@@ -258,6 +312,32 @@ class Environment:
                 fz += fz_box
         return AxisForce(fx, fz)
 
+    def contact_force_batch(self, p: np.ndarray, vx: np.ndarray) -> np.ndarray:
+        """`contact_force` at (2, B) tool positions moving with x velocities
+        `vx`: the (2, B) forces."""
+        x, z = p
+        fx = np.zeros(len(x))
+        fz = np.zeros(len(x))
+        for index, obstacle in enumerate(self.obstacles):
+            if isinstance(obstacle, RoughSurface):
+                h = obstacle.height_base
+                if obstacle.roughness_amplitude > 0.0:
+                    h = h + obstacle.roughness_amplitude * np.sin(
+                        2.0 * math.pi * x / obstacle.roughness_wavelength
+                    )
+                depth = h + self._noise[index].heights(x) - z
+                hit = depth > 0.0
+                fn = obstacle.stiffness * depth
+                fz = np.where(hit, fz + fn, fz)
+                if obstacle.friction_coeff > 0.0:
+                    slides = hit & (vx != 0.0)
+                    fx = np.where(slides, fx - obstacle.friction_coeff * fn * np.copysign(1.0, vx), fx)
+            else:
+                fx_box, fz_box = _box_force_batch(obstacle, x, z)
+                fx = fx + fx_box
+                fz = fz + fz_box
+        return np.array((fx, fz))
+
 
 def _box_force(box: Box, p: Pose) -> Tuple[float, float]:
     """Push-out force for a point inside the box; zero outside."""
@@ -271,6 +351,20 @@ def _box_force(box: Box, p: Pose) -> Tuple[float, float]:
     )
     depth, normal = min(exits, key=lambda item: item[0])
     return box.stiffness * depth * normal[0], box.stiffness * depth * normal[1]
+
+
+# Outward normals of the faces in the order `_box_force` tries them.
+_FACE_NORMALS = np.array([[-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0]])
+
+
+def _box_force_batch(box: Box, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """`_box_force` at each of the points (x, z): a (2, B) array."""
+    inside = (box.x_min < x) & (x < box.x_max) & (box.z_min < z) & (z < box.z_max)
+    depths = np.array((x - box.x_min, box.x_max - x, z - box.z_min, box.z_max - z))
+    # argmin, like min(), picks the first of equal depths.
+    face = np.argmin(depths, axis=0)
+    push = box.stiffness * depths[face, np.arange(len(x))]
+    return np.where(inside, push * _FACE_NORMALS[:, face], 0.0)
 
 
 @dataclass(frozen=True)
@@ -301,3 +395,11 @@ class SensorModel:
             fx += self.noise_sigma * nx
             fz += self.noise_sigma * nz
         return AxisForce(fx, fz)
+
+    def sense_batch(self, f_true: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """`sense` for (2, B) true forces. Every member gets the one noise
+        pair that `sense` draws per tick: members share the sensor seed."""
+        sensed = f_true + np.array([[self.bias.x], [self.bias.z]])
+        if self.noise_sigma > 0.0:
+            sensed = sensed + self.noise_sigma * rng.standard_normal(2)[:, None]
+        return sensed

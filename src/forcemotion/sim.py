@@ -1,6 +1,6 @@
 """Closed-loop simulation: nominal paths, scenarios, the fixed-step hybrid
-force/motion loop, performance metrics, controller comparison, and a
-grid-search gain tuner.
+force/motion loop, its lockstep batch over many gain sets, performance
+metrics, controller comparison, and a grid-search gain tuner.
 
 Per tick the loop (1) takes the nominal pose, (2) offsets it by the
 accumulated correction mapped through the press-direction signs, (3) solves
@@ -15,7 +15,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,13 +28,26 @@ from .control import (
     HybridForceController,
     PIGains,
     SelectionMatrix,
+    clamp,
 )
 from .fuzzy import FuzzyInference, RuleBase
-from .plant import Environment, PlanarArm, Pose, SensorModel, Unreachable, ik
+from .plant import (
+    Environment,
+    PlanarArm,
+    Pose,
+    SensorModel,
+    Unreachable,
+    fk_batch,
+    ik,
+    ik_batch,
+    outside_workspace,
+    servo_step_batch,
+)
 
 AxisGains = Union[PIGains, FuzzyPIGains]
 
-# Upper bound on duration / dt: run() allocates one trace row per tick.
+# Upper bound on duration / dt: run() allocates one trace row per tick, and
+# run_batch one per tick and member.
 _MAX_TICKS = 10**6
 
 
@@ -255,6 +268,98 @@ def run(scenario: Scenario) -> Trace:
     return Trace(np.column_stack((t, logged[:, :8], nominal, logged[:, 8:12], tau)))
 
 
+def run_batch(
+    scenario: Scenario, gains_list: Sequence[AxisGains]
+) -> Iterator[Union[Trace, WorkspaceViolation]]:
+    """Simulate the scenario once per gain set, all in one lockstep loop.
+
+    Member i uses `gains_list[i]` on both axes. Its result, yielded in
+    member order, is bit for bit what `run` gives for that scenario: the
+    Trace, or the WorkspaceViolation it raises, which stops the member at its
+    tick while the others run on. The members share the path, the
+    environment, the sensor stream and the tick count, so the plant, the
+    sensor and the loop bookkeeping run in numpy over a (2, B) array, one
+    column per member. Each member's control law still runs through
+    `gains.step`, one scalar call per member and selected axis.
+
+    The loop runs under np.errstate(all="ignore"): a float that overflows or
+    turns NaN does so silently, as run()'s Python floats do. The traces are
+    built one at a time as the iterator is consumed.
+    """
+    arm_p = scenario.arm
+    l1, l2, elbow = arm_p.l1, arm_p.l2, arm_p.elbow
+    press = np.array(scenario.press_direction, dtype=float)[:, None]
+    dt = scenario.dt
+    setpoint = np.array(scenario.setpoint, dtype=float)[:, None]
+    steps = [g.step for g in gains_list]
+    laws = [(j, scenario.limits[axis]) for j, axis in enumerate(AXES) if scenario.selection[j]]
+    u_min = np.array([[scenario.limits[a].u_min] for a in AXES])
+    u_max = np.array([[scenario.limits[a].u_max] for a in AXES])
+    contact_force = scenario.environment.contact_force_batch
+    sense = scenario.sensor.sense_batch
+    engine = FuzzyInference(rules=scenario.rules)
+    sensor_rng = np.random.default_rng(scenario.sensor.seed)
+    arm = PlanarArm(l1, l2, tau_servo=arm_p.tau_servo, qdot_max=arm_p.qdot_max)
+    alpha, dq_max = arm.servo_rates(dt)
+
+    n = len(gains_list)
+    start = scenario.path.pose_at(0.0)
+    q, reachable = ik_batch(l1, l2, np.array([[start.x], [start.z]]), elbow)
+    if not reachable.all():
+        raise outside_workspace(l1, l2, start)
+    q = np.repeat(q, n, axis=1)
+    n_ticks = int(round(scenario.duration / dt)) + 1
+    t = np.arange(n_ticks) * dt
+    nominal = np.array([scenario.path.pose_at(tk) for tk in t.tolist()])
+    # Per tick and member, the 14 logged values of run()'s rows.
+    rows = np.zeros((n_ticks, n, 14))
+    failures: List[Optional[WorkspaceViolation]] = [None] * n
+    alive = [True] * n
+    u = np.zeros((2, n))
+    e_prev = np.zeros((2, n))
+    prev = fk_batch(l1, l2, q)
+    vx = np.zeros(n)
+
+    with np.errstate(all="ignore"):
+        for k, nom in enumerate(nominal):
+            target = nom[:, None] + press * u
+            q_des, reachable = ik_batch(l1, l2, target, elbow)
+            for i in np.flatnonzero(~reachable).tolist():
+                if alive[i]:
+                    alive[i] = False
+                    cause = str(outside_workspace(l1, l2, Pose(*target[:, i].tolist())))
+                    failures[i] = WorkspaceViolation(k, k * dt, cause)
+            if not any(alive):
+                break
+            q = servo_step_batch(q, q_des, alpha, dq_max)
+            pose = fk_batch(l1, l2, q)
+            if k > 0:
+                vx = (pose[0] - prev[0]) / dt
+            f_tool = contact_force(pose, vx)
+            measured = -press * sense(f_tool, sensor_rng)
+            e = setpoint - measured
+            de = e - e_prev if k > 0 else np.zeros((2, n))
+            du = np.zeros((2, n))
+            for j, limits in laws:
+                du[j] = [
+                    step(e_i, de_i, limits, engine) if live else 0.0
+                    for step, e_i, de_i, live in zip(steps, e[j].tolist(), de[j].tolist(), alive)
+                ]
+            rows[k] = np.concatenate((measured, e, du, u, pose, q, f_tool)).T
+            u = clamp(u + du, u_min, u_max)
+            e_prev = e
+            prev = pose
+
+    def result(i: int) -> Union[Trace, WorkspaceViolation]:
+        if failures[i] is not None:
+            return failures[i]
+        logged = rows[:, i]
+        tau = arm.joint_torques(-logged[:, 12:14], logged[:, 10:12])
+        return Trace(np.column_stack((t, logged[:, :8], nominal, logged[:, 8:12], tau)))
+
+    return map(result, range(n))
+
+
 @dataclass(frozen=True)
 class Metrics:
     """Post-contact response summary for one axis."""
@@ -393,11 +498,6 @@ class TuneEntry:
     failure: Optional[str]
 
 
-def _with_gains(scenario: Scenario, names: Sequence[str], values: Sequence[float]) -> Scenario:
-    gains = type(scenario.gains["x"])(**dict(zip(names, values)))
-    return dataclasses.replace(scenario, gains={axis: gains for axis in AXES})
-
-
 def tune(
     scenario: Scenario,
     grid: Dict[str, Sequence[float]],
@@ -408,6 +508,8 @@ def tune(
     """Exhaustive grid search over gain combinations, smallest objective wins.
 
     The grid holds one value list per field of the scenario's gains type.
+    Every grid point is simulated in lockstep by one `run_batch` loop, bit
+    for bit what `run` gives for it, and scored as soon as its trace exists.
     Ties break on lower overshoot, then on the lexicographic order of the
     gain tuple (in field order), so the winner does not depend on
     enumeration order. Returns (best, leaderboard); the leaderboard carries
@@ -424,13 +526,15 @@ def tune(
         raise ValueError(f"{law.kind} tuner grid must define {names}, got {sorted(grid)}")
     setpoint = getattr(scenario.setpoint, axis)
 
+    combos = list(itertools.product(*(sorted(grid[n]) for n in names)))
+    gains_list = [law(**dict(zip(names, combo))) for combo in combos]
     entries: List[TuneEntry] = []
-    for combo in itertools.product(*(sorted(grid[n]) for n in names)):
-        candidate = _with_gains(scenario, names, combo)
+    for combo, result in zip(combos, run_batch(scenario, gains_list)):
         gains_dict = dict(zip(names, (float(v) for v in combo)))
         try:
-            trace = run(candidate)
-            m = compute_metrics(trace, axis, setpoint, band_pct)
+            if isinstance(result, WorkspaceViolation):
+                raise result
+            m = compute_metrics(result, axis, setpoint, band_pct)
         except (WorkspaceViolation, NoContact) as exc:
             entries.append(
                 TuneEntry(gains_dict, math.inf, None, None, None, False, str(exc))

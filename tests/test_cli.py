@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -505,3 +508,25 @@ class TestInferCommand:
         value_neg = float(line_neg.split("=")[-1].replace("m", ""))
         assert value_pos == -value_neg
         assert value_pos > 0.0
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_1_without_traceback(self, unbuffered):
+        # A reader that closes the pipe at once, like `forcemotion infer ... |
+        # (exec 0<&-; true)`: the print fails in cmd_infer when stdout is
+        # unbuffered, and in the exit-time flush when it is buffered.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED=unbuffered)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "forcemotion.cli", "infer", "--e", "1", "--de", "0.5"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert child.returncode == 1
+        assert child.stderr == ""

@@ -17,6 +17,7 @@ from forcemotion.control import (
     HybridForceController,
     PIGains,
     SelectionMatrix,
+    clamp,
     fuzzy_pi_step,
     pi_step,
 )
@@ -228,6 +229,14 @@ class TestAccumulate:
     def test_deselected_axis_keeps_u(self):
         ctl = AxisController(PIGains(0.0, 1.0), state=ControllerState(u_accum=1e-3))
         assert ctl.step(5.0, 0.0, selected=False) == (1e-3, 0.0, 5.0)
+
+    @pytest.mark.parametrize("lo,hi", [(-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0), (-0.5, 0.5)])
+    def test_array_clamp_is_python_min_max(self, lo, hi):
+        # Bit for bit, signed zeros and NaN included: the batch loop clamps u
+        # and the servo step with it.
+        values = [-0.0, 0.0, -1.0, 0.25, 1.0, math.inf, -math.inf, math.nan]
+        want = np.array([min(max(v, lo), hi) for v in values])
+        assert np.array_equal(clamp(np.array(values), lo, hi).view(np.uint64), want.view(np.uint64))
 
 
 def _hybrid(kind: str, selection=SelectionMatrix.identity(), limits=None, **gain_kwargs):

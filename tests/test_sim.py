@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from forcemotion.control import (
     PIGains,
     SelectionMatrix,
 )
-from forcemotion.plant import Environment, PlanarArm, Pose, SensorModel
+from forcemotion.plant import Box, Environment, PlanarArm, Pose, RoughSurface, SensorModel
 from forcemotion.sim import (
     AllRunsFailed,
     ArmParams,
@@ -33,6 +34,7 @@ from forcemotion.sim import (
     compare,
     compute_metrics,
     run,
+    run_batch,
     tune,
 )
 
@@ -432,3 +434,171 @@ class TestTune:
             tune(scenario, {"kp": [1e-4]})
         with pytest.raises(ValueError, match="unknown gain"):
             tune(scenario, {"kp": [1e-4], "ki": [1e-5], "kq": [1.0]})
+
+
+def batch_against_run(scenario, gains_list):
+    """run_batch's results, each checked bit for bit against run() of the
+    scenario with that member's gains on both axes, with numpy warnings as
+    errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = list(run_batch(scenario, gains_list))
+        assert len(results) == len(gains_list)
+        for gains, got in zip(gains_list, results):
+            member = dataclasses.replace(scenario, gains={"x": gains, "z": gains})
+            try:
+                want = run(member)
+            except WorkspaceViolation as exc:
+                assert isinstance(got, WorkspaceViolation)
+                assert (got.tick, got.t, str(got)) == (exc.tick, exc.t, str(exc))
+            else:
+                assert isinstance(got, Trace)
+                assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+    return results
+
+
+def floor_scenario(**overrides):
+    """A slide over a compliant floor 2 cm below the nominal path."""
+    base = dict(
+        name="floor",
+        setpoint=AxisForce(0.0, 10.0),
+        path=NominalPath(((0.0, Pose(0.5, 0.27)), (0.8, Pose(0.7, 0.27)))),
+        environment=Environment((RoughSurface(height_base=0.25),), seed=3),
+        gains={"x": PIGains(1e-4, 5e-5), "z": PIGains(1e-4, 5e-5)},
+        selection=SelectionMatrix(False, True),
+        duration=1.0,
+    )
+    base.update(overrides)
+    return Scenario(**base)
+
+
+PI_GRID = [PIGains(kp, ki) for kp in (0.0, 5e-4) for ki in (2e-5, 2e-4)]
+FUZZY_GRID = [FuzzyPIGains(kp, 1 / 15, kx) for kp in (0.05, 0.2) for kx in (1e-3, 3e-3)]
+
+
+class TestRunBatch:
+    def test_box_entered_and_left(self):
+        scenario = floor_scenario(
+            path=NominalPath(
+                ((0.0, Pose(0.6, 0.40)), (0.5, Pose(0.6, 0.22)), (1.0, Pose(0.6, 0.40)))
+            ),
+            environment=Environment((Box(0.5, 0.7, 0.15, 0.30),), seed=3),
+            selection=SelectionMatrix.identity(),
+            duration=1.5,
+        )
+        for grid in (PI_GRID, FUZZY_GRID):
+            for trace in batch_against_run(scenario, grid):
+                contact = np.abs(trace.column("f_z")) > 0.1
+                assert contact.any() and not contact[-1]
+
+    def test_friction_noise_profile_and_roughness(self):
+        surface = RoughSurface(
+            height_base=0.25,
+            roughness_amplitude=0.002,
+            noise_amplitude=0.001,
+            friction_coeff=0.3,
+        )
+        scenario = floor_scenario(
+            setpoint=AxisForce(3.0, 10.0),
+            environment=Environment((surface,), seed=5),
+            selection=SelectionMatrix.identity(),
+        )
+        for grid in (PI_GRID, FUZZY_GRID):
+            for trace in batch_against_run(scenario, grid):
+                assert np.abs(trace.column("f_x")).max() > 0.1
+
+    def test_sensor_noise_and_bias(self):
+        sensor = SensorModel(noise_sigma=0.5, bias=AxisForce(0.3, -0.7), seed=11)
+        for grid in (PI_GRID, FUZZY_GRID):
+            batch_against_run(floor_scenario(sensor=sensor), grid)
+
+    def test_elbow_up(self):
+        scenario = floor_scenario(arm=ArmParams(elbow="up"))
+        for trace in batch_against_run(scenario, PI_GRID):
+            assert np.all(trace.column("q2") < 0.0)
+
+    def test_deselected_axis_evaluates_no_law(self):
+        scenario = floor_scenario(setpoint=AxisForce(5.0, 10.0))
+        for trace in batch_against_run(scenario, FUZZY_GRID):
+            assert np.all(trace.column("du_x") == 0.0) and np.all(trace.column("u_x") == 0.0)
+            assert np.any(trace.column("e_x") != 0.0)
+
+    def test_members_leave_the_workspace_at_their_own_ticks(self):
+        # In free space the error stays at the setpoint, so u grows by ki * 10
+        # a tick and pushes the target down out of reach, faster for larger ki.
+        scenario = free_space_scenario(
+            setpoint=AxisForce(0.0, 10.0),
+            path=NominalPath(((0.0, Pose(0.6, -0.5)),)),
+            selection=SelectionMatrix(False, True),
+            limits={"x": CorrectionLimits(), "z": CorrectionLimits(-1.0, 1.0, 1.0)},
+        )
+        grid = [PIGains(0.0, ki) for ki in (1e-2, 1e-5, 5e-3, 1e-2)]
+        results = batch_against_run(scenario, grid)
+        first, never, later, again = results
+        assert isinstance(first, WorkspaceViolation) and isinstance(later, WorkspaceViolation)
+        assert first.tick < later.tick
+        assert str(again) == str(first)
+        assert isinstance(never, Trace) and len(never) == 151
+        with pytest.raises(NoContact):
+            compute_metrics(never, "z", 10.0)
+
+    def test_huge_sensor_noise_aborts_with_a_nan_target(self):
+        scenario = experiment2_scenario("pi")
+        sensor = dataclasses.replace(scenario.sensor, noise_sigma=1.0e308)
+        grid = [scenario.gains["z"], *PI_GRID]
+        results = batch_against_run(dataclasses.replace(scenario, sensor=sensor), grid)
+        for result in results:
+            assert isinstance(result, WorkspaceViolation) and "nan" in result.cause
+        assert results[0].tick == 29
+
+    def test_signed_zero_clamps_as_python_does(self):
+        # Python's min and max keep their first argument on a tie, numpy's
+        # minimum and maximum their second: with u pinned to [-0.0, -0.0],
+        # run() logs u = 0.0 for a zero increment and -0.0 for a positive one.
+        zero = CorrectionLimits(-0.0, -0.0, 5e-4)
+        scenario = floor_scenario(limits={"x": zero, "z": zero})
+        grid = [PIGains(0.0, 0.0), PIGains(0.0, 1e-4)]
+        still, pushed = batch_against_run(scenario, grid)
+        assert not np.signbit(still.column("u_z")).any()
+        assert np.signbit(pushed.column("u_z")[1:]).all()
+
+    def test_presets_with_their_committed_gains(self):
+        for preset in ("exp1", "exp2", "exp3"):
+            for kind, grid in (("pi", PI_GRID), ("fuzzy", FUZZY_GRID)):
+                scenario = preset_scenario(preset, kind)
+                batch_against_run(scenario, [scenario.gains["x"], *grid[:1]])
+
+    def test_empty_batch(self):
+        assert list(run_batch(floor_scenario(), [])) == []
+
+
+class TestTuneScoresEachRun:
+    def test_entries_match_scoring_each_run(self):
+        # A floor 3 cm below the path: the smallest ki never reaches it, the
+        # middle one regulates, the largest leaves the workspace at tick 1.
+        scenario = floor_scenario(
+            path=NominalPath(((0.0, Pose(0.6, -0.5)),)),
+            environment=Environment((RoughSurface(height_base=-0.53),), seed=3),
+            limits={"x": CorrectionLimits(), "z": CorrectionLimits(-0.05, 1.0, 1.0)},
+            duration=1.5,
+        )
+        grid = {"kp": [0.0, 1e-5], "ki": [1e-6, 1e-4, 5e-2]}
+        _, board = tune(scenario, grid)
+        failures = {e.failure.split(" (")[0].split(":")[0] for e in board if e.failure}
+        assert failures == {"no contact on axis z", "tick 1"}
+        for entry in board:
+            member = dataclasses.replace(
+                scenario, gains={a: PIGains(**entry.gains) for a in ("x", "z")}
+            )
+            try:
+                m = compute_metrics(run(member), "z", 10.0)
+            except (WorkspaceViolation, NoContact) as exc:
+                assert entry.failure == str(exc) and entry.objective == math.inf
+                continue
+            objective = m.itae + 10.0 * m.overshoot_pct + (0.0 if m.settled else 1000.0)
+            assert entry.failure is None
+            assert (entry.objective, entry.overshoot_pct, entry.itae) == (
+                objective,
+                m.overshoot_pct,
+                m.itae,
+            )

@@ -41,6 +41,15 @@ class PIGains:
         """Increment for error e and its change de, clamped to +-du_max."""
         return pi_step(self, e, de, limits.du_max)
 
+    @staticmethod
+    def step_columns(
+        columns: np.ndarray, e: np.ndarray, de: np.ndarray, limits: CorrectionLimits, engine: FuzzyInference
+    ) -> np.ndarray:
+        """Column form of `step`, bit for bit: `columns` holds one member's
+        kp and ki per column, e and de one value per member."""
+        kp, ki = columns
+        return clamp(kp * de + ki * e, -limits.du_max, limits.du_max)
+
 
 @dataclass(frozen=True)
 class FuzzyPIGains:
@@ -63,6 +72,15 @@ class FuzzyPIGains:
     def step(self, e: float, de: float, limits: CorrectionLimits, engine: FuzzyInference) -> float:
         """Increment for error e and its change de; |du| <= kx, du_max unused."""
         return fuzzy_pi_step(self, e, de, engine)
+
+    @staticmethod
+    def step_columns(
+        columns: np.ndarray, e: np.ndarray, de: np.ndarray, limits: CorrectionLimits, engine: FuzzyInference
+    ) -> np.ndarray:
+        """Column form of `step`, bit for bit: `columns` holds one member's
+        kp, ki and kx per column, e and de one value per member."""
+        kp, ki, kx = columns
+        return kx * engine.outputs(ki * e, kp * de)
 
 
 @dataclass(frozen=True)

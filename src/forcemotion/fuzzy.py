@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Tuple
+
+import numpy as np
 
 # Aggregates with less total mass than this defuzzify to 0 (no rule fired).
 _EMPTY_AGGREGATE_AREA = 1e-12
@@ -348,16 +351,140 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
     return moment / area
 
 
+_CENTER_ROW = np.array(CENTERS)
+_LABEL_INDEX = np.arange(_N_LABELS)
+# The universe's ends, two breakpoints of every aggregate.
+_ENDS = np.array([[CENTERS[0]], [CENTERS[-1]]])
+
+
+@np.errstate(all="ignore")
+def _two_shape_coa(labels: np.ndarray, clips: np.ndarray) -> np.ndarray:
+    """defuzzify_coa of n aggregates of exactly two shapes, bit for bit.
+
+    `labels` holds the label indices (0..6) of each aggregate's shapes and
+    `clips` their heights, all positive, as (2, n) arrays in the order the
+    shapes fired. This is the live-line integrator with one column per
+    aggregate:
+    - Each shape adds all four kinks, those beyond the universe clamped
+      onto its ends, and duplicate breakpoints are kept. Both make
+      zero-length segments, which the 1e-15 test skips as the set and the
+      trim do.
+    - Both lines are kept on every segment. A shape that is 0 at both ends
+      has the line (0.0, 0.0): it crosses the other line exactly at that
+      line's root, up to the sign of a zero cut, and as the second line it
+      is never the strict maximum where the first is positive.
+    - Each segment holds at most two pieces, cut at the crossing, and each
+      piece integrates the first line of maximal value at its midpoint.
+      Pieces that add nothing add +0.0, and the sums run in piece order from
+      +0.0, so they equal the scalar running sums.
+    """
+    w = HALF_WIDTH
+    lo, hi = CENTERS[0], CENTERS[-1]
+    n = clips.shape[1]
+    centre = _CENTER_ROW[labels]
+    flat = w * (1.0 - clips)
+    xs = np.concatenate((np.repeat(_ENDS, n, axis=1), centre - w, centre - flat, centre + flat, centre + w))
+    xs = np.sort(np.minimum(np.maximum(xs, lo), hi), axis=0)
+
+    # Each shape's value at each of the 10 breakpoints, (2, 10, n), and its
+    # line on each of the 9 segments [a, b], (2, 9, n).
+    f = np.minimum(np.maximum(1.0 - np.abs(xs - centre[:, None, :]) / w, 0.0), clips[:, None, :])
+    a = xs[:-1]
+    b = xs[1:]
+    slope = (f[:, 1:] - f[:, :-1]) / (b - a)
+    icpt = f[:, :-1] - slope * a
+    (m1, m2), (q1, q2) = slope, icpt
+    # Parallel lines give inf or NaN, which never lies inside.
+    cut = (q2 - q1) / (m1 - m2)
+    cut = np.where((a + 1e-15 < cut) & (cut < b - 1e-15), cut, b)
+
+    # The pieces [p, r], (18, n), run between the bounds x0, cut0, x1, cut1,
+    # ..., x9, two per segment; the second is empty when nothing is cut.
+    bounds = np.empty((19, n))
+    bounds[0::2] = xs
+    bounds[1::2] = cut
+    p = bounds[:-1]
+    r = bounds[1:]
+    (m1, m2), (q1, q2) = np.repeat(slope, 2, axis=1), np.repeat(icpt, 2, axis=1)
+    mid = 0.5 * (p + r)
+    top = m1 * mid + q1
+    top2 = m2 * mid + q2
+    second = top2 > top
+    adds = (r - p > 1e-15) & ((top > 0.0) | (top2 > 0.0))
+    m = np.where(second, m2, m1)
+    q = np.where(second, q2, q1)
+    squares = r * r - p * p
+    # Python's float power, once per bound of an adding piece: numpy's power
+    # rounds differently.
+    cubed = np.zeros((19, n), dtype=bool)
+    cubed[:-1] = adds
+    cubed[1:] |= adds
+    cubes = np.zeros((19, n))
+    cubes[cubed] = [v**3 for v in bounds[cubed].tolist()]
+    sums = np.zeros((2, 19, n))
+    np.copyto(sums[0, 1:], 0.5 * m * squares + q * (r - p), where=adds)
+    np.copyto(sums[1, 1:], m * (cubes[1:] - cubes[:-1]) / 3.0 + 0.5 * q * squares, where=adds)
+    area, moment = np.add.accumulate(sums, axis=1)[:, -1]
+    return np.where(area > _EMPTY_AGGREGATE_AREA, moment / area, 0.0)
+
+
 @dataclass(frozen=True)
 class FuzzyInference:
     """Bundled engine: the rule base on the fixed partition, from normalized
     inputs to output.
 
     `output` runs the full fuzzify -> infer -> defuzzify pipeline on
-    already-scaled inputs and returns a crisp value in [-1, 1].
+    already-scaled inputs and returns a crisp value in [-1, 1]. `outputs`
+    is its column form, bit for bit.
     """
 
     rules: RuleBase = field(default_factory=RuleBase.default)
 
     def output(self, e_norm: float, de_norm: float) -> float:
         return defuzzify_coa(infer(fuzzify(e_norm), fuzzify(de_norm), self.rules))
+
+    @cached_property
+    def _cells(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The rule cells in the order fire_rules scans them, e labels
+        ascending and then de labels ascending: each cell's output label
+        index (0..6); the cells sorted by that label; where each used
+        label's run of sorted cells starts; and the used labels."""
+        labels = np.array([self.rules.table[e, de] + 3 for e in LABELS for de in LABELS])
+        order = np.argsort(labels, kind="stable")
+        used, starts = np.unique(labels[order], return_index=True)
+        return labels, order, starts, used
+
+    def outputs(self, e_norm: np.ndarray, de_norm: np.ndarray) -> np.ndarray:
+        """`output` of each pair (e_norm[i], de_norm[i]), bit for bit.
+
+        Both inputs are fuzzified to (7, n) degrees after fuzzify's clamp,
+        the rules fire as (49, n) min-AND strengths, each output label's clip
+        is its largest strength, and the first fired cell names the first
+        shape. Aggregates of exactly two clipped shapes, the common case near
+        and away from the settled cell, are integrated in numpy. Every other
+        pair, and any pair with a non-finite input, goes through `output`.
+        """
+        e_norm = np.asarray(e_norm, dtype=float)
+        de_norm = np.asarray(de_norm, dtype=float)
+        n = len(e_norm)
+        cell_labels, order, starts, used = self._cells
+        out = np.zeros(n)
+        x = np.concatenate((e_norm, de_norm))
+        finite = np.isfinite(x)
+        x = np.minimum(np.maximum(x, -1.0), 1.0)
+        # Every label's triangle, (7, 2n); beyond the four that fuzzify
+        # evaluates it is about -1/3 or less, so no extra label fires.
+        mu = np.maximum(1.0 - np.abs(x - _CENTER_ROW[:, None]) / HALF_WIDTH, 0.0)
+        strength = np.minimum(mu[:, None, :n], mu[None, :, n:]).reshape(49, n)
+        clip = np.zeros((_N_LABELS, n))
+        clip[used] = np.maximum.reduceat(strength.take(order, axis=0), starts, axis=0)
+        clipped = clip > 0.0
+        pair = (clipped.sum(axis=0) == 2) & finite[:n] & finite[n:]
+        if pair.any():
+            cols = slice(None) if pair.all() else np.flatnonzero(pair)
+            first = cell_labels[np.argmax(strength[:, cols] > 0.0, axis=0)]
+            labels = np.array((first, _LABEL_INDEX @ clipped[:, cols] - first))
+            out[cols] = _two_shape_coa(labels, clip[:, cols][labels, np.arange(len(first))])
+        for i in np.flatnonzero(~pair).tolist():
+            out[i] = self.output(float(e_norm[i]), float(de_norm[i]))
+        return out

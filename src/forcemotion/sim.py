@@ -49,6 +49,10 @@ AxisGains = Union[PIGains, FuzzyPIGains]
 # Upper bound on duration / dt: run() allocates one trace row per tick, and
 # run_batch one per tick and member.
 _MAX_TICKS = 10**6
+# run_batch splits its members into chunks whose (ticks, B, 14) float row
+# arrays take at most this many bytes, or one member when a single member's
+# rows take more.
+_BATCH_ROW_BYTES = 64 * 2**20
 
 
 class WorkspaceViolation(Exception):
@@ -79,7 +83,9 @@ class NominalPath:
         if not self.waypoints:
             raise ValueError("path needs at least one waypoint")
         times = [t for t, _ in self.waypoints]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if any(t != t for t in times):
+            raise ValueError(f"waypoint times must be numbers, got {times}")
+        if any(not a < b for a, b in zip(times, times[1:])):
             raise ValueError("waypoint times must be strictly increasing")
 
     def pose_at(self, t: float) -> Pose:
@@ -136,10 +142,10 @@ class Scenario:
     duration: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.duration < self.dt:
-            raise ValueError("duration must be at least one tick")
+        if not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not self.duration >= self.dt:
+            raise ValueError(f"duration must be at least one tick, got {self.duration}")
         if not self.duration / self.dt <= _MAX_TICKS:
             raise ValueError(
                 f"duration / dt: expected at most {_MAX_TICKS} ticks, got "
@@ -161,7 +167,7 @@ class Scenario:
         reach_lo = abs(self.arm.l1 - self.arm.l2)
         for t, pose in self.path.waypoints:
             r = math.hypot(pose.x, pose.z)
-            if r > reach_hi + 1e-12 or r < reach_lo - 1e-12:
+            if not reach_lo - 1e-12 <= r <= reach_hi + 1e-12:
                 raise ValueError(f"waypoint at t={t} is unreachable: {pose}")
 
     @property
@@ -271,28 +277,57 @@ def run(scenario: Scenario) -> Trace:
 def run_batch(
     scenario: Scenario, gains_list: Sequence[AxisGains]
 ) -> Iterator[Union[Trace, WorkspaceViolation]]:
-    """Simulate the scenario once per gain set, all in one lockstep loop.
+    """Simulate the scenario once per gain set, in lockstep loops.
 
-    Member i uses `gains_list[i]` on both axes. Its result, yielded in
-    member order, is bit for bit what `run` gives for that scenario: the
-    Trace, or the WorkspaceViolation it raises, which stops the member at its
-    tick while the others run on. The members share the path, the
-    environment, the sensor stream and the tick count, so the plant, the
-    sensor and the loop bookkeeping run in numpy over a (2, B) array, one
-    column per member. Each member's control law still runs through
-    `gains.step`, one scalar call per member and selected axis.
+    Member i uses `gains_list[i]` on both axes, and every member uses one
+    control law. Its result, yielded in member order, is bit for bit what
+    `run` gives for that scenario: the Trace, or the WorkspaceViolation it
+    raises, which stops the member at its tick while the others run on. The
+    members share the path, the environment, the sensor stream and the tick
+    count, so one tick loop runs the plant, the sensor and the loop
+    bookkeeping in numpy over a (2, B) array, one column per member. Each
+    selected axis computes every live member's increment in one call to the
+    law's `step_columns`.
 
-    The loop runs under np.errstate(all="ignore"): a float that overflows or
-    turns NaN does so silently, as run()'s Python floats do. The traces are
-    built one at a time as the iterator is consumed.
+    Members run in consecutive chunks, each with its own loop, so that a
+    chunk's (ticks, B, 14) row array stays within _BATCH_ROW_BYTES; each
+    chunk replays the sensor stream from its seed. A chunk's loop runs when
+    the iterator reaches its first member, and the traces are built one at
+    a time as the iterator is consumed. The loop runs under
+    np.errstate(all="ignore"): a float that overflows or turns NaN does so
+    silently, as run()'s Python floats do.
     """
+    for gains in gains_list[1:]:
+        if type(gains) is not type(gains_list[0]):
+            raise ValueError(
+                f"a batch must use one control law, got {type(gains_list[0]).__name__} "
+                f"and {type(gains).__name__}"
+            )
+    arm_p = scenario.arm
+    start = scenario.path.pose_at(0.0)
+    if not ik_batch(arm_p.l1, arm_p.l2, np.array([[start.x], [start.z]]), arm_p.elbow)[1].all():
+        raise outside_workspace(arm_p.l1, arm_p.l2, start)
+    # One row per gain, one column per member.
+    columns = np.array([dataclasses.astuple(g) for g in gains_list], dtype=float).T
+    n_ticks = int(round(scenario.duration / scenario.dt)) + 1
+    chunk = max(1, _BATCH_ROW_BYTES // (n_ticks * 14 * 8))
+    return itertools.chain.from_iterable(
+        _lockstep(scenario, type(gains_list[0]), columns[:, i : i + chunk])
+        for i in range(0, len(gains_list), chunk)
+    )
+
+
+def _lockstep(
+    scenario: Scenario, law: type, columns: np.ndarray
+) -> Iterator[Union[Trace, WorkspaceViolation]]:
+    """run_batch's tick loop over the members whose gains are the columns."""
     arm_p = scenario.arm
     l1, l2, elbow = arm_p.l1, arm_p.l2, arm_p.elbow
     press = np.array(scenario.press_direction, dtype=float)[:, None]
     dt = scenario.dt
     setpoint = np.array(scenario.setpoint, dtype=float)[:, None]
-    steps = [g.step for g in gains_list]
     laws = [(j, scenario.limits[axis]) for j, axis in enumerate(AXES) if scenario.selection[j]]
+    step_columns = law.step_columns
     u_min = np.array([[scenario.limits[a].u_min] for a in AXES])
     u_max = np.array([[scenario.limits[a].u_max] for a in AXES])
     contact_force = scenario.environment.contact_force_batch
@@ -302,19 +337,18 @@ def run_batch(
     arm = PlanarArm(l1, l2, tau_servo=arm_p.tau_servo, qdot_max=arm_p.qdot_max)
     alpha, dq_max = arm.servo_rates(dt)
 
-    n = len(gains_list)
+    n = columns.shape[1]
     start = scenario.path.pose_at(0.0)
-    q, reachable = ik_batch(l1, l2, np.array([[start.x], [start.z]]), elbow)
-    if not reachable.all():
-        raise outside_workspace(l1, l2, start)
-    q = np.repeat(q, n, axis=1)
+    q = np.repeat(ik_batch(l1, l2, np.array([[start.x], [start.z]]), elbow)[0], n, axis=1)
     n_ticks = int(round(scenario.duration / dt)) + 1
     t = np.arange(n_ticks) * dt
     nominal = np.array([scenario.path.pose_at(tk) for tk in t.tolist()])
     # Per tick and member, the 14 logged values of run()'s rows.
     rows = np.zeros((n_ticks, n, 14))
     failures: List[Optional[WorkspaceViolation]] = [None] * n
-    alive = [True] * n
+    # The live members: all of them, then their indices once one has left
+    # the workspace.
+    live: Union[slice, np.ndarray] = slice(None)
     u = np.zeros((2, n))
     e_prev = np.zeros((2, n))
     prev = fk_batch(l1, l2, q)
@@ -324,13 +358,14 @@ def run_batch(
         for k, nom in enumerate(nominal):
             target = nom[:, None] + press * u
             q_des, reachable = ik_batch(l1, l2, target, elbow)
-            for i in np.flatnonzero(~reachable).tolist():
-                if alive[i]:
-                    alive[i] = False
-                    cause = str(outside_workspace(l1, l2, Pose(*target[:, i].tolist())))
-                    failures[i] = WorkspaceViolation(k, k * dt, cause)
-            if not any(alive):
-                break
+            if not reachable.all():
+                for i in np.flatnonzero(~reachable).tolist():
+                    if failures[i] is None:
+                        cause = str(outside_workspace(l1, l2, Pose(*target[:, i].tolist())))
+                        failures[i] = WorkspaceViolation(k, k * dt, cause)
+                live = np.array([i for i, f in enumerate(failures) if f is None], dtype=int)
+                if not len(live):
+                    break
             q = servo_step_batch(q, q_des, alpha, dq_max)
             pose = fk_batch(l1, l2, q)
             if k > 0:
@@ -341,10 +376,7 @@ def run_batch(
             de = e - e_prev if k > 0 else np.zeros((2, n))
             du = np.zeros((2, n))
             for j, limits in laws:
-                du[j] = [
-                    step(e_i, de_i, limits, engine) if live else 0.0
-                    for step, e_i, de_i, live in zip(steps, e[j].tolist(), de[j].tolist(), alive)
-                ]
+                du[j, live] = step_columns(columns[:, live], e[j, live], de[j, live], limits, engine)
             rows[k] = np.concatenate((measured, e, du, u, pose, q, f_tool)).T
             u = clamp(u + du, u_min, u_max)
             e_prev = e

@@ -11,6 +11,7 @@ from forcemotion.fuzzy import (
     FuzzySet,
     Label,
     RuleBase,
+    _two_shape_coa,
     defuzzify_coa,
     fire_rules,
     fuzzify,
@@ -255,14 +256,18 @@ class TestBitExactness:
     def _digest(values):
         return hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest()
 
+    # 241 x 241 grid of [-1.2, 1.2]^2, which includes saturated inputs.
+    SURFACE = np.linspace(-1.2, 1.2, 241)
+    SURFACE_DIGEST = "baecb6e86414c9e8044ab0e08e1ddfe62475683fd97584a19c3381f60c62ab5b"
+
     def test_output_surface_digest(self):
-        # 241 x 241 grid of [-1.2, 1.2]^2, which includes saturated inputs.
         engine = FuzzyInference()
-        grid = np.linspace(-1.2, 1.2, 241)
-        values = [engine.output(float(e), float(de)) for e in grid for de in grid]
-        assert self._digest(values) == (
-            "baecb6e86414c9e8044ab0e08e1ddfe62475683fd97584a19c3381f60c62ab5b"
-        )
+        values = [engine.output(float(e), float(de)) for e in self.SURFACE for de in self.SURFACE]
+        assert self._digest(values) == self.SURFACE_DIGEST
+
+    def test_column_output_surface_digest(self):
+        e, de = np.meshgrid(self.SURFACE, self.SURFACE, indexing="ij")
+        assert self._digest(FuzzyInference().outputs(e.ravel(), de.ravel())) == self.SURFACE_DIGEST
 
     def test_defuzzify_digest_on_random_clip_sets(self):
         # Arbitrary label subsets and heights (exactly 0 and 1 included),
@@ -360,6 +365,49 @@ class TestBitExactness:
                 AggregatedOutput({Label(i - 3): h for i, h in clips.items()})
             )
             assert value.hex() == oracles.segment_crossing_coa(clips).hex(), clips
+
+    def test_two_shape_integrator_matches_defuzzify_bit_for_bit(self):
+        # Every ordered pair of labels, adjacent or not, with positive edge
+        # heights and heights spread over every binade; the column engine
+        # integrates exactly these aggregates in numpy.
+        edge = [float(h) for h in self.EDGE_HEIGHTS if h > 0.0]
+        rng = np.random.default_rng(11)
+        spread = (10.0 ** rng.uniform(-323.0, 0.0, 400)).tolist() + rng.uniform(0.0, 1.0, 400).tolist()
+        heights = [(h1, h2) for h1 in edge for h2 in edge] + list(zip(spread[::2], spread[1::2]))
+        pairs = [(i, j) for i in range(7) for j in range(7) if i != j]
+        sets = [(i, j, h1, h2) for i, j in pairs for h1, h2 in heights]
+        labels = np.array([(i, j) for i, j, _, _ in sets]).T
+        clips = np.array([(h1, h2) for _, _, h1, h2 in sets]).T
+        got = _two_shape_coa(labels, clips)
+        want = [
+            defuzzify_coa(AggregatedOutput({Label(i - 3): h1, Label(j - 3): h2}))
+            for i, j, h1, h2 in sets
+        ]
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+    def test_column_output_on_non_finite_and_signed_zero_inputs(self):
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.2, -0.45]
+        e, de = (v.ravel() for v in np.meshgrid(special, special, indexing="ij"))
+        engine = FuzzyInference()
+        want = [engine.output(float(a), float(b)) for a, b in zip(e, de)]
+        got = engine.outputs(e, de)
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_column_output_under_other_rule_bases(self, seed):
+        # Random tables, some labels unused: other label pairs, orders of
+        # first firing and clip maxima than the default table's.
+        rng = np.random.default_rng(seed)
+        used = rng.choice(7, size=int(rng.integers(2, 8)), replace=False)
+        table = {(e, de): Label(int(rng.choice(used)) - 3) for e in Label for de in Label}
+        engine = FuzzyInference(RuleBase(table))
+        e = np.concatenate((rng.uniform(-1.2, 1.2, 1500), rng.normal(0.0, 0.05, 500)))
+        de = np.concatenate((rng.uniform(-1.2, 1.2, 1500), rng.normal(0.0, 0.05, 500)))
+        want = [engine.output(float(a), float(b)) for a, b in zip(e, de)]
+        assert np.array_equal(engine.outputs(e, de).view(np.uint64), np.array(want).view(np.uint64))
+
+    def test_column_output_on_an_empty_batch(self):
+        assert FuzzyInference().outputs(np.array([]), np.array([])).shape == (0,)
 
     @pytest.mark.parametrize(
         "clips",

@@ -12,6 +12,7 @@ from forcemotion.config import (
     preset_scenario,
 )
 from forcemotion import sim
+from forcemotion.fuzzy import FuzzyInference
 from forcemotion.control import (
     AxisForce,
     CorrectionLimits,
@@ -79,6 +80,14 @@ class TestNominalPath:
         with pytest.raises(ValueError):
             NominalPath(())
 
+    @pytest.mark.parametrize("times", [(0.0, math.nan), (math.nan, 1.0), (math.nan,)])
+    def test_rejects_nan_times(self, times):
+        # Every comparison with NaN is false, so a NaN time passed the order
+        # check, and pose_at then held the end pose from the NaN on.
+        waypoints = tuple((t, Pose(0.6, 0.2 + 0.1 * i)) for i, t in enumerate(times))
+        with pytest.raises(ValueError, match="waypoint times"):
+            NominalPath(waypoints)
+
 
 class TestScenarioValidation:
     def test_rejects_unknown_controller(self):
@@ -95,11 +104,28 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="unreachable"):
             free_space_scenario(path=NominalPath(((0.0, Pose(1.5, 0.0)),)))
 
+    @pytest.mark.parametrize("pose", [Pose(math.nan, 0.2), Pose(0.6, math.nan)])
+    def test_rejects_nan_waypoint_pose(self, pose):
+        # Its radius is NaN, which compares false with both reach limits.
+        with pytest.raises(ValueError, match="unreachable"):
+            free_space_scenario(path=NominalPath(((0.0, Pose(0.6, 0.2)), (1.0, pose))))
+
     def test_rejects_bad_timing(self):
         with pytest.raises(ValueError):
             free_space_scenario(dt=0.0)
         with pytest.raises(ValueError):
             free_space_scenario(duration=0.001)
+
+    @pytest.mark.parametrize(
+        "timing,message",
+        [
+            ({"dt": math.nan}, "dt must be positive"),
+            ({"duration": math.nan}, "duration must be at least one tick"),
+        ],
+    )
+    def test_rejects_nan_timing_by_name(self, timing, message):
+        with pytest.raises(ValueError, match=message):
+            free_space_scenario(**timing)
 
     @pytest.mark.parametrize(
         "timing", [{"dt": 1.0e-6}, {"dt": 1.0e-300}, {"dt": 5.0e-324}, {"duration": math.inf}]
@@ -570,6 +596,51 @@ class TestRunBatch:
 
     def test_empty_batch(self):
         assert list(run_batch(floor_scenario(), [])) == []
+
+    def test_rejects_mixed_laws(self):
+        with pytest.raises(ValueError, match="one control law, got PIGains and FuzzyPIGains"):
+            run_batch(floor_scenario(), [PI_GRID[0], FUZZY_GRID[0], PI_GRID[1]])
+
+    def test_members_that_take_the_scalar_engine(self, monkeypatch):
+        # exp1's selected x axis has a zero setpoint and never meets a force,
+        # so its error stays exactly 0, which fuzzifies to ZR alone: a
+        # one-shape aggregate, which the column engine leaves to `output`.
+        scenario = preset_scenario("exp1", "fuzzy")
+        scalar_calls = []
+        output = FuzzyInference.output
+        monkeypatch.setattr(
+            FuzzyInference, "output", lambda self, e, de: scalar_calls.append(e) or output(self, e, de)
+        )
+        list(run_batch(scenario, FUZZY_GRID))
+        assert scalar_calls and len(scalar_calls) < len(FUZZY_GRID) * 2 * 301
+        batch_against_run(scenario, FUZZY_GRID)
+
+    @pytest.mark.parametrize("members_per_chunk,sizes", [(1, [1, 1, 1, 1, 1]), (2, [2, 2, 1])])
+    def test_chunks_match_one_loop(self, members_per_chunk, sizes, monkeypatch):
+        scenario = free_space_scenario(
+            setpoint=AxisForce(0.0, 10.0),
+            path=NominalPath(((0.0, Pose(0.6, -0.5)),)),
+            selection=SelectionMatrix(False, True),
+            sensor=SensorModel(noise_sigma=0.5, seed=11),
+            limits={"x": CorrectionLimits(), "z": CorrectionLimits(-1.0, 1.0, 1.0)},
+        )
+        grid = [PIGains(0.0, ki) for ki in (1e-2, 1e-5, 5e-3, 1e-2, 2e-5)]
+        whole = list(run_batch(scenario, grid))
+        chunks = []
+        lockstep = sim._lockstep
+        monkeypatch.setattr(
+            sim, "_lockstep", lambda s, law, cols: chunks.append(cols.shape[1]) or lockstep(s, law, cols)
+        )
+        # Room for that many members' rows: 151 ticks of 14 floats each.
+        monkeypatch.setattr(sim, "_BATCH_ROW_BYTES", members_per_chunk * 151 * 14 * 8)
+        chunked = list(run_batch(scenario, grid))
+        assert chunks == sizes
+        for got, want in zip(chunked, whole, strict=True):
+            if isinstance(want, WorkspaceViolation):
+                assert (got.tick, str(got)) == (want.tick, str(want))
+            else:
+                assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+        assert sum(isinstance(r, Trace) for r in whole) == 2
 
 
 class TestTuneScoresEachRun:

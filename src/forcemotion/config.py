@@ -105,6 +105,10 @@ _FLOAT_MAX = sys.float_info.max
 # holding such text take the Python emitter, so the bytes never depend on it.
 _C_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 _SIMPLE_KEY_MAX = 100
+# libyaml's parser words its errors otherwise, and reads otherwise tabs,
+# non-ASCII breaks, tags (!), block scalars (| >) and a `?` in a flow scalar.
+_C_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_C_READS_OTHERWISE = re.compile(r"[^\n -~]|[!>?|]")
 
 
 def _type_name(value: Any) -> str:
@@ -224,6 +228,8 @@ def validate_config(raw: Optional[Dict[str, Any]]) -> Dict[str, Any]:
             raise ConfigInvalid(f"tuner.grid.{gain}: expected a nonempty list")
         for v in values:
             _check_number(f"tuner.grid.{gain}", v)
+        if len(set(values)) < len(values):
+            raise ConfigInvalid(f"tuner.grid.{gain}: expected distinct values, got {values}")
     for axis in AXES:
         _check_number(f"setpoint.{axis}", effective["setpoint"][axis])
         if effective["press_direction"][axis] not in (1, -1):
@@ -239,10 +245,21 @@ def validate_config(raw: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     return effective
 
 
+def _safe_load(text: str) -> Any:
+    """`yaml.safe_load(text)`, by libyaml where it reads alike; on an error
+    the pure parser reads the text again, for the same message."""
+    if not _C_READS_OTHERWISE.search(text):
+        try:
+            return yaml.load(text, Loader=_C_LOADER)
+        except yaml.YAMLError:
+            pass
+    return yaml.safe_load(text)
+
+
 def read_config(path) -> Dict[str, Any]:
     """Read a YAML config file as a raw mapping, not yet validated."""
     try:
-        raw = yaml.safe_load(Path(path).read_text())
+        raw = _safe_load(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigInvalid(f"config file not found: {path}") from None
     except (OSError, ValueError) as exc:

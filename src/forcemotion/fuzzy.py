@@ -364,7 +364,7 @@ def _two_shape_coa(labels: np.ndarray, clips: np.ndarray) -> np.ndarray:
     `labels` holds the label indices (0..6) of each aggregate's shapes and
     `clips` their heights, all positive, as (2, n) arrays in the order the
     shapes fired. This is the live-line integrator with one column per
-    aggregate:
+    aggregate, kept equal to it through three bit traps:
     - Each shape adds all four kinks, those beyond the universe clamped
       onto its ends, and duplicate breakpoints are kept. Both make
       zero-length segments, which the 1e-15 test skips as the set and the
@@ -376,15 +376,19 @@ def _two_shape_coa(labels: np.ndarray, clips: np.ndarray) -> np.ndarray:
     - Each segment holds at most two pieces, cut at the crossing, and each
       piece integrates the first line of maximal value at its midpoint.
       Pieces that add nothing add +0.0, and the sums run in piece order from
-      +0.0, so they equal the scalar running sums.
+      +0.0, so they equal the scalar running sums: along the rows with
+      `np.add.accumulate`, since `np.add.reduce` pairs the rows of a single
+      column differently.
+    The cubes need none: `np.float_power` rounds as the scalar `**` does.
     """
     w = HALF_WIDTH
     lo, hi = CENTERS[0], CENTERS[-1]
     n = clips.shape[1]
     centre = _CENTER_ROW[labels]
     flat = w * (1.0 - clips)
-    xs = np.concatenate((np.repeat(_ENDS, n, axis=1), centre - w, centre - flat, centre + flat, centre + w))
-    xs = np.sort(np.minimum(np.maximum(xs, lo), hi), axis=0)
+    xs = np.concatenate((_ENDS.repeat(n, axis=1), centre - w, centre - flat, centre + flat, centre + w))
+    xs = np.minimum(np.maximum(xs, lo), hi)
+    xs.sort(axis=0)
 
     # Each shape's value at each of the 10 breakpoints, (2, 10, n), and its
     # line on each of the 9 segments [a, b], (2, 9, n).
@@ -414,13 +418,7 @@ def _two_shape_coa(labels: np.ndarray, clips: np.ndarray) -> np.ndarray:
     m = np.where(second, m2, m1)
     q = np.where(second, q2, q1)
     squares = r * r - p * p
-    # Python's float power, once per bound of an adding piece: numpy's power
-    # rounds differently.
-    cubed = np.zeros((19, n), dtype=bool)
-    cubed[:-1] = adds
-    cubed[1:] |= adds
-    cubes = np.zeros((19, n))
-    cubes[cubed] = [v**3 for v in bounds[cubed].tolist()]
+    cubes = np.float_power(bounds, 3.0)
     sums = np.zeros((2, 19, n))
     np.copyto(sums[0, 1:], 0.5 * m * squares + q * (r - p), where=adds)
     np.copyto(sums[1, 1:], m * (cubes[1:] - cubes[:-1]) / 3.0 + 0.5 * q * squares, where=adds)
@@ -462,16 +460,14 @@ class FuzzyInference:
         is its largest strength, and the first fired cell names the first
         shape. Aggregates of exactly two clipped shapes, the common case near
         and away from the settled cell, are integrated in numpy. Every other
-        pair, and any pair with a non-finite input, goes through `output`.
+        pair goes through `output`: an infinite input clamps as fuzzify
+        clamps it, and a NaN one stays NaN and clips no shape.
         """
         e_norm = np.asarray(e_norm, dtype=float)
         de_norm = np.asarray(de_norm, dtype=float)
         n = len(e_norm)
         cell_labels, order, starts, used = self._cells
-        out = np.zeros(n)
-        x = np.concatenate((e_norm, de_norm))
-        finite = np.isfinite(x)
-        x = np.minimum(np.maximum(x, -1.0), 1.0)
+        x = np.minimum(np.maximum(np.concatenate((e_norm, de_norm)), -1.0), 1.0)
         # Every label's triangle, (7, 2n); beyond the four that fuzzify
         # evaluates it is about -1/3 or less, so no extra label fires.
         mu = np.maximum(1.0 - np.abs(x - _CENTER_ROW[:, None]) / HALF_WIDTH, 0.0)
@@ -479,12 +475,16 @@ class FuzzyInference:
         clip = np.zeros((_N_LABELS, n))
         clip[used] = np.maximum.reduceat(strength.take(order, axis=0), starts, axis=0)
         clipped = clip > 0.0
-        pair = (clipped.sum(axis=0) == 2) & finite[:n] & finite[n:]
-        if pair.any():
-            cols = slice(None) if pair.all() else np.flatnonzero(pair)
-            first = cell_labels[np.argmax(strength[:, cols] > 0.0, axis=0)]
-            labels = np.array((first, _LABEL_INDEX @ clipped[:, cols] - first))
-            out[cols] = _two_shape_coa(labels, clip[:, cols][labels, np.arange(len(first))])
+        pair = clipped.sum(axis=0) == 2
+        every = pair.all()
+        cols = slice(None) if every else np.flatnonzero(pair)
+        first = cell_labels[(strength[:, cols] > 0.0).argmax(axis=0)]
+        labels = np.array((first, _LABEL_INDEX @ clipped[:, cols] - first))
+        paired = _two_shape_coa(labels, clip[:, cols][labels, np.arange(len(first))])
+        if every:
+            return paired
+        out = np.empty(n)
+        out[cols] = paired
         for i in np.flatnonzero(~pair).tolist():
             out[i] = self.output(float(e_norm[i]), float(de_norm[i]))
         return out

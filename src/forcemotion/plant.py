@@ -157,7 +157,7 @@ def ik_batch(l1: float, l2: float, target: np.ndarray, elbow: str = "down") -> T
     reachable targets. The angles of an unreachable target mean nothing.
 
     math.acos and both math.atan2 run per member: numpy's arccos and
-    arctan2 differ from them in the last bit.
+    arctan2 differ from them in the last bit. (The ±1 clamp has no signed-zero tie.)
     """
     if elbow not in ("down", "up"):
         raise ValueError(f"unknown elbow branch: {elbow!r}")
@@ -165,7 +165,7 @@ def ik_batch(l1: float, l2: float, target: np.ndarray, elbow: str = "down") -> T
     r2 = x * x + z * z
     r = np.sqrt(r2)
     reachable = (abs(l1 - l2) - 1e-12 <= r) & (r <= l1 + l2 + 1e-12)
-    cos_q2 = clamp((r2 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2), -1.0, 1.0)
+    cos_q2 = np.minimum(np.maximum((r2 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2), -1.0), 1.0)
     q2 = np.array(list(map(math.acos, cos_q2.tolist())))
     if elbow == "up":
         q2 = -q2
@@ -245,13 +245,14 @@ class _NoiseProfile(NamedTuple):
         return self.amplitude * total / _NOISE_COMPONENTS
 
     def heights(self, x: np.ndarray):
-        """`height` at each of the points x. The components are summed in
-        order, as `height` sums them (np.sum would pair them differently)."""
+        """`height` at each of the points x, summed as `height` sums: from
+        sin(0.0 * x + 0.0) = +0.0, down the rows (np.add.reduce pairs the
+        rows of one column differently)."""
         if self.amplitude == 0.0:
             return 0.0
-        total = 0.0
-        for component in np.sin(np.array(self.omegas)[:, None] * x + np.array(self.phases)[:, None]):
-            total = total + component
+        omegas = np.array((0.0, *self.omegas))[:, None]
+        phases = np.array((0.0, *self.phases))[:, None]
+        total = np.add.accumulate(np.sin(omegas * x + phases))[-1]
         return self.amplitude * total / _NOISE_COMPONENTS
 
 
@@ -316,8 +317,8 @@ class Environment:
         """`contact_force` at (2, B) tool positions moving with x velocities
         `vx`: the (2, B) forces."""
         x, z = p
-        fx = np.zeros(len(x))
-        fz = np.zeros(len(x))
+        f = np.zeros(p.shape)
+        fx, fz = f
         for index, obstacle in enumerate(self.obstacles):
             if isinstance(obstacle, RoughSurface):
                 h = obstacle.height_base
@@ -328,15 +329,13 @@ class Environment:
                 depth = h + self._noise[index].heights(x) - z
                 hit = depth > 0.0
                 fn = obstacle.stiffness * depth
-                fz = np.where(hit, fz + fn, fz)
+                np.copyto(fz, fz + fn, where=hit)
                 if obstacle.friction_coeff > 0.0:
                     slides = hit & (vx != 0.0)
-                    fx = np.where(slides, fx - obstacle.friction_coeff * fn * np.copysign(1.0, vx), fx)
+                    np.copyto(fx, fx - obstacle.friction_coeff * fn * np.copysign(1.0, vx), where=slides)
             else:
-                fx_box, fz_box = _box_force_batch(obstacle, x, z)
-                fx = fx + fx_box
-                fz = fz + fz_box
-        return np.array((fx, fz))
+                f += _box_force_batch(obstacle, x, z)
+        return f
 
 
 def _box_force(box: Box, p: Pose) -> Tuple[float, float]:

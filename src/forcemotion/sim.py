@@ -89,14 +89,24 @@ class NominalPath:
             raise ValueError("waypoint times must be strictly increasing")
 
     def pose_at(self, t: float) -> Pose:
-        points = self.waypoints
-        if t <= points[0][0]:
-            return points[0][1]
-        for (t0, p0), (t1, p1) in zip(points, points[1:]):
-            if t <= t1:
-                s = (t - t0) / (t1 - t0)
-                return Pose(p0.x + s * (p1.x - p0.x), p0.z + s * (p1.z - p0.z))
-        return points[-1][1]
+        return Pose(*self.poses(np.array([t]))[0].tolist())
+
+    def poses(self, t: np.ndarray) -> np.ndarray:
+        """The (len(t), 2) poses at the times t: p0 + s * (p1 - p0) with
+        s = (t - t0) / (t1 - t0) on the first segment [t0, t1] holding t,
+        and the end waypoints beyond the ends (and at a NaN time, the last)."""
+        times = np.array([tk for tk, _ in self.waypoints], dtype=float)
+        points = np.array([pose for _, pose in self.waypoints], dtype=float)
+        if len(times) == 1:
+            return np.repeat(points, len(t), axis=0)
+        end = np.clip(np.searchsorted(times, t), 1, len(times) - 1)
+        t0, t1 = times[end - 1], times[end]
+        p0, p1 = points[end - 1], points[end]
+        s = (t - t0) / (t1 - t0)
+        poses = p0 + s[:, None] * (p1 - p0)
+        poses[t <= times[0]] = points[0]
+        poses[~(t <= times[-1])] = points[-1]
+        return poses
 
 
 class PressDirection(NamedTuple):
@@ -243,13 +253,13 @@ def run(scenario: Scenario) -> Trace:
     n_ticks = int(round(scenario.duration / dt)) + 1
     # arange(N) * dt is k * dt bit for bit.
     t = np.arange(n_ticks) * dt
-    nominal = [scenario.path.pose_at(tk) for tk in t.tolist()]
+    nominal = scenario.path.poses(t)
     rows = []
     u_x = u_z = 0.0
     prev = arm.fk()
     v = (0.0, 0.0)
 
-    for k, (nom_x, nom_z) in enumerate(nominal):
+    for k, (nom_x, nom_z) in enumerate(nominal.tolist()):
         try:
             q_des = ik(l1, l2, Pose(nom_x + px * u_x, nom_z + pz * u_z), elbow)
         except Unreachable as exc:
@@ -297,6 +307,12 @@ def run_batch(
     np.errstate(all="ignore"): a float that overflows or turns NaN does so
     silently, as run()'s Python floats do.
     """
+    return _in_chunks(scenario, gains_list, 14, _lockstep)
+
+
+def _in_chunks(scenario: Scenario, gains_list: Sequence[AxisGains], floats: int, lockstep) -> Iterator:
+    """`lockstep(scenario, law, columns)` over the chunks of members whose
+    rows, `floats` floats per member and tick, fit in _BATCH_ROW_BYTES."""
     for gains in gains_list[1:]:
         if type(gains) is not type(gains_list[0]):
             raise ValueError(
@@ -310,17 +326,19 @@ def run_batch(
     # One row per gain, one column per member.
     columns = np.array([dataclasses.astuple(g) for g in gains_list], dtype=float).T
     n_ticks = int(round(scenario.duration / scenario.dt)) + 1
-    chunk = max(1, _BATCH_ROW_BYTES // (n_ticks * 14 * 8))
+    chunk = max(1, _BATCH_ROW_BYTES // (n_ticks * floats * 8))
     return itertools.chain.from_iterable(
-        _lockstep(scenario, type(gains_list[0]), columns[:, i : i + chunk])
+        lockstep(scenario, type(gains_list[0]), columns[:, i : i + chunk])
         for i in range(0, len(gains_list), chunk)
     )
 
 
 def _lockstep(
-    scenario: Scenario, law: type, columns: np.ndarray
-) -> Iterator[Union[Trace, WorkspaceViolation]]:
-    """run_batch's tick loop over the members whose gains are the columns."""
+    scenario: Scenario, law: type, columns: np.ndarray, force_axis: Optional[int] = None
+) -> Iterator[Union[np.ndarray, Trace, WorkspaceViolation]]:
+    """run_batch's tick loop over the members whose gains are the columns.
+    A member's result is its WorkspaceViolation or else its Trace, or with a
+    `force_axis` (an index into AXES) its (ticks,) measured force on it."""
     arm_p = scenario.arm
     l1, l2, elbow = arm_p.l1, arm_p.l2, arm_p.elbow
     press = np.array(scenario.press_direction, dtype=float)[:, None]
@@ -338,13 +356,12 @@ def _lockstep(
     alpha, dq_max = arm.servo_rates(dt)
 
     n = columns.shape[1]
-    start = scenario.path.pose_at(0.0)
-    q = np.repeat(ik_batch(l1, l2, np.array([[start.x], [start.z]]), elbow)[0], n, axis=1)
     n_ticks = int(round(scenario.duration / dt)) + 1
     t = np.arange(n_ticks) * dt
-    nominal = np.array([scenario.path.pose_at(tk) for tk in t.tolist()])
-    # Per tick and member, the 14 logged values of run()'s rows.
-    rows = np.zeros((n_ticks, n, 14))
+    nominal = scenario.path.poses(t)
+    q = np.repeat(ik_batch(l1, l2, nominal[:1].T, elbow)[0], n, axis=1)
+    # Per tick and member, the 14 logged values of run()'s rows, or the force.
+    rows = np.zeros((n_ticks, n) if force_axis is not None else (n_ticks, n, 14))
     failures: List[Optional[WorkspaceViolation]] = [None] * n
     # The live members: all of them, then their indices once one has left
     # the workspace.
@@ -355,8 +372,8 @@ def _lockstep(
     vx = np.zeros(n)
 
     with np.errstate(all="ignore"):
-        for k, nom in enumerate(nominal):
-            target = nom[:, None] + press * u
+        for k, nom in enumerate(nominal[:, :, None]):
+            target = nom + press * u
             q_des, reachable = ik_batch(l1, l2, target, elbow)
             if not reachable.all():
                 for i in np.flatnonzero(~reachable).tolist():
@@ -377,15 +394,20 @@ def _lockstep(
             du = np.zeros((2, n))
             for j, limits in laws:
                 du[j, live] = step_columns(columns[:, live], e[j, live], de[j, live], limits, engine)
-            rows[k] = np.concatenate((measured, e, du, u, pose, q, f_tool)).T
+            rows[k] = (
+                measured[force_axis] if force_axis is not None
+                else np.concatenate((measured, e, du, u, pose, q, f_tool)).T
+            )
             u = clamp(u + du, u_min, u_max)
             e_prev = e
             prev = pose
 
-    def result(i: int) -> Union[Trace, WorkspaceViolation]:
+    def result(i: int) -> Union[np.ndarray, Trace, WorkspaceViolation]:
         if failures[i] is not None:
             return failures[i]
         logged = rows[:, i]
+        if force_axis is not None:
+            return logged
         tau = arm.joint_torques(-logged[:, 12:14], logged[:, 10:12])
         return Trace(np.column_stack((t, logged[:, :8], nominal, logged[:, 8:12], tau)))
 
@@ -420,8 +442,13 @@ def compute_metrics(
     `zero_band_abs` and overshoot is the peak excess over that band,
     expressed as a percentage of it.
     """
-    f = trace.column(f"f_{axis}")
-    t = trace.column("t")
+    t, f = trace.column("t"), trace.column(f"f_{axis}")
+    return _metrics(t, f, axis, setpoint, band_pct, zero_band_abs, contact_threshold)
+
+
+def _metrics(t: np.ndarray, f: np.ndarray, axis: str, setpoint: float, band_pct: float = 0.05,
+             zero_band_abs: float = 1.0, contact_threshold: float = 0.1) -> Metrics:
+    """compute_metrics of the force f on `axis` at the times t."""
     in_contact = np.abs(f) > contact_threshold
     if not in_contact.any():
         raise NoContact(f"no contact on axis {axis} (threshold {contact_threshold} N)")
@@ -539,9 +566,10 @@ def tune(
 ) -> Tuple[TuneEntry, List[TuneEntry]]:
     """Exhaustive grid search over gain combinations, smallest objective wins.
 
-    The grid holds one value list per field of the scenario's gains type.
-    Every grid point is simulated in lockstep by one `run_batch` loop, bit
-    for bit what `run` gives for it, and scored as soon as its trace exists.
+    The grid holds one list of distinct values per field of the gains type.
+    Every grid point is simulated by `run_batch`'s lockstep loop, bit for
+    bit what `run` gives for it, logging only the scored force, and scored
+    as soon as its chunk's loop ends.
     Ties break on lower overshoot, then on the lexicographic order of the
     gain tuple (in field order), so the winner does not depend on
     enumeration order. Returns (best, leaderboard); the leaderboard carries
@@ -556,17 +584,22 @@ def tune(
         raise ValueError(f"unknown gain names in grid: {sorted(extra)}")
     if len(grid) != len(names):
         raise ValueError(f"{law.kind} tuner grid must define {names}, got {sorted(grid)}")
+    if any(len(set(grid[n])) < len(grid[n]) for n in names):
+        raise ValueError(f"duplicate values in tuner grid: {grid}")
     setpoint = getattr(scenario.setpoint, axis)
+    t = np.arange(int(round(scenario.duration / scenario.dt)) + 1) * scenario.dt
 
     combos = list(itertools.product(*(sorted(grid[n]) for n in names)))
     gains_list = [law(**dict(zip(names, combo))) for combo in combos]
+    j = AXES.index(axis)
+    forces = _in_chunks(scenario, gains_list, 1, lambda s, law, cols: _lockstep(s, law, cols, j))
     entries: List[TuneEntry] = []
-    for combo, result in zip(combos, run_batch(scenario, gains_list)):
+    for combo, result in zip(combos, forces):
         gains_dict = dict(zip(names, (float(v) for v in combo)))
         try:
             if isinstance(result, WorkspaceViolation):
                 raise result
-            m = compute_metrics(result, axis, setpoint, band_pct)
+            m = _metrics(t, result, axis, setpoint, band_pct)
         except (WorkspaceViolation, NoContact) as exc:
             entries.append(
                 TuneEntry(gains_dict, math.inf, None, None, None, False, str(exc))

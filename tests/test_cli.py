@@ -393,6 +393,20 @@ class TestTuneCommand:
         assert "tuner.grid.kp: expected a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", ["[0.0, 0.0]", "[0.0, -0.0]", "[1, 1.0]", "[0.5, 2, 0.5]"])
+    def test_duplicate_grid_value_is_config_error(self, values, tmp_path, capsys):
+        # Values that compare equal name one grid point: a duplicate would be
+        # simulated twice and listed twice.
+        out = tmp_path / "results"
+        code = run_cli(
+            "tune", "--preset", "exp2", "--controller", "pi",
+            "--set", f"tuner.grid.kp={values}", "--set", "tuner.grid.ki=[5.0e-5]",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "config error: tuner.grid.kp: " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "controller,grid,key",
         [

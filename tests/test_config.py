@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from forcemotion import config
 from forcemotion.cli import main
 from forcemotion.config import (
     _OBSTACLE_DEFAULTS,
@@ -12,6 +13,7 @@ from forcemotion.config import (
     apply_overrides,
     load_config,
     preset_config,
+    read_config,
     scenario_from_config,
     to_yaml,
     validate_config,
@@ -259,3 +261,73 @@ class TestReadmeSchema:
     def test_rough_surface_entry_names_every_obstacle_key(self):
         (surface,) = self._schema()["environment"]["obstacles"]
         assert set(surface) == set(_OBSTACLE_DEFAULTS["rough_surface"])
+
+
+TUNING = Path(__file__).resolve().parents[1] / "tuning"
+
+
+class TestCParsedConfig:
+    """read_config parses with libyaml where it can, with yaml.safe_load's
+    outcome: the same mapping, or the same ConfigInvalid message."""
+
+    @staticmethod
+    def _outcome(path):
+        try:
+            return read_config(path)
+        except ConfigInvalid as exc:
+            return str(exc)
+
+    def _check(self, path, monkeypatch):
+        got = self._outcome(path)
+        with monkeypatch.context() as m:
+            m.setattr(config, "_C_LOADER", yaml.SafeLoader)
+            want = self._outcome(path)
+        assert type(got) is type(want) and got == want
+        return got
+
+    def test_c_parser_is_used_when_present(self):
+        assert config._C_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in TUNING.glob("*.yaml")))
+    def test_tuning_files(self, name, monkeypatch):
+        assert isinstance(self._check(TUNING / name, monkeypatch), dict)
+
+    def test_readme_schema(self, tmp_path, monkeypatch):
+        section = README.read_text().split("## Configuration", 1)[1]
+        path = tmp_path / "schema.yaml"
+        path.write_text(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+        assert self._check(path, monkeypatch) == TestReadmeSchema._schema()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("arm:\n\tl1: 0.5\n", id="tab-indent"),
+            pytest.param("arm:\n  l1:\t0.5\n", id="tab-separator"),
+            pytest.param("\ufeffcontroller: pi\ndt: 0.02\n", id="bom"),
+            pytest.param("name: a\x07b\n", id="control-character"),
+            pytest.param("name: ab\x85\n", id="next-line"),
+            pytest.param("dt: 0.01\r\nduration: 2.0\r\n", id="crlf"),
+            pytest.param("dt: 0.01\ndt: 0.02\n", id="duplicate-keys"),
+            pytest.param("arm: &a {l1: 0.4}\nx: *a\n", id="anchor"),
+            pytest.param("arm: *missing\n", id="undefined-alias"),
+            pytest.param("seed: " + "1" * 4301 + "\n", id="4301-digit-integer"),
+            pytest.param("tuner: {grid: [1, 2}\n", id="unclosed-flow"),
+            pytest.param("arm:\n  l1: 0.5\n l2: 0.5\n", id="bad-indent"),
+            pytest.param("name: a: b\n", id="colon-in-plain-scalar"),
+            pytest.param("dt: 0.01\n---\ndt: 0.02\n", id="two-documents"),
+            pytest.param("- 1\n- 2\n", id="not-a-mapping"),
+            pytest.param("# only a comment\n", id="empty"),
+            pytest.param('name: "\\x41\\u00e9"\n', id="escapes"),
+            pytest.param("name: 'it''s'\nseed: 0x1f\ndt: 1_0.5\n", id="quotes-and-yaml-1.1-numbers"),
+            # Printable ASCII that libyaml reads otherwise.
+            pytest.param("dt: !\n", id="empty-tagged-value"),
+            pytest.param("name: |#\n", id="block-scalar-comment"),
+            pytest.param("tuner: {grid: [1, 2?]}\n", id="question-mark-in-flow"),
+            pytest.param('name: "\\ud800"\n', id="lone-surrogate-escape"),
+            pytest.param("%YAML 1.1\n%FOO bar\n---\ndt: 0.02\n", id="directives"),
+        ],
+    )
+    def test_malformed_and_unusual_documents(self, text, tmp_path, monkeypatch):
+        path = tmp_path / "doc.yaml"
+        path.write_text(text, encoding="utf-8", newline="")
+        self._check(path, monkeypatch)

@@ -406,6 +406,38 @@ class TestBitExactness:
         want = [engine.output(float(a), float(b)) for a, b in zip(e, de)]
         assert np.array_equal(engine.outputs(e, de).view(np.uint64), np.array(want).view(np.uint64))
 
+    def test_float_power_cubes_as_python_does(self):
+        # _two_shape_coa takes its cubes with np.float_power: it must round
+        # as the scalar integrator's `**` does in every binade whose cube is
+        # finite, subnormals and negatives included (np.power does not).
+        rng = np.random.default_rng(3)
+        exponents = np.arange(-1074, 341)
+        x = np.ldexp(rng.uniform(1.0, 2.0, (len(exponents), 64)), exponents[:, None]).ravel()
+        x = np.concatenate((x, -x, np.ldexp(1.0, exponents), [0.0, -0.0]))
+        want = np.array([v**3 for v in x.tolist()])
+        assert np.array_equal(np.float_power(x, 3.0).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_single_and_double_columns(self, n):
+        # np.add.reduce over the rows of a single column pairs them
+        # differently from the row order it takes for wider arrays: the
+        # column engine must agree with the scalar one at every width.
+        rng = np.random.default_rng(n)
+        engine = FuzzyInference()
+        for _ in range(300):
+            e = rng.uniform(-1.2, 1.2, n)
+            de = rng.normal(0.0, 0.2, n)
+            want = [engine.output(float(a), float(b)) for a, b in zip(e, de)]
+            assert np.array_equal(engine.outputs(e, de).view(np.uint64), np.array(want).view(np.uint64))
+            labels = np.array([rng.choice(7, size=2, replace=False) for _ in range(n)]).T
+            clips = 10.0 ** rng.uniform(-12.0, 0.0, (2, n))
+            want = [
+                defuzzify_coa(AggregatedOutput({Label(i - 3): h1, Label(j - 3): h2}))
+                for (i, j), (h1, h2) in zip(labels.T.tolist(), clips.T.tolist())
+            ]
+            got = _two_shape_coa(labels, clips)
+            assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
     def test_column_output_on_an_empty_batch(self):
         assert FuzzyInference().outputs(np.array([]), np.array([])).shape == (0,)
 

@@ -282,6 +282,19 @@ class TestContact:
         for x in np.linspace(0.0, 1.0, 500):
             assert abs(env.surface_height(0, float(x)) - 0.25) <= 2e-4 + 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 301])
+    def test_noise_heights_sum_as_the_scalar_profile(self, n):
+        # heights sums its sine rows down a running sum: np.add.reduce would
+        # pair the rows of a single column differently from `height`.
+        surface = RoughSurface(height_base=0.25, noise_amplitude=2e-4)
+        profile = Environment((surface,), seed=7)._noise[0]
+        rng = np.random.default_rng(n)
+        for _ in range(2000 // n):
+            x = rng.uniform(-1.0, 1.0, n)
+            got = profile.heights(x)
+            want = np.array([profile.height(v) for v in x.tolist()])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_noise_profile_holds_python_floats(self):
         # The profile is evaluated every tick; numpy scalars there are slow
         # and would leak into the force loop.

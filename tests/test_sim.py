@@ -74,6 +74,38 @@ class TestNominalPath:
         assert path.pose_at(0.0) == (0.1, 0.2)
         assert path.pose_at(5.0) == (0.3, 0.4)
 
+    @staticmethod
+    def _scalar_pose(waypoints, t):
+        """The per-time interpolation `poses` vectorises."""
+        if t <= waypoints[0][0]:
+            return waypoints[0][1]
+        for (t0, p0), (t1, p1) in zip(waypoints, waypoints[1:]):
+            if t <= t1:
+                s = (t - t0) / (t1 - t0)
+                return Pose(p0.x + s * (p1.x - p0.x), p0.z + s * (p1.z - p0.z))
+        return waypoints[-1][1]
+
+    @pytest.mark.parametrize(
+        "waypoints",
+        [
+            ((0.7, Pose(0.6, 0.3)),),
+            ((0.0, Pose(0.55, 0.31)), (0.37, Pose(0.7, 0.27)), (1.1, Pose(0.61, 0.2))),
+        ],
+        ids=["one-waypoint", "three-waypoints"],
+    )
+    def test_poses_interpolate_as_each_time_alone(self, waypoints):
+        path = NominalPath(waypoints)
+        times = [tw for tw, _ in waypoints]
+        # Before, on and after each waypoint, its neighbouring doubles, the
+        # tick times of a run and a NaN, which holds the last waypoint.
+        t = [*times, *(np.nextafter(tw, -np.inf) for tw in times), *(np.nextafter(tw, np.inf) for tw in times)]
+        t += [times[0] - 1.0, times[-1] + 1.0, -0.0, math.nan, *(np.arange(151) * 0.01)]
+        want = np.array([self._scalar_pose(waypoints, float(tk)) for tk in t])
+        got = path.poses(np.array(t, dtype=float))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for tk, row in zip(t, got.tolist()):
+            assert path.pose_at(float(tk)) == Pose(*row)
+
     def test_rejects_nonincreasing_times(self):
         with pytest.raises(ValueError):
             NominalPath(((0.0, Pose(0, 0)), (0.0, Pose(1, 1))))
@@ -460,6 +492,9 @@ class TestTune:
             tune(scenario, {"kp": [1e-4]})
         with pytest.raises(ValueError, match="unknown gain"):
             tune(scenario, {"kp": [1e-4], "ki": [1e-5], "kq": [1.0]})
+        for values in ([0.0, -0.0], [1, 1.0], [1e-4, 2e-4, 1e-4]):
+            with pytest.raises(ValueError, match="duplicate"):
+                tune(scenario, {"kp": values, "ki": [1e-5]})
 
 
 def batch_against_run(scenario, gains_list):
@@ -594,6 +629,14 @@ class TestRunBatch:
                 scenario = preset_scenario(preset, kind)
                 batch_against_run(scenario, [scenario.gains["x"], *grid[:1]])
 
+    @pytest.mark.parametrize("kind", ["pi", "fuzzy"])
+    def test_one_member(self, kind):
+        # Every (2, B) array is a single column: the width at which numpy's
+        # reductions pair rows differently.
+        for preset in ("exp1", "exp2", "exp3"):
+            scenario = preset_scenario(preset, kind)
+            batch_against_run(scenario, [scenario.gains["z"]])
+
     def test_empty_batch(self):
         assert list(run_batch(floor_scenario(), [])) == []
 
@@ -641,6 +684,35 @@ class TestRunBatch:
             else:
                 assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
         assert sum(isinstance(r, Trace) for r in whole) == 2
+
+
+class TestTuneLogsOnlyTheScoredForce:
+    def test_one_chunk_where_run_batch_needs_several(self, monkeypatch):
+        # tune logs 8 bytes per member and tick, run_batch 112: a row budget
+        # that splits run_batch's members into chunks holds all of tune's.
+        # The scenario of TestTuneScoresEachRun: scored and failed points.
+        scenario = floor_scenario(
+            path=NominalPath(((0.0, Pose(0.6, -0.5)),)),
+            environment=Environment((RoughSurface(height_base=-0.53),), seed=3),
+            limits={"x": CorrectionLimits(), "z": CorrectionLimits(-0.05, 1.0, 1.0)},
+            duration=1.5,
+        )
+        grid = {"kp": [0.0, 1e-5], "ki": [1e-6, 1e-4, 5e-2]}
+        _, whole = tune(scenario, grid)
+        assert {e.failure is None for e in whole} == {True, False}
+        chunks = []
+        lockstep = sim._lockstep
+        monkeypatch.setattr(
+            sim, "_lockstep", lambda *args: chunks.append(args[2].shape[1]) or lockstep(*args)
+        )
+        # Room for two members' rows of 14 floats: 151 ticks.
+        monkeypatch.setattr(sim, "_BATCH_ROW_BYTES", 2 * 151 * 14 * 8)
+        list(run_batch(scenario, [PIGains(kp, ki) for kp in grid["kp"] for ki in grid["ki"]]))
+        assert chunks == [2, 2, 2]
+        chunks.clear()
+        _, board = tune(scenario, grid)
+        assert chunks == [6]
+        assert board == whole
 
 
 class TestTuneScoresEachRun:

@@ -1,12 +1,14 @@
 """Command-line front end: run / compare / tune / infer.
 
-Exit codes: 0 success, 2 config error, 3 simulation abort, 4 tuner failure.
-Result files are written to a temp name and renamed on success, so a failed
-run never leaves a truncated CSV behind.
+Exit codes: 0 success, 2 config error (an unusable --out or result file
+included), 3 simulation abort, 4 tuner failure. Result files are written to a
+temp name and renamed on success; a failed write removes the temp file, so no
+truncated CSV or *.tmp file is left behind.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import functools
@@ -20,6 +22,7 @@ from . import config as cfgmod
 from . import fuzzy
 from .config import ConfigInvalid
 from .control import AXES, FuzzyPIGains
+from .plant import fmt_num
 from .presets import PRESET_NAMES, TUNED_FUZZY
 from .sim import (
     AllRunsFailed,
@@ -36,8 +39,13 @@ from .sim import (
 
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise ConfigInvalid(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
 # Every value is printed with "%.9g", one %-format per row; tests/test_golden.py
@@ -72,16 +80,21 @@ def _effective_config(args) -> Dict[str, Any]:
     return cfgmod.validate_config(raw)
 
 
-def _out_dir(args) -> Path:
+def _out_path(args) -> Path:
+    """--out, checked before anything is simulated (and created only to
+    write results): the longest part of it that exists must be a directory."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    existing = next((p for p in (out, *out.parents) if os.path.exists(p)), out)
+    if not os.path.isdir(existing):
+        raise ConfigInvalid(f"--out {out}: {existing} is not a directory")
     return out
 
 
-def _num(value: float, spec: str) -> str:
-    """`value` formatted with the fixed-point `spec`, or as .3e from 1e9 on,
-    where fixed point would print every one of up to ~300 digits."""
-    return format(value, spec if abs(value) < 1e9 else ".3e")
+def _make_dir(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(f"--out {out}: {exc.strerror or exc}") from None
 
 
 def _metrics_summary(cfg: Dict[str, Any], trace: Trace) -> Dict[str, Any]:
@@ -98,9 +111,10 @@ def _metrics_summary(cfg: Dict[str, Any], trace: Trace) -> Dict[str, Any]:
 def cmd_run(args) -> int:
     cfg = _effective_config(args)
     scenario = cfgmod.scenario_from_config(cfg)
+    out = _out_path(args)
     trace = run(scenario)
 
-    out = _out_dir(args)
+    _make_dir(out)
     stem = f"{scenario.name}_{scenario.controller_kind}"
     csv_path = out / f"{stem}.csv"
     summary_path = out / f"{stem}_summary.yaml"
@@ -124,18 +138,18 @@ def cmd_run(args) -> int:
         else:
             settle = "not settled"
             if m["settled"]:
-                settle = f"settled at {_num(m['settling_time'], '.3f')} s"
+                settle = f"settled at {fmt_num(m['settling_time'], '.3f')} s"
             print(
                 f"  {axis}: setpoint {cfg['setpoint'][axis]} N, overshoot "
-                f"{_num(m['overshoot_pct'], '.2f')} %, {settle}, steady RMS "
-                f"{_num(m['steady_state_rms'], '.3f')} N"
+                f"{fmt_num(m['overshoot_pct'], '.2f')} %, {settle}, steady RMS "
+                f"{fmt_num(m['steady_state_rms'], '.3f')} N"
             )
     return 0
 
 
 def cmd_compare(args) -> int:
     cfg = _effective_config(args)
-    out = _out_dir(args)
+    out = _out_path(args)
     traces: Dict[str, Trace] = {}
     scenarios = {}
     for kind in cfgmod._LAWS:
@@ -169,6 +183,7 @@ def cmd_compare(args) -> int:
             "gains": {"pi": rep.gains_a, "fuzzy": rep.gains_b},
         }
 
+    _make_dir(out)
     csv_paths = {}
     for kind, trace in traces.items():
         csv_path = out / f"{name}_{kind}.csv"
@@ -186,11 +201,11 @@ def cmd_compare(args) -> int:
             continue
         for kind in cfgmod._LAWS:
             m = body[kind]
-            settle = "not settled" if not m["settled"] else f"{_num(m['settling_time'], '.3f')} s"
+            settle = "not settled" if not m["settled"] else f"{fmt_num(m['settling_time'], '.3f')} s"
             print(
-                f"    {kind:5s} overshoot {_num(m['overshoot_pct'], '.2f'):>8s} %  "
-                f"settling {settle:>12s}  rms {_num(m['steady_state_rms'], '.3f')} N  "
-                f"itae {_num(m['itae'], '.3f')}"
+                f"    {kind:5s} overshoot {fmt_num(m['overshoot_pct'], '.2f'):>8s} %  "
+                f"settling {settle:>12s}  rms {fmt_num(m['steady_state_rms'], '.3f')} N  "
+                f"itae {fmt_num(m['itae'], '.3f')}"
             )
     return 0
 
@@ -199,6 +214,7 @@ def cmd_tune(args) -> int:
     cfg = _effective_config(args)
     settings = cfgmod.tuner_settings(cfg)
     scenario = cfgmod.scenario_from_config(cfg)
+    out = _out_path(args)
     best, leaderboard = tune(
         scenario,
         settings["grid"],
@@ -207,7 +223,7 @@ def cmd_tune(args) -> int:
         band_pct=settings["band_pct"],
     )
 
-    out = _out_dir(args)
+    _make_dir(out)
     stem = f"{scenario.name}_{scenario.controller_kind}"
     board_path = out / f"{stem}_leaderboard.yaml"
     best_path = out / f"{stem}_best.yaml"
@@ -227,7 +243,7 @@ def cmd_tune(args) -> int:
         best_cfg["gains"][scenario.controller_kind][axis] = dict(best.gains)
     _atomic_write(best_path, cfgmod.to_yaml(best_cfg))
     print(f"wrote {board_path} and {best_path}")
-    print(f"  best gains: {best.gains} (objective {best.objective:.4f})")
+    print(f"  best gains: {best.gains} (objective {fmt_num(best.objective, '.4f')})")
     return 0
 
 

@@ -335,7 +335,10 @@ def _build_scenario(cfg: Dict[str, Any], controller: Optional[str]) -> Scenario:
                **{k: v for k, v in item.items() if k != "type"})
         for i, item in enumerate(cfg["environment"]["obstacles"])
     ]
-    rules = RuleBase.default() if cfg["rule_file"] is None else RuleBase.from_file(cfg["rule_file"])
+    try:
+        rules = RuleBase.default() if cfg["rule_file"] is None else RuleBase.from_file(cfg["rule_file"])
+    except (ValueError, OSError) as exc:
+        raise ConfigInvalid(f"rule_file: {exc}") from None
     return Scenario(
         name=cfg["name"],
         setpoint=AxisForce(**cfg["setpoint"]),
@@ -391,7 +394,7 @@ def tuner_settings(cfg: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "axis": t["axis"],
         "band_pct": float(t["band_pct"]),
-        "weights": ObjectiveWeights(**t["weights"]),
+        "weights": _build("tuner.weights", ObjectiveWeights, **t["weights"]),
         "grid": {k: [float(v) for v in vs] for k, vs in t["grid"].items()},
     }
 

@@ -1,14 +1,14 @@
 """External force-control loop: error formation, incremental PI and fuzzy-PI
 laws, axis selection, and correction accumulation.
 
-Axes are decoupled: each controlled axis owns one scalar controller and one
-mutable state. Positive accumulated correction u moves the end-effector in
-the direction that increases penetration into the contacted surface; the
-scenario maps that onto world axes via its press-direction signs.
+Axes are decoupled: each has its own gains, limits and state, all held by
+one HybridForceController. Positive accumulated correction u moves the
+end-effector in the direction that increases penetration into the contacted
+surface; the scenario maps that onto world axes via its press-direction signs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Dict, NamedTuple, Tuple
 
 import numpy as np
@@ -103,15 +103,6 @@ class CorrectionLimits:
             raise ValueError("du_max must be nonnegative")
 
 
-@dataclass
-class ControllerState:
-    """Mutable per-axis loop state: accumulated correction and previous error."""
-
-    u_accum: float = 0.0
-    e_prev: float = 0.0
-    initialized: bool = False
-
-
 class SelectionMatrix(NamedTuple):
     """Diagonal boolean decision maker: which axes receive force corrections."""
 
@@ -151,56 +142,40 @@ def fuzzy_pi_step(gains: FuzzyPIGains, e: float, de: float, engine: FuzzyInferen
     return gains.kx * engine.output(gains.ki * e, gains.kp * de)
 
 
-@dataclass
-class AxisController:
-    """One scalar force controller with its state and limits; the gains type
-    (PIGains or FuzzyPIGains) selects the control law."""
-
-    gains: PIGains | FuzzyPIGains
-    limits: CorrectionLimits = CorrectionLimits()
-    engine: FuzzyInference = field(default_factory=FuzzyInference)
-    state: ControllerState = field(default_factory=ControllerState)
-
-    def step(self, f_d: float, f_e: float, selected: bool = True) -> Tuple[float, float, float]:
-        """One tick: error e = f_d - f_e and its change de (0 on the first
-        call), the law's increment du (0 when deselected), and du added to
-        the correction, clamped to [u_min, u_max]; the clamp doubles as the
-        anti-windup mechanism. Returns (u, du, e)."""
-        state = self.state
-        e = f_d - f_e
-        de = e - state.e_prev if state.initialized else 0.0
-        state.e_prev = e
-        state.initialized = True
-        du = self.gains.step(e, de, self.limits, self.engine) if selected else 0.0
-        state.u_accum = min(max(state.u_accum + du, self.limits.u_min), self.limits.u_max)
-        return state.u_accum, du, e
-
-
-@dataclass
 class HybridForceController:
-    """Per-axis controllers composed with the selection matrix.
+    """The external force loop over both axes, gated by the selection matrix.
 
-    step() produces the accumulated Cartesian correction vector that the
-    simulation adds to the nominal path point; on deselected axes the
-    correction never changes.
+    Each axis has its gains (PIGains or FuzzyPIGains: the type selects the
+    law), its limits, its accumulated correction u and its previous error
+    (None before the first tick). step() gives the correction vector that
+    the simulation adds to the nominal path point.
     """
 
-    controllers: Dict[str, AxisController]
-    selection: SelectionMatrix
-
-    def __post_init__(self) -> None:
-        missing = [a for a in AXES if a not in self.controllers]
-        if missing:
-            raise ValueError(f"missing axis controllers: {missing}")
+    def __init__(self, gains: Dict[str, PIGains | FuzzyPIGains], limits: Dict[str, CorrectionLimits],
+                 selection: SelectionMatrix, engine: FuzzyInference) -> None:
+        self.gains_x, self.gains_z = gains["x"], gains["z"]
+        self.limits_x, self.limits_z = limits["x"], limits["z"]
+        self.selection, self.engine = selection, engine
+        self.u_x = self.u_z = 0.0
+        self.e_prev_x = self.e_prev_z = None
 
     def step(self, setpoint: AxisForce, measured: AxisForce) -> Tuple[Tuple[float, float], Tuple[float, float], Tuple[float, float]]:
-        """One external-loop tick.
+        """One external-loop tick, axis x then axis z.
 
-        Every axis records its error; only selected axes evaluate their law,
-        and a deselected axis gets du = 0, so its correction never changes.
-        Returns ((u_x, u_z), (du_x, du_z), (e_x, e_z)) where u is the
-        accumulated correction after this tick.
+        Per axis: the error e = f_d - f_e and its change de (0 on the first
+        tick); the law's increment du on a selected axis, 0 on a deselected
+        one; and du added to u, clamped to [u_min, u_max], the clamp doubling
+        as the anti-windup mechanism. Returns ((u_x, u_z), (du_x, du_z),
+        (e_x, e_z)) where u is the accumulated correction after this tick.
         """
-        u_x, du_x, e_x = self.controllers["x"].step(setpoint.x, measured.x, self.selection.x)
-        u_z, du_z, e_z = self.controllers["z"].step(setpoint.z, measured.z, self.selection.z)
+        e_x = setpoint.x - measured.x
+        de_x = e_x - self.e_prev_x if self.e_prev_x is not None else 0.0
+        self.e_prev_x = e_x
+        du_x = self.gains_x.step(e_x, de_x, self.limits_x, self.engine) if self.selection.x else 0.0
+        self.u_x = u_x = min(max(self.u_x + du_x, self.limits_x.u_min), self.limits_x.u_max)
+        e_z = setpoint.z - measured.z
+        de_z = e_z - self.e_prev_z if self.e_prev_z is not None else 0.0
+        self.e_prev_z = e_z
+        du_z = self.gains_z.step(e_z, de_z, self.limits_z, self.engine) if self.selection.z else 0.0
+        self.u_z = u_z = min(max(self.u_z + du_z, self.limits_z.u_min), self.limits_z.u_max)
         return (u_x, u_z), (du_x, du_z), (e_x, e_z)

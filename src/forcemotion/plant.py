@@ -147,9 +147,15 @@ def ik(l1: float, l2: float, target: Pose, elbow: str = "down") -> Tuple[float, 
 def outside_workspace(l1: float, l2: float, target: Pose) -> Unreachable:
     """The error `ik` raises for an unreachable target."""
     return Unreachable(
-        f"target ({target.x:.4f}, {target.z:.4f}) outside workspace "
-        f"[{abs(l1 - l2):.4f}, {l1 + l2:.4f}]"
+        f"target ({fmt_num(target.x, '.4f')}, {fmt_num(target.z, '.4f')}) outside workspace "
+        f"[{fmt_num(abs(l1 - l2), '.4f')}, {fmt_num(l1 + l2, '.4f')}]"
     )
+
+
+def fmt_num(value: float, spec: str) -> str:
+    """`value` formatted with the fixed-point `spec`, or as .3e from 1e9 on,
+    where fixed point would print every one of up to ~300 digits."""
+    return format(value, spec if abs(value) < 1e9 else ".3e")
 
 
 def ik_batch(l1: float, l2: float, target: np.ndarray, elbow: str = "down") -> Tuple[np.ndarray, np.ndarray]:
@@ -282,6 +288,18 @@ class Environment:
             else:
                 profiles.append(_NoiseProfile((), (), 0.0))
         self._noise = tuple(profiles)
+
+    def max_phase(self, index: int, x_max: float) -> float:
+        """The largest sine argument the profile of obstacle `index` takes
+        for |x| <= x_max (0.0 for a box); inf when one overflows."""
+        obstacle = self.obstacles[index]
+        if not isinstance(obstacle, RoughSurface):
+            return 0.0
+        noise = self._noise[index]
+        phases = [w * x_max + p for w, p in zip(noise.omegas, noise.phases)]
+        if obstacle.roughness_amplitude > 0.0:
+            phases.append(2.0 * math.pi * x_max / obstacle.roughness_wavelength)
+        return max(phases, default=0.0)
 
     def surface_height(self, surface_index: int, x: float) -> float:
         """Profile height of the RoughSurface at `surface_index` in obstacles."""

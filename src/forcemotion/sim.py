@@ -21,7 +21,6 @@ import numpy as np
 
 from .control import (
     AXES,
-    AxisController,
     AxisForce,
     CorrectionLimits,
     FuzzyPIGains,
@@ -179,6 +178,14 @@ class Scenario:
             r = math.hypot(pose.x, pose.z)
             if not reach_lo - 1e-12 <= r <= reach_hi + 1e-12:
                 raise ValueError(f"waypoint at t={t} is unreachable: {pose}")
+        for i, obstacle in enumerate(self.environment.obstacles):
+            # fk never puts the tool beyond |x| = l1 + l2.
+            if not math.isfinite(self.environment.max_phase(i, reach_hi)):
+                raise ValueError(
+                    f"environment.obstacles[{i}].roughness_wavelength: "
+                    f"{obstacle.roughness_wavelength} is so short that the profile's sine "
+                    f"argument overflows within the arm's reach {reach_hi}"
+                )
 
     @property
     def controller_kind(self) -> str:
@@ -239,10 +246,8 @@ def run(scenario: Scenario) -> Trace:
     setpoint = scenario.setpoint
     contact_force = scenario.environment.contact_force
     sense = scenario.sensor.sense
-    engine = FuzzyInference(rules=scenario.rules)
     hybrid = HybridForceController(
-        {a: AxisController(scenario.gains[a], scenario.limits[a], engine) for a in AXES},
-        scenario.selection,
+        scenario.gains, scenario.limits, scenario.selection, FuzzyInference(rules=scenario.rules)
     )
     sensor_rng = np.random.default_rng(scenario.sensor.seed)
 
@@ -250,9 +255,7 @@ def run(scenario: Scenario) -> Trace:
     arm = PlanarArm(l1, l2, q1, q2, arm_p.tau_servo, arm_p.qdot_max)
 
     alpha, dq_max = arm.servo_rates(dt)
-    n_ticks = int(round(scenario.duration / dt)) + 1
-    # arange(N) * dt is k * dt bit for bit.
-    t = np.arange(n_ticks) * dt
+    t = _tick_times(scenario)
     nominal = scenario.path.poses(t)
     rows = []
     u_x = u_z = 0.0
@@ -278,7 +281,17 @@ def run(scenario: Scenario) -> Trace:
         u_x, u_z = u_next
         prev = pose
 
-    logged = np.array(rows)
+    return _trace(arm, t, nominal, np.array(rows))
+
+
+def _tick_times(scenario: Scenario) -> np.ndarray:
+    """k * dt for the ticks k = 0 .. round(duration / dt), bit for bit."""
+    return np.arange(int(round(scenario.duration / scenario.dt)) + 1) * scenario.dt
+
+
+def _trace(arm: PlanarArm, t: np.ndarray, nominal: np.ndarray, logged: np.ndarray) -> Trace:
+    """The Trace of a run that logged measured, e, du, u, pose, q, f_tool
+    per tick: 14 values, (x, z) or (q1, q2) pairs."""
     # The torque the tool force exerts on the joints: J(q)^T (-f_tool).
     tau = arm.joint_torques(-logged[:, 12:14], logged[:, 10:12])
     return Trace(np.column_stack((t, logged[:, :8], nominal, logged[:, 8:12], tau)))
@@ -325,8 +338,7 @@ def _in_chunks(scenario: Scenario, gains_list: Sequence[AxisGains], floats: int,
         raise outside_workspace(arm_p.l1, arm_p.l2, start)
     # One row per gain, one column per member.
     columns = np.array([dataclasses.astuple(g) for g in gains_list], dtype=float).T
-    n_ticks = int(round(scenario.duration / scenario.dt)) + 1
-    chunk = max(1, _BATCH_ROW_BYTES // (n_ticks * floats * 8))
+    chunk = max(1, _BATCH_ROW_BYTES // (len(_tick_times(scenario)) * floats * 8))
     return itertools.chain.from_iterable(
         lockstep(scenario, type(gains_list[0]), columns[:, i : i + chunk])
         for i in range(0, len(gains_list), chunk)
@@ -356,12 +368,11 @@ def _lockstep(
     alpha, dq_max = arm.servo_rates(dt)
 
     n = columns.shape[1]
-    n_ticks = int(round(scenario.duration / dt)) + 1
-    t = np.arange(n_ticks) * dt
+    t = _tick_times(scenario)
     nominal = scenario.path.poses(t)
     q = np.repeat(ik_batch(l1, l2, nominal[:1].T, elbow)[0], n, axis=1)
     # Per tick and member, the 14 logged values of run()'s rows, or the force.
-    rows = np.zeros((n_ticks, n) if force_axis is not None else (n_ticks, n, 14))
+    rows = np.zeros((len(t), n) if force_axis is not None else (len(t), n, 14))
     failures: List[Optional[WorkspaceViolation]] = [None] * n
     # The live members: all of them, then their indices once one has left
     # the workspace.
@@ -405,11 +416,7 @@ def _lockstep(
     def result(i: int) -> Union[np.ndarray, Trace, WorkspaceViolation]:
         if failures[i] is not None:
             return failures[i]
-        logged = rows[:, i]
-        if force_axis is not None:
-            return logged
-        tau = arm.joint_torques(-logged[:, 12:14], logged[:, 10:12])
-        return Trace(np.column_stack((t, logged[:, :8], nominal, logged[:, 8:12], tau)))
+        return rows[:, i] if force_axis is not None else _trace(arm, t, nominal, rows[:, i])
 
     return map(result, range(n))
 
@@ -545,6 +552,11 @@ class ObjectiveWeights:
     overshoot: float = 10.0
     not_settled: float = 1000.0
 
+    def __post_init__(self) -> None:
+        for name, value in dataclasses.asdict(self).items():
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+
 
 @dataclass(frozen=True)
 class TuneEntry:
@@ -587,7 +599,7 @@ def tune(
     if any(len(set(grid[n])) < len(grid[n]) for n in names):
         raise ValueError(f"duplicate values in tuner grid: {grid}")
     setpoint = getattr(scenario.setpoint, axis)
-    t = np.arange(int(round(scenario.duration / scenario.dt)) + 1) * scenario.dt
+    t = _tick_times(scenario)
 
     combos = list(itertools.product(*(sorted(grid[n]) for n in names)))
     gains_list = [law(**dict(zip(names, combo))) for combo in combos]

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import math
 import os
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 import yaml
 
-from forcemotion import fuzzy
+from forcemotion import cli, fuzzy
 from forcemotion.cli import format_trace_csv, main
+from forcemotion.config import ConfigInvalid
 from forcemotion.sim import TRACE_COLUMNS, Trace
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -139,6 +141,43 @@ class TestRunCommand:
         )
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            "roughness_wavelength: 1.0e-308, roughness_amplitude: 0.001",
+            "roughness_wavelength: 1.0e-307, noise_amplitude: 0.0002",
+        ],
+        ids=["roughness", "noise"],
+    )
+    def test_profile_phase_beyond_float_range_exits_2(self, surface, tmp_path, capsys):
+        # 2*pi*x / wavelength (or a noise frequency times x) overflowed to
+        # inf, and math.sin(inf) ended the run in a ValueError traceback.
+        out = tmp_path / "results"
+        code = run_cli(
+            "run", "--preset", "exp2", "--controller", "pi",
+            "--set", f"environment.obstacles=[{{type: rough_surface, height_base: 0.25, {surface}}}]",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "config error: environment.obstacles[0].roughness_wavelength" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_workspace_target_prints_in_exponent_form(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        code = run_cli(
+            "run", "--preset", "exp2", "--controller", "pi",
+            "--set", "gains.pi.z.ki=1.0e+300", "--set", "limits.z.u_min=-1.0e+300",
+            "--set", "limits.z.u_max=1.0e+300", "--set", "limits.z.du_max=1.0e+300",
+            "--out", str(out),
+        )
+        assert code == 3
+        # In fixed point, the target's z took 306 characters.
+        assert capsys.readouterr().err == (
+            "simulation aborted: tick 1 (t=0.010 s): "
+            "target (0.5507, -1.000e+300) outside workspace [0.0000, 1.0000]\n"
+        )
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
@@ -443,6 +482,29 @@ class TestTuneCommand:
         assert "config error: tuner.axis: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("weight", ["overshoot", "not_settled"])
+    def test_negative_weight_is_config_error(self, weight, tmp_path, capsys):
+        # not_settled = -1000 ranked an unsettled run best, exit 0.
+        out = tmp_path / "results"
+        code = run_cli(
+            "tune", "--config", str(ROOT / "tuning" / "exp2_pi_best.yaml"),
+            "--set", f"tuner.weights.{weight}=-1000.0", "--out", str(out),
+        )
+        assert code == 2
+        assert f"config error: tuner.weights.{weight} must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_best_objective_prints_in_exponent_form(self, tmp_path, capsys):
+        code = run_cli(
+            "tune", "--config", str(ROOT / "tuning" / "exp2_pi_best.yaml"),
+            "--set", "tuner.weights.overshoot=1.0e+308", "--out", str(tmp_path),
+        )
+        assert code == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "  best gains: {'kp': 0.0005, 'ki': 0.0002} (objective 1.688e+308)"
+        board = yaml.safe_load((tmp_path / "exp2_pi_leaderboard.yaml").read_text())
+        assert board["entries"][0]["objective"] == pytest.approx(1.6878113649708834e308)
+
     def test_all_runs_failed_exit_code(self, tmp_path):
         config = tmp_path / "free.yaml"
         config.write_text(
@@ -457,6 +519,71 @@ class TestTuneCommand:
         )
         code = run_cli("tune", "--config", str(config), "--out", str(tmp_path / "out"))
         assert code == 4
+
+
+class TestOutputPaths:
+    """An --out that cannot be a directory fails before anything is
+    simulated, a result that cannot be written fails naming its file, and
+    neither leaves a *.tmp file behind."""
+
+    COMMANDS = {
+        "run": ("run", "--preset", "exp2", "--controller", "pi"),
+        "compare": ("compare", "--preset", "exp2"),
+        "tune": ("tune", "--preset", "exp2", "--controller", "pi", *TestTuneCommand.GRID_ARGS),
+    }
+
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before --out was checked")
+
+        monkeypatch.setattr(cli, "run", refuse)
+        monkeypatch.setattr(cli, "tune", refuse)
+
+    @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_that_cannot_be_a_directory_exits_2(self, command, below, no_simulation, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if below else blocker
+        assert run_cli(*self.COMMANDS[command], "--out", str(out)) == 2
+        assert f"config error: --out {out}: {blocker} is not a directory" in capsys.readouterr().err
+        assert blocker.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [blocker]
+
+    @pytest.mark.parametrize(
+        "command,name",
+        [
+            ("run", "exp2_pi.csv"),
+            ("run", "exp2_pi_summary.yaml"),
+            ("compare", "exp2_fuzzy.csv"),
+            ("compare", "exp2_compare.yaml"),
+            ("tune", "exp2_pi_leaderboard.yaml"),
+            ("tune", "exp2_pi_best.yaml"),
+        ],
+    )
+    def test_result_name_held_by_a_directory_exits_2(self, command, name, tmp_path, capsys):
+        (tmp_path / name).mkdir()
+        assert run_cli(*self.COMMANDS[command], "--out", str(tmp_path)) == 2
+        assert f"config error: {tmp_path / name}: cannot write: Is a directory" in capsys.readouterr().err
+        assert (tmp_path / name).is_dir()
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_write_removes_its_temp_file(self, monkeypatch, tmp_path):
+        def disk_full(path, text):
+            with open(path, "w") as handle:
+                handle.write(text[:10])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        with pytest.raises(ConfigInvalid, match="a.csv: cannot write: No space left on device"):
+            cli._atomic_write(tmp_path / "a.csv", "x" * 100)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nested_out_is_created(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert run_cli(*self.COMMANDS["run"], "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["exp2_pi.csv", "exp2_pi_summary.yaml"]
 
 
 class TestInferCommand:

@@ -183,6 +183,24 @@ class TestPresetsAndFiles:
         with pytest.raises(ConfigInvalid):
             scenario_from_config(cfg)
 
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda path: None, "No such file or directory"),
+            (Path.mkdir, "Is a directory"),
+            (lambda path: path.write_text("zr zr\n"), "line 1: expected 7 labels, got 2"),
+        ],
+        ids=["missing", "directory", "malformed"],
+    )
+    def test_rule_file_errors_name_the_key(self, make, message, tmp_path):
+        path = tmp_path / "rules.txt"
+        make(path)
+        cfg = validate_config({**MINIMAL, "rule_file": str(path)})
+        with pytest.raises(ConfigInvalid) as info:
+            scenario_from_config(cfg)
+        assert str(info.value).startswith("rule_file: ")
+        assert message in str(info.value)
+
     def test_seed_derivation(self):
         cfg = validate_config({**MINIMAL, "seed": 99})
         scenario = scenario_from_config(cfg)

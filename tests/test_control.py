@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from forcemotion import control
 from forcemotion.config import experiment2_scenario
 from forcemotion.control import (
-    AxisController,
     AxisForce,
-    ControllerState,
     CorrectionLimits,
     FuzzyPIGains,
     HybridForceController,
@@ -58,28 +56,39 @@ class TestGainsValidation:
 
 
 UNCLAMPED = CorrectionLimits(-math.inf, math.inf, math.inf)
+ORIGIN = AxisForce(0.0, 0.0)
+
+
+def _hybrid(gains, limits=CorrectionLimits(), selection=SelectionMatrix.identity()):
+    """The controller with `gains` and `limits` on both axes."""
+    return HybridForceController({"x": gains, "z": gains}, {"x": limits, "z": limits}, selection, ENGINE)
 
 
 class TestErrorStep:
-    """The error formation inside AxisController.step, seen through an
-    unclamped PI law with kp = 1 and ki = 0, whose increment is de."""
+    """The error formation inside HybridForceController.step, seen through
+    an unclamped PI law with kp = 1 and ki = 0, whose increment is de."""
 
     def test_on_setpoint(self):
-        ctl = AxisController(PIGains(1.0, 0.0), UNCLAMPED, state=ControllerState(0.0, 0.0, True))
-        _, de, e = ctl.step(30.0, 30.0)
-        assert (e, de) == (0.0, 0.0)
+        hybrid = _hybrid(PIGains(1.0, 0.0), UNCLAMPED)
+        hybrid.e_prev_x = hybrid.e_prev_z = 0.0
+        _, de, e = hybrid.step(AxisForce(30.0, -30.0), AxisForce(30.0, -30.0))
+        assert (e, de) == ((0.0, 0.0), (0.0, 0.0))
 
     def test_direct_evaluation(self):
-        ctl = AxisController(PIGains(1.0, 0.0), UNCLAMPED, state=ControllerState(0.0, 3.0, True))
-        _, de, e = ctl.step(30.0, 25.0)
-        assert (e, de) == (5.0, 2.0)
-        assert ctl.state.e_prev == 5.0
+        hybrid = _hybrid(PIGains(1.0, 0.0), UNCLAMPED)
+        hybrid.e_prev_x, hybrid.e_prev_z = 3.0, -1.0
+        _, de, e = hybrid.step(AxisForce(30.0, 30.0), AxisForce(25.0, 35.0))
+        assert (e, de) == ((5.0, -5.0), (2.0, -4.0))
+        assert (hybrid.e_prev_x, hybrid.e_prev_z) == e
 
     def test_first_call_has_zero_change(self):
-        ctl = AxisController(PIGains(1.0, 0.0), UNCLAMPED)
-        _, de, e = ctl.step(10.0, 0.0)
-        assert (e, de) == (10.0, 0.0)
-        assert ctl.state.initialized
+        hybrid = _hybrid(PIGains(1.0, 0.0), UNCLAMPED)
+        assert (hybrid.e_prev_x, hybrid.e_prev_z) == (None, None)
+        _, de, e = hybrid.step(AxisForce(10.0, -4.0), ORIGIN)
+        assert (e, de) == ((10.0, -4.0), (0.0, 0.0))
+        assert (hybrid.e_prev_x, hybrid.e_prev_z) == e
+        _, de, _ = hybrid.step(AxisForce(12.0, -4.0), ORIGIN)
+        assert de == (2.0, 0.0)
 
 
 class TestPIStep:
@@ -140,8 +149,7 @@ class TestSelection:
     MEASURED = AxisForce(0.0, 0.0)
 
     def _step(self, selection, setpoint=SETPOINT):
-        hybrid = _hybrid("pi", selection=selection, kp=self.GAINS.kp, ki=self.GAINS.ki)
-        return hybrid.step(setpoint, self.MEASURED)
+        return _hybrid(self.GAINS, selection=selection).step(setpoint, self.MEASURED)
 
     def test_identity(self):
         u, du, e = self._step(SelectionMatrix.identity())
@@ -203,19 +211,17 @@ class TestSelection:
 
 
 class TestAccumulate:
-    """The accumulation inside AxisController.step, seen through a PI law
-    with kp = 0 and ki = 1, whose increment is the error du = f_d - 0."""
+    """The accumulation inside HybridForceController.step, seen through a
+    PI law with kp = 0 and ki = 1, whose increment is the error du = f_d - 0."""
 
     @staticmethod
     def _step(u_accum, du, u_min, u_max):
-        ctl = AxisController(
-            PIGains(0.0, 1.0),
-            CorrectionLimits(u_min, u_max, math.inf),
-            state=ControllerState(u_accum=u_accum),
-        )
-        u, _, _ = ctl.step(du, 0.0)
-        assert ctl.state.u_accum == u
-        return u
+        hybrid = _hybrid(PIGains(0.0, 1.0), CorrectionLimits(u_min, u_max, math.inf))
+        hybrid.u_x = hybrid.u_z = u_accum
+        u, _, _ = hybrid.step(AxisForce(du, du), ORIGIN)
+        assert (hybrid.u_x, hybrid.u_z) == u
+        assert u[0] == u[1]
+        return u[0]
 
     def test_zero(self):
         assert self._step(0.0, 0.0, -0.02, 0.02) == 0.0
@@ -225,10 +231,12 @@ class TestAccumulate:
 
     def test_clamp_boundary(self):
         assert self._step(9.9e-3, 5e-4, -1e-2, 1e-2) == 1e-2
+        assert self._step(-9.9e-3, -5e-4, -1e-2, 1e-2) == -1e-2
 
     def test_deselected_axis_keeps_u(self):
-        ctl = AxisController(PIGains(0.0, 1.0), state=ControllerState(u_accum=1e-3))
-        assert ctl.step(5.0, 0.0, selected=False) == (1e-3, 0.0, 5.0)
+        hybrid = _hybrid(PIGains(0.0, 1.0), selection=SelectionMatrix(False, True))
+        hybrid.u_x = hybrid.u_z = 1e-3
+        assert hybrid.step(AxisForce(5.0, 5e-4), ORIGIN) == ((1e-3, 1.5e-3), (0.0, 5e-4), (5.0, 5e-4))
 
     @pytest.mark.parametrize("lo,hi", [(-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0), (-0.5, 0.5)])
     def test_array_clamp_is_python_min_max(self, lo, hi):
@@ -239,23 +247,16 @@ class TestAccumulate:
         assert np.array_equal(clamp(np.array(values), lo, hi).view(np.uint64), want.view(np.uint64))
 
 
-def _hybrid(kind: str, selection=SelectionMatrix.identity(), limits=None, **gain_kwargs):
-    limits = limits or CorrectionLimits()
-    law = PIGains if kind == "pi" else FuzzyPIGains
-    controllers = {axis: AxisController(law(**gain_kwargs), limits) for axis in ("x", "z")}
-    return HybridForceController(controllers, selection)
-
-
 class TestHybridStep:
     def test_all_axes_deselected_keeps_u(self):
-        hybrid = _hybrid("pi", selection=SelectionMatrix.none(), kp=1e-4, ki=5e-5)
+        hybrid = _hybrid(PIGains(1e-4, 5e-5), selection=SelectionMatrix.none())
         for _ in range(5):
             u, du, _ = hybrid.step(AxisForce(5.0, 10.0), AxisForce(0.0, 0.0))
             assert u == (0.0, 0.0)
             assert du == (0.0, 0.0)
 
     def test_zero_error_keeps_u(self):
-        hybrid = _hybrid("pi", kp=1e-4, ki=5e-5)
+        hybrid = _hybrid(PIGains(1e-4, 5e-5))
         for _ in range(5):
             u, _, e = hybrid.step(AxisForce(5.0, 10.0), AxisForce(5.0, 10.0))
             assert u == (0.0, 0.0)
@@ -265,12 +266,7 @@ class TestHybridStep:
         # With de = 0 on the first sample, k steps of constant error e give
         # u = u0 + k*ki*e (no kp contribution after the first flat change).
         ki, e = 5e-5, 4.0
-        hybrid = _hybrid(
-            "pi",
-            kp=1e-4,
-            ki=ki,
-            limits=CorrectionLimits(-math.inf, math.inf, math.inf),
-        )
+        hybrid = _hybrid(PIGains(1e-4, ki), UNCLAMPED)
         for k in range(1, 21):
             u, _, _ = hybrid.step(AxisForce(e, e), AxisForce(0.0, 0.0))
             assert u[0] == pytest.approx(k * ki * e, abs=1e-15)
@@ -283,18 +279,16 @@ class TestHybridStep:
         kp, ki = 3.1e-4, 7.7e-5
         errors = rng.uniform(-10.0, 10.0, size=1000)
         expected = oracles.pi_closed_form(kp, ki, errors)
-        ctl = AxisController(PIGains(kp, ki), UNCLAMPED)
+        hybrid = _hybrid(PIGains(kp, ki), UNCLAMPED)
         for k, e_k in enumerate(errors):
-            u, _, _ = ctl.step(float(e_k), 0.0)
-            assert u == pytest.approx(expected[k], abs=1e-12)
+            u, _, _ = hybrid.step(AxisForce(float(e_k), float(e_k)), ORIGIN)
+            assert u[0] == u[1] == pytest.approx(expected[k], abs=1e-12)
 
     def test_mixed_kind_controllers_per_axis(self):
-        controllers = {
-            "x": AxisController(PIGains(1e-4, 5e-5)),
-            "z": AxisController(FuzzyPIGains(0.1, 1 / 30, 1e-3)),
-        }
-        hybrid = HybridForceController(controllers, SelectionMatrix.identity())
-        u, du, _ = hybrid.step(AxisForce(2.0, 20.0), AxisForce(0.0, 0.0))
+        gains = {"x": PIGains(1e-4, 5e-5), "z": FuzzyPIGains(0.1, 1 / 30, 1e-3)}
+        limits = {"x": CorrectionLimits(), "z": CorrectionLimits()}
+        hybrid = HybridForceController(gains, limits, SelectionMatrix.identity(), ENGINE)
+        u, du, _ = hybrid.step(AxisForce(2.0, 20.0), ORIGIN)
         assert du[0] == pytest.approx(5e-5 * 2.0)
         assert du[1] > 0.0
         assert u == du

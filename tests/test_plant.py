@@ -13,6 +13,7 @@ from forcemotion.plant import (
     SensorModel,
     Unreachable,
     ik,
+    outside_workspace,
 )
 
 import oracles
@@ -48,6 +49,19 @@ class TestInverseKinematics:
             ik(0.5, 0.5, Pose(2.0, 0.0))
         with pytest.raises(Unreachable):
             ik(0.8, 0.2, Pose(0.1, 0.0))  # inside the inner annulus radius
+
+    @pytest.mark.parametrize(
+        "l1,l2,target,text",
+        [
+            (0.5, 0.5, Pose(2.0, -0.25), "(2.0000, -0.2500) outside workspace [0.0000, 1.0000]"),
+            (0.8, 0.2, Pose(999999999.99994, math.nan), "(999999999.9999, nan) outside workspace [0.6000, 1.0000]"),
+            (0.5, 0.5, Pose(0.5507, -1e299), "(0.5507, -1.000e+299) outside workspace [0.0000, 1.0000]"),
+            (4e9, 1e9, Pose(1e300, -math.inf), "(1.000e+300, -inf) outside workspace [3.000e+09, 5.000e+09]"),
+        ],
+    )
+    def test_unreachable_message_prints_huge_numbers_in_exponent_form(self, l1, l2, target, text):
+        # Fixed point below 1e9 and .3e from 1e9 on, as the CLI prints metrics.
+        assert str(outside_workspace(l1, l2, target)) == "target " + text
 
     @pytest.mark.parametrize("target", [Pose(math.nan, 0.3), Pose(0.5, math.nan)])
     def test_nan_target_is_unreachable(self, target):

@@ -27,6 +27,7 @@ from forcemotion.sim import (
     ArmParams,
     NoContact,
     NominalPath,
+    ObjectiveWeights,
     PressDirection,
     Scenario,
     Trace,
@@ -484,6 +485,13 @@ class TestTune:
         with pytest.raises(AllRunsFailed):
             tune(scenario, {"kp": [1e-4], "ki": [5e-5]})
 
+    @pytest.mark.parametrize("value", [-1000.0, -5e-324, math.nan])
+    @pytest.mark.parametrize("name", ["overshoot", "not_settled"])
+    def test_weights_must_be_nonnegative(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
+            ObjectiveWeights(**{name: value})
+        assert getattr(ObjectiveWeights(**{name: -0.0}), name) == 0.0
+
     def test_grid_validation(self):
         scenario = experiment2_scenario("pi", smooth=True)
         with pytest.raises(ValueError, match="empty"):
@@ -567,6 +575,38 @@ class TestRunBatch:
         for grid in (PI_GRID, FUZZY_GRID):
             for trace in batch_against_run(scenario, grid):
                 assert np.abs(trace.column("f_x")).max() > 0.1
+
+    @pytest.mark.parametrize("roughness,noise", [(0.002, 0.0), (0.0, 0.001), (0.002, 0.001)])
+    def test_shortest_wavelength_accepted(self, roughness, noise):
+        # A shorter wavelength lets a profile phase overflow to inf within the
+        # arm's reach, where math.sin raises and np.sin gives NaN; the scenario
+        # rejects it. At the shortest accepted one, every phase is finite and
+        # huge, and run() and run_batch agree bit for bit.
+        def scenario(wavelength):
+            surface = RoughSurface(
+                height_base=0.25,
+                roughness_amplitude=roughness,
+                roughness_wavelength=wavelength,
+                noise_amplitude=noise,
+                friction_coeff=0.3,
+            )
+            return floor_scenario(environment=Environment((surface,), seed=5))
+
+        # Bisect over the bit patterns of the positive doubles.
+        lo, hi = np.float64(5e-324).view(np.int64), np.float64(1.0).view(np.int64)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                scenario(float(np.int64(mid).view(np.float64)))
+            except ValueError as exc:
+                assert str(exc).startswith("environment.obstacles[0].roughness_wavelength: ")
+                lo = mid
+            else:
+                hi = mid
+        shortest = float(np.int64(hi).view(np.float64))
+        assert shortest < 1e-306
+        for grid in (PI_GRID, FUZZY_GRID):
+            batch_against_run(scenario(shortest), grid)
 
     def test_sensor_noise_and_bias(self):
         sensor = SensorModel(noise_sigma=0.5, bias=AxisForce(0.3, -0.7), seed=11)

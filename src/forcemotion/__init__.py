@@ -46,7 +46,6 @@ from .sim import (
     compare,
     compute_metrics,
     run,
-    run_batch,
     tune,
 )
 
@@ -91,7 +90,6 @@ __all__ = [
     "infer",
     "preset_scenario",
     "run",
-    "run_batch",
     "tune",
 ]
 

@@ -1,9 +1,10 @@
 """Command-line front end: run / compare / tune / infer.
 
 Exit codes: 0 success, 2 config error (an unusable --out or result file
-included), 3 simulation abort, 4 tuner failure. Result files are written to a
-temp name and renamed on success; a failed write removes the temp file, so no
-truncated CSV or *.tmp file is left behind.
+included), 3 simulation abort, 4 tuner failure. Result names are checked
+before anything is simulated. A command's results are all written to temp
+names and then renamed; a failure removes what was written, so no truncated
+CSV, partial result set or *.tmp file is left behind.
 """
 from __future__ import annotations
 
@@ -37,14 +38,25 @@ from .sim import (
 )
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
+def _tmp(path: Path) -> Path:
+    return path.with_name(path.name + ".tmp")
+
+
+def _write_results(results: Dict[Path, str]) -> None:
+    """Write each text to its path's temp name, then rename them all; on a
+    failure, remove every temp and result this call wrote."""
+    written: List[Path] = []
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        for path, text in results.items():
+            written.append(_tmp(path))
+            _tmp(path).write_text(text)
+        for path in results:
+            os.replace(_tmp(path), path)
+            written.append(path)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+        for done in written:
+            with contextlib.suppress(OSError):
+                done.unlink()
         raise ConfigInvalid(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
@@ -90,6 +102,17 @@ def _out_path(args) -> Path:
     return out
 
 
+def _result_paths(out: Path, *names: str) -> List[Path]:
+    """The result files, checked before anything is simulated: neither a
+    result name nor its temp name may be held by a directory."""
+    paths = [out / name for name in names]
+    for path in paths:
+        for taken in (path, _tmp(path)):
+            if taken.is_dir():
+                raise ConfigInvalid(f"{taken}: cannot write: Is a directory")
+    return paths
+
+
 def _make_dir(out: Path) -> None:
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -112,25 +135,14 @@ def cmd_run(args) -> int:
     cfg = _effective_config(args)
     scenario = cfgmod.scenario_from_config(cfg)
     out = _out_path(args)
+    stem = f"{scenario.name}_{scenario.controller_kind}"
+    csv_path, summary_path = _result_paths(out, f"{stem}.csv", f"{stem}_summary.yaml")
     trace = run(scenario)
 
-    _make_dir(out)
-    stem = f"{scenario.name}_{scenario.controller_kind}"
-    csv_path = out / f"{stem}.csv"
-    summary_path = out / f"{stem}_summary.yaml"
     metrics = _metrics_summary(cfg, trace)
-    _atomic_write(csv_path, format_trace_csv(trace))
-    _atomic_write(
-        summary_path,
-        cfgmod.to_yaml(
-            {
-                "config": cfg,
-                "ticks": len(trace),
-                "trace_csv": csv_path.name,
-                "metrics": metrics,
-            }
-        ),
-    )
+    summary = {"config": cfg, "ticks": len(trace), "trace_csv": csv_path.name, "metrics": metrics}
+    _make_dir(out)
+    _write_results({csv_path: format_trace_csv(trace), summary_path: cfgmod.to_yaml(summary)})
     print(f"wrote {csv_path} and {summary_path}")
     for axis, m in metrics.items():
         if "error" in m:
@@ -150,6 +162,10 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _effective_config(args)
     out = _out_path(args)
+    name = cfg["name"]
+    *csv_paths, report_path = _result_paths(
+        out, *(f"{name}_{kind}.csv" for kind in cfgmod._LAWS), f"{name}_compare.yaml"
+    )
     traces: Dict[str, Trace] = {}
     scenarios = {}
     for kind in cfgmod._LAWS:
@@ -157,7 +173,6 @@ def cmd_compare(args) -> int:
         scenarios[kind] = scenario
         traces[kind] = run(scenario)
 
-    name = cfg["name"]
     report: Dict[str, Any] = {"scenario": name, "config": cfg, "axes": {}}
     for axis in _selected_axes(cfg):
         setpoint = float(cfg["setpoint"][axis])
@@ -183,15 +198,10 @@ def cmd_compare(args) -> int:
             "gains": {"pi": rep.gains_a, "fuzzy": rep.gains_b},
         }
 
+    report["trace_csv"] = {kind: path.name for kind, path in zip(traces, csv_paths)}
+    results = {path: format_trace_csv(trace) for path, trace in zip(csv_paths, traces.values())}
     _make_dir(out)
-    csv_paths = {}
-    for kind, trace in traces.items():
-        csv_path = out / f"{name}_{kind}.csv"
-        _atomic_write(csv_path, format_trace_csv(trace))
-        csv_paths[kind] = csv_path.name
-    report["trace_csv"] = csv_paths
-    report_path = out / f"{name}_compare.yaml"
-    _atomic_write(report_path, cfgmod.to_yaml(report))
+    _write_results({**results, report_path: cfgmod.to_yaml(report)})
 
     print(f"wrote {report_path}")
     for axis, body in report["axes"].items():
@@ -215,6 +225,8 @@ def cmd_tune(args) -> int:
     settings = cfgmod.tuner_settings(cfg)
     scenario = cfgmod.scenario_from_config(cfg)
     out = _out_path(args)
+    stem = f"{scenario.name}_{scenario.controller_kind}"
+    board_path, best_path = _result_paths(out, f"{stem}_leaderboard.yaml", f"{stem}_best.yaml")
     best, leaderboard = tune(
         scenario,
         settings["grid"],
@@ -223,25 +235,17 @@ def cmd_tune(args) -> int:
         band_pct=settings["band_pct"],
     )
 
-    _make_dir(out)
-    stem = f"{scenario.name}_{scenario.controller_kind}"
-    board_path = out / f"{stem}_leaderboard.yaml"
-    best_path = out / f"{stem}_best.yaml"
-    _atomic_write(
-        board_path,
-        cfgmod.to_yaml(
-            {
-                "scenario": scenario.name,
-                "controller": scenario.controller_kind,
-                "axis": settings["axis"],
-                "entries": [dataclasses.asdict(e) for e in leaderboard],
-            }
-        ),
-    )
+    board = {
+        "scenario": scenario.name,
+        "controller": scenario.controller_kind,
+        "axis": settings["axis"],
+        "entries": [dataclasses.asdict(e) for e in leaderboard],
+    }
     best_cfg = copy.deepcopy(cfg)
     for axis in AXES:
         best_cfg["gains"][scenario.controller_kind][axis] = dict(best.gains)
-    _atomic_write(best_path, cfgmod.to_yaml(best_cfg))
+    _make_dir(out)
+    _write_results({board_path: cfgmod.to_yaml(board), best_path: cfgmod.to_yaml(best_cfg)})
     print(f"wrote {board_path} and {best_path}")
     print(f"  best gains: {best.gains} (objective {fmt_num(best.objective, '.4f')})")
     return 0

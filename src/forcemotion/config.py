@@ -92,8 +92,11 @@ _SEEDS = {"seed", "environment.seed", "sensor.seed"}
 # Keys holding free-form subtrees that get dedicated validation.
 _LIST_OF_MAPS = {"path", "environment.obstacles"}
 _FREE_MAPS = {"tuner.grid"}
-# `name` becomes the stem of every output file, so it may not hold a path.
+# `name` becomes the stem of every output file, so it may not hold a path,
+# and the longest result file name, the temp name
+# <name>_fuzzy_leaderboard.yaml.tmp, must fit the usual 255-byte limit.
 _NAME_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
+_NAME_MAX = 255 - len("_fuzzy_leaderboard.yaml.tmp")
 # YAML 1.1 reads a number with an exponent as text unless it also has a dot
 # and a signed exponent: 1e9 and 1.0e9 are strings, 1.0e+9 is a float.
 _EXPONENT_TEXT = re.compile(r"([-+]?\d+)(?:\.(\d*))?[eE]([-+]?)(\d+)")
@@ -241,6 +244,11 @@ def validate_config(raw: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     if not isinstance(name, str) or not _NAME_PATTERN.fullmatch(name):
         raise ConfigInvalid(
             f"name: expected a file name stem ({_NAME_PATTERN.pattern}), got {name!r}"
+        )
+    if len(name) > _NAME_MAX:
+        raise ConfigInvalid(
+            f"name: expected at most {_NAME_MAX} characters, so that every result file name "
+            f"fits in 255 bytes, got {len(name)}"
         )
     return effective
 

@@ -44,6 +44,13 @@ class PlanarArm:
     def __post_init__(self) -> None:
         if not (self.l1 > 0.0 and self.l2 > 0.0):
             raise ValueError("link lengths must be positive")
+        # ik subtracts l1*l1 + l2*l2 and divides by 2*l1*l2.
+        sum_sq, twice_prod = self.l1 * self.l1 + self.l2 * self.l2, 2.0 * self.l1 * self.l2
+        if not (math.isfinite(sum_sq) and 0.0 < twice_prod < math.inf):
+            raise ValueError(
+                f"link lengths {self.l1} and {self.l2}: l1*l1 + l2*l2 and 2*l1*l2 must be finite, "
+                "and 2*l1*l2 nonzero"
+            )
         if not self.tau_servo > 0.0:
             raise ValueError("tau_servo must be positive")
         if not self.qdot_max > 0.0:

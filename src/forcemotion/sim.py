@@ -1,6 +1,6 @@
 """Closed-loop simulation: nominal paths, scenarios, the fixed-step hybrid
-force/motion loop, its lockstep batch over many gain sets, performance
-metrics, controller comparison, and a grid-search gain tuner.
+force/motion loop, performance metrics, controller comparison, and a
+grid-search gain tuner that runs its grid points in one lockstep loop.
 
 Per tick the loop (1) takes the nominal pose, (2) offsets it by the
 accumulated correction mapped through the press-direction signs, (3) solves
@@ -46,12 +46,11 @@ from .plant import (
 AxisGains = Union[PIGains, FuzzyPIGains]
 
 # Upper bound on duration / dt: run() allocates one trace row per tick, and
-# run_batch one per tick and member.
+# tune one force per tick and grid point.
 _MAX_TICKS = 10**6
-# run_batch splits its members into chunks whose (ticks, B, 14) float row
-# arrays take at most this many bytes, or one member when a single member's
-# rows take more.
-_BATCH_ROW_BYTES = 64 * 2**20
+# tune runs its grid points in chunks whose (ticks, B) logged forces take at
+# most this many bytes, or one point when a single point's take more.
+_CHUNK_BYTES = 64 * 2**20
 
 
 class WorkspaceViolation(Exception):
@@ -172,12 +171,19 @@ class Scenario:
             )
         if law not in (PIGains, FuzzyPIGains):
             raise ValueError(f"unknown gains type {law.__name__}")
-        reach_hi = self.arm.l1 + self.arm.l2
-        reach_lo = abs(self.arm.l1 - self.arm.l2)
-        for t, pose in self.path.waypoints:
-            r = math.hypot(pose.x, pose.z)
-            if not reach_lo - 1e-12 <= r <= reach_hi + 1e-12:
-                raise ValueError(f"waypoint at t={t} is unreachable: {pose}")
+        arm = self.arm
+        points = list(self.path.waypoints)
+        if points[0][0] < 0.0:
+            # run() starts the arm at the path's pose at t = 0, here between
+            # two waypoints or at the last.
+            points.append((None, self.path.pose_at(0.0)))
+        for t, pose in points:
+            try:
+                ik(arm.l1, arm.l2, pose, arm.elbow)
+            except Unreachable:
+                where = "the path's start at t=0.0" if t is None else f"waypoint at t={t}"
+                raise ValueError(f"{where} is unreachable: {pose}") from None
+        reach_hi = arm.l1 + arm.l2
         for i, obstacle in enumerate(self.environment.obstacles):
             # fk never puts the tool beyond |x| = l1 + l2.
             if not math.isfinite(self.environment.max_phase(i, reach_hi)):
@@ -281,7 +287,10 @@ def run(scenario: Scenario) -> Trace:
         u_x, u_z = u_next
         prev = pose
 
-    return _trace(arm, t, nominal, np.array(rows))
+    logged = np.array(rows)
+    # The torque the tool force exerts on the joints: J(q)^T (-f_tool).
+    tau = arm.joint_torques(-logged[:, 12:14], logged[:, 10:12])
+    return Trace(np.column_stack((t, logged[:, :8], nominal, logged[:, 8:12], tau)))
 
 
 def _tick_times(scenario: Scenario) -> np.ndarray:
@@ -289,90 +298,38 @@ def _tick_times(scenario: Scenario) -> np.ndarray:
     return np.arange(int(round(scenario.duration / scenario.dt)) + 1) * scenario.dt
 
 
-def _trace(arm: PlanarArm, t: np.ndarray, nominal: np.ndarray, logged: np.ndarray) -> Trace:
-    """The Trace of a run that logged measured, e, du, u, pose, q, f_tool
-    per tick: 14 values, (x, z) or (q1, q2) pairs."""
-    # The torque the tool force exerts on the joints: J(q)^T (-f_tool).
-    tau = arm.joint_torques(-logged[:, 12:14], logged[:, 10:12])
-    return Trace(np.column_stack((t, logged[:, :8], nominal, logged[:, 8:12], tau)))
-
-
-def run_batch(
-    scenario: Scenario, gains_list: Sequence[AxisGains]
-) -> Iterator[Union[Trace, WorkspaceViolation]]:
-    """Simulate the scenario once per gain set, in lockstep loops.
-
-    Member i uses `gains_list[i]` on both axes, and every member uses one
-    control law. Its result, yielded in member order, is bit for bit what
-    `run` gives for that scenario: the Trace, or the WorkspaceViolation it
-    raises, which stops the member at its tick while the others run on. The
-    members share the path, the environment, the sensor stream and the tick
-    count, so one tick loop runs the plant, the sensor and the loop
-    bookkeeping in numpy over a (2, B) array, one column per member. Each
-    selected axis computes every live member's increment in one call to the
-    law's `step_columns`.
-
-    Members run in consecutive chunks, each with its own loop, so that a
-    chunk's (ticks, B, 14) row array stays within _BATCH_ROW_BYTES; each
-    chunk replays the sensor stream from its seed. A chunk's loop runs when
-    the iterator reaches its first member, and the traces are built one at
-    a time as the iterator is consumed. The loop runs under
-    np.errstate(all="ignore"): a float that overflows or turns NaN does so
-    silently, as run()'s Python floats do.
-    """
-    return _in_chunks(scenario, gains_list, 14, _lockstep)
-
-
-def _in_chunks(scenario: Scenario, gains_list: Sequence[AxisGains], floats: int, lockstep) -> Iterator:
-    """`lockstep(scenario, law, columns)` over the chunks of members whose
-    rows, `floats` floats per member and tick, fit in _BATCH_ROW_BYTES."""
-    for gains in gains_list[1:]:
-        if type(gains) is not type(gains_list[0]):
-            raise ValueError(
-                f"a batch must use one control law, got {type(gains_list[0]).__name__} "
-                f"and {type(gains).__name__}"
-            )
-    arm_p = scenario.arm
-    start = scenario.path.pose_at(0.0)
-    if not ik_batch(arm_p.l1, arm_p.l2, np.array([[start.x], [start.z]]), arm_p.elbow)[1].all():
-        raise outside_workspace(arm_p.l1, arm_p.l2, start)
-    # One row per gain, one column per member.
-    columns = np.array([dataclasses.astuple(g) for g in gains_list], dtype=float).T
-    chunk = max(1, _BATCH_ROW_BYTES // (len(_tick_times(scenario)) * floats * 8))
-    return itertools.chain.from_iterable(
-        lockstep(scenario, type(gains_list[0]), columns[:, i : i + chunk])
-        for i in range(0, len(gains_list), chunk)
-    )
-
-
 def _lockstep(
-    scenario: Scenario, law: type, columns: np.ndarray, force_axis: Optional[int] = None
-) -> Iterator[Union[np.ndarray, Trace, WorkspaceViolation]]:
-    """run_batch's tick loop over the members whose gains are the columns.
-    A member's result is its WorkspaceViolation or else its Trace, or with a
-    `force_axis` (an index into AXES) its (ticks,) measured force on it."""
+    scenario: Scenario, columns: np.ndarray, j: int
+) -> Iterator[Union[np.ndarray, WorkspaceViolation]]:
+    """`tune`'s tick loop. Each column of `columns` (one row per gain field)
+    is a member that runs the scenario's law with those gains on both axes.
+    A member's result is bit for bit what `run` gives for it: its (ticks,)
+    measured force on the axis AXES[j], or the WorkspaceViolation that stops
+    it at its tick while the others run on. The plant, the sensor and the
+    bookkeeping run in numpy over (2, B) arrays, and each selected axis calls
+    the law's `step_columns` once a tick. Overflow and NaN pass silently
+    (np.errstate(all="ignore")), as they do in run()'s Python floats.
+    """
     arm_p = scenario.arm
     l1, l2, elbow = arm_p.l1, arm_p.l2, arm_p.elbow
     press = np.array(scenario.press_direction, dtype=float)[:, None]
     dt = scenario.dt
     setpoint = np.array(scenario.setpoint, dtype=float)[:, None]
-    laws = [(j, scenario.limits[axis]) for j, axis in enumerate(AXES) if scenario.selection[j]]
-    step_columns = law.step_columns
+    laws = [(i, scenario.limits[axis]) for i, axis in enumerate(AXES) if scenario.selection[i]]
+    step_columns = type(scenario.gains["x"]).step_columns
     u_min = np.array([[scenario.limits[a].u_min] for a in AXES])
     u_max = np.array([[scenario.limits[a].u_max] for a in AXES])
     contact_force = scenario.environment.contact_force_batch
     sense = scenario.sensor.sense_batch
     engine = FuzzyInference(rules=scenario.rules)
     sensor_rng = np.random.default_rng(scenario.sensor.seed)
-    arm = PlanarArm(l1, l2, tau_servo=arm_p.tau_servo, qdot_max=arm_p.qdot_max)
-    alpha, dq_max = arm.servo_rates(dt)
+    alpha, dq_max = PlanarArm(l1, l2, tau_servo=arm_p.tau_servo, qdot_max=arm_p.qdot_max).servo_rates(dt)
 
     n = columns.shape[1]
     t = _tick_times(scenario)
     nominal = scenario.path.poses(t)
-    q = np.repeat(ik_batch(l1, l2, nominal[:1].T, elbow)[0], n, axis=1)
-    # Per tick and member, the 14 logged values of run()'s rows, or the force.
-    rows = np.zeros((len(t), n) if force_axis is not None else (len(t), n, 14))
+    q = np.repeat(np.array(ik(l1, l2, scenario.path.pose_at(0.0), elbow))[:, None], n, axis=1)
+    forces = np.zeros((len(t), n))
     failures: List[Optional[WorkspaceViolation]] = [None] * n
     # The live members: all of them, then their indices once one has left
     # the workspace.
@@ -403,22 +360,14 @@ def _lockstep(
             e = setpoint - measured
             de = e - e_prev if k > 0 else np.zeros((2, n))
             du = np.zeros((2, n))
-            for j, limits in laws:
-                du[j, live] = step_columns(columns[:, live], e[j, live], de[j, live], limits, engine)
-            rows[k] = (
-                measured[force_axis] if force_axis is not None
-                else np.concatenate((measured, e, du, u, pose, q, f_tool)).T
-            )
+            for i, limits in laws:
+                du[i, live] = step_columns(columns[:, live], e[i, live], de[i, live], limits, engine)
+            forces[k] = measured[j]
             u = clamp(u + du, u_min, u_max)
             e_prev = e
             prev = pose
 
-    def result(i: int) -> Union[np.ndarray, Trace, WorkspaceViolation]:
-        if failures[i] is not None:
-            return failures[i]
-        return rows[:, i] if force_axis is not None else _trace(arm, t, nominal, rows[:, i])
-
-    return map(result, range(n))
+    return (forces[:, i] if failures[i] is None else failures[i] for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -578,10 +527,14 @@ def tune(
 ) -> Tuple[TuneEntry, List[TuneEntry]]:
     """Exhaustive grid search over gain combinations, smallest objective wins.
 
-    The grid holds one list of distinct values per field of the gains type.
-    Every grid point is simulated by `run_batch`'s lockstep loop, bit for
-    bit what `run` gives for it, logging only the scored force, and scored
-    as soon as its chunk's loop ends.
+    The grid holds one nonempty list of distinct values per field of the
+    gains type.
+    Every grid point is simulated by the lockstep loop `_lockstep`, bit for
+    bit what `run` gives for it with those gains on both axes, logging only
+    the scored force. The points run in consecutive chunks, each with its own
+    loop replaying the sensor stream, so that a chunk's forces stay within
+    _CHUNK_BYTES; a point is scored as soon as its chunk's loop ends. A zero
+    weight drops its term, so an infinite overshoot does not make it NaN.
     Ties break on lower overshoot, then on the lexicographic order of the
     gain tuple (in field order), so the winner does not depend on
     enumeration order. Returns (best, leaderboard); the leaderboard carries
@@ -598,13 +551,19 @@ def tune(
         raise ValueError(f"{law.kind} tuner grid must define {names}, got {sorted(grid)}")
     if any(len(set(grid[n])) < len(grid[n]) for n in names):
         raise ValueError(f"duplicate values in tuner grid: {grid}")
+    if any(len(grid[n]) == 0 for n in names):
+        raise ValueError(f"empty value list in tuner grid: {grid}")
     setpoint = getattr(scenario.setpoint, axis)
     t = _tick_times(scenario)
 
     combos = list(itertools.product(*(sorted(grid[n]) for n in names)))
-    gains_list = [law(**dict(zip(names, combo))) for combo in combos]
+    # One row per gain, one column per grid point, each checked by `law`.
+    columns = np.array([dataclasses.astuple(law(**dict(zip(names, c)))) for c in combos], dtype=float).T
     j = AXES.index(axis)
-    forces = _in_chunks(scenario, gains_list, 1, lambda s, law, cols: _lockstep(s, law, cols, j))
+    chunk = max(1, _CHUNK_BYTES // (len(t) * 8))
+    forces = itertools.chain.from_iterable(
+        _lockstep(scenario, columns[:, i : i + chunk], j) for i in range(0, len(combos), chunk)
+    )
     entries: List[TuneEntry] = []
     for combo, result in zip(combos, forces):
         gains_dict = dict(zip(names, (float(v) for v in combo)))
@@ -617,7 +576,9 @@ def tune(
                 TuneEntry(gains_dict, math.inf, None, None, None, False, str(exc))
             )
             continue
-        objective = m.itae + weights.overshoot * m.overshoot_pct
+        objective = m.itae
+        if weights.overshoot:
+            objective += weights.overshoot * m.overshoot_pct
         if not m.settled:
             objective += weights.not_settled
         entries.append(

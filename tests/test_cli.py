@@ -505,6 +505,18 @@ class TestTuneCommand:
         board = yaml.safe_load((tmp_path / "exp2_pi_leaderboard.yaml").read_text())
         assert board["entries"][0]["objective"] == pytest.approx(1.6878113649708834e308)
 
+    def test_zero_weight_drops_an_infinite_term(self, tmp_path, capsys):
+        # 0 * inf overshoot made every objective NaN, and NaN ranked "best".
+        code = run_cli(
+            "tune", "--config", str(ROOT / "tuning" / "exp2_pi_best.yaml"),
+            "--set", "tuner.weights.overshoot=0.0", "--set", "sensor.bias.z=1.0e+308",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert "nan" not in capsys.readouterr().out
+        board = yaml.safe_load((tmp_path / "exp2_pi_leaderboard.yaml").read_text())
+        assert not any(math.isnan(entry["objective"]) for entry in board["entries"])
+
     def test_all_runs_failed_exit_code(self, tmp_path):
         config = tmp_path / "free.yaml"
         config.write_text(
@@ -560,30 +572,110 @@ class TestOutputPaths:
             ("compare", "exp2_compare.yaml"),
             ("tune", "exp2_pi_leaderboard.yaml"),
             ("tune", "exp2_pi_best.yaml"),
+            ("run", "exp2_pi_summary.yaml.tmp"),
+            ("tune", "exp2_pi_best.yaml.tmp"),
         ],
     )
-    def test_result_name_held_by_a_directory_exits_2(self, command, name, tmp_path, capsys):
+    def test_result_name_held_by_a_directory_exits_2(self, command, name, no_simulation, tmp_path, capsys):
+        # Checked before anything is simulated: each command used to write
+        # the results before it met the directory, and leave them.
         (tmp_path / name).mkdir()
         assert run_cli(*self.COMMANDS[command], "--out", str(tmp_path)) == 2
         assert f"config error: {tmp_path / name}: cannot write: Is a directory" in capsys.readouterr().err
-        assert (tmp_path / name).is_dir()
-        assert list(tmp_path.glob("*.tmp")) == []
+        assert list(tmp_path.iterdir()) == [tmp_path / name]
+
+    def test_name_too_long_for_a_result_file_exits_2(self, no_simulation, tmp_path, capsys):
+        # It simulated, wrote the CSV and then failed on "File name too long".
+        out = tmp_path / "results"
+        assert run_cli(*self.COMMANDS["run"], "--set", "name=" + "a" * 240, "--out", str(out)) == 2
+        assert "config error: name: expected at most 228 characters" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_longest_name_fits_every_result_file(self, tmp_path):
+        name = "a" * 228
+        code = run_cli(
+            "tune", "--preset", "exp2", "--controller", "fuzzy", "--set", f"name={name}",
+            "--set", "tuner.grid.kp=[0.1]", "--set", "tuner.grid.ki=[0.03]",
+            "--set", "tuner.grid.kx=[0.002]", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{name}_fuzzy_best.yaml", f"{name}_fuzzy_leaderboard.yaml"
+        ]
 
     def test_failed_write_removes_its_temp_file(self, monkeypatch, tmp_path):
+        # The second result's write fails part way: no result and no temp
+        # file is left.
+        write_text = Path.write_text
+
         def disk_full(path, text):
+            if path.name.startswith("a."):
+                return write_text(path, text)
             with open(path, "w") as handle:
                 handle.write(text[:10])
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         monkeypatch.setattr(Path, "write_text", disk_full)
-        with pytest.raises(ConfigInvalid, match="a.csv: cannot write: No space left on device"):
-            cli._atomic_write(tmp_path / "a.csv", "x" * 100)
+        with pytest.raises(ConfigInvalid, match="b.yaml: cannot write: No space left on device"):
+            cli._write_results({tmp_path / "a.csv": "x" * 100, tmp_path / "b.yaml": "y" * 100})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_removes_the_results_renamed_before_it(self, monkeypatch, tmp_path):
+        replace = os.replace
+
+        def fail_on_b(src, dst):
+            if Path(dst).name == "b.yaml":
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", fail_on_b)
+        with pytest.raises(ConfigInvalid, match="b.yaml: cannot write: Input/output error"):
+            cli._write_results({tmp_path / "a.csv": "x", tmp_path / "b.yaml": "y"})
         assert list(tmp_path.iterdir()) == []
 
     def test_nested_out_is_created(self, tmp_path):
         out = tmp_path / "a" / "b"
         assert run_cli(*self.COMMANDS["run"], "--out", str(out)) == 0
         assert sorted(p.name for p in out.iterdir()) == ["exp2_pi.csv", "exp2_pi_summary.yaml"]
+
+
+class TestStartAndArmChecks:
+    """A start pose ik rejects, or link lengths whose squares overflow, end
+    the command with exit 2 naming the key, before anything is written.
+    They gave an Unreachable traceback, or a run of NaN rows with exit 0."""
+
+    COMMANDS = {
+        "run": ("run", "--preset", "exp2", "--controller", "pi"),
+        "tune": ("tune", "--config", str(ROOT / "tuning" / "exp2_pi_best.yaml")),
+    }
+    CASES = {
+        "start-on-the-inner-edge": (
+            ("arm.l2=0.3", "path=[{t: 0.0, x: -0.061200066677516644, z: -0.1904062809842877}]"),
+            "config error: waypoint at t=0.0 is unreachable",
+        ),
+        "start-between-waypoints": (
+            ("arm.l2=0.3", "path=[{t: -1.0, x: 0.6, z: 0.1}, {t: 1.0, x: -0.6, z: 0.1}]"),
+            "config error: the path's start at t=0.0 is unreachable",
+        ),
+        "squares-overflow": (
+            ("arm.l1=1.0e+154", "arm.l2=1.0e+154"),
+            "config error: arm: link lengths 1e+154 and 1e+154",
+        ),
+        "far-beyond-float-range": (
+            ("arm.l1=1.0e+200", "arm.l2=1.0e+200"),
+            "config error: arm: link lengths 1e+200 and 1e+200",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exits_2_naming_the_key(self, command, case, tmp_path, capsys):
+        overrides, message = self.CASES[case]
+        out = tmp_path / "results"
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert run_cli(*self.COMMANDS[command], *sets, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInferCommand:

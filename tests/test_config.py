@@ -281,6 +281,16 @@ class TestReadmeSchema:
         assert set(surface) == set(_OBSTACLE_DEFAULTS["rough_surface"])
 
 
+class TestReadmeExamples:
+    """The python blocks of README.md run as written."""
+
+    def test_python_blocks_run(self, capsys):
+        blocks = [b.split("```", 1)[0] for b in README.read_text().split("```python\n")[1:]]
+        assert blocks
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
+
+
 TUNING = Path(__file__).resolve().parents[1] / "tuning"
 
 

@@ -87,6 +87,24 @@ class TestInverseKinematics:
             assert math.hypot(pose.x - target.x, pose.z - target.z) <= 1e-9
 
 
+class TestLinkLengths:
+    @pytest.mark.parametrize(
+        "l1,l2",
+        [(1.0e154, 1.0e154), (1.0e200, 1.0e200), (1.0e300, 1.0e-10), (1.0e-170, 1.0e-170)],
+        ids=["squares-overflow", "far-beyond", "one-square-overflows", "product-underflows"],
+    )
+    def test_rejects_lengths_that_break_ik_arithmetic(self, l1, l2):
+        # ik's cosine would be +-inf or NaN, or divide by zero.
+        with pytest.raises(ValueError, match=r"l1\*l1 \+ l2\*l2 and 2\*l1\*l2 must be finite"):
+            PlanarArm(l1, l2)
+
+    def test_largest_lengths_still_solve(self):
+        arm = PlanarArm(1.0e150, 1.0e150)
+        q1, q2 = ik(arm.l1, arm.l2, Pose(1.0e150, 0.0))
+        assert q2 == pytest.approx(2.0 * math.pi / 3.0)
+        assert arm.l1 * math.cos(q1) + arm.l2 * math.cos(q1 + q2) == pytest.approx(1.0e150)
+
+
 class TestJacobian:
     def test_stretched_configuration(self):
         jac = make_arm(0.0, 0.0).jacobian()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from forcemotion.config import (
 from forcemotion import sim
 from forcemotion.fuzzy import FuzzyInference
 from forcemotion.control import (
+    AXES,
     AxisForce,
     CorrectionLimits,
     FuzzyPIGains,
@@ -36,7 +38,6 @@ from forcemotion.sim import (
     compare,
     compute_metrics,
     run,
-    run_batch,
     tune,
 )
 
@@ -136,6 +137,22 @@ class TestScenarioValidation:
     def test_rejects_unreachable_waypoint(self):
         with pytest.raises(ValueError, match="unreachable"):
             free_space_scenario(path=NominalPath(((0.0, Pose(1.5, 0.0)),)))
+
+    @pytest.mark.parametrize(
+        "waypoints,where",
+        [
+            # math.hypot puts this pose on the inner edge of the workspace,
+            # and ik's sqrt(x*x + z*z) an ulp inside it.
+            (((0.0, Pose(-0.061200066677516644, -0.1904062809842877)),), "waypoint at t=0.0"),
+            # Both waypoints are reachable; the pose at t = 0 between them is not.
+            (((-1.0, Pose(0.6, 0.1)), (1.0, Pose(-0.6, 0.1))), "the path's start at t=0.0"),
+        ],
+        ids=["inner-edge", "start-between-waypoints"],
+    )
+    def test_rejects_a_start_that_ik_rejects(self, waypoints, where):
+        # run() would raise Unreachable from its first ik call.
+        with pytest.raises(ValueError, match=f"^{re.escape(where)} is unreachable"):
+            free_space_scenario(arm=ArmParams(l2=0.3), path=NominalPath(waypoints))
 
     @pytest.mark.parametrize("pose", [Pose(math.nan, 0.2), Pose(0.6, math.nan)])
     def test_rejects_nan_waypoint_pose(self, pose):
@@ -492,6 +509,18 @@ class TestTune:
             ObjectiveWeights(**{name: value})
         assert getattr(ObjectiveWeights(**{name: -0.0}), name) == 0.0
 
+    def test_zero_weight_drops_its_term(self):
+        # At a setpoint of 1e-307 N every overshoot percentage is inf; a zero
+        # weight times it made the objective NaN, which sorts anywhere.
+        scenario = experiment2_scenario("pi", smooth=True)
+        scenario = dataclasses.replace(scenario, setpoint=AxisForce(0.0, 1.0e-307))
+        grid = {"kp": [1e-4], "ki": [2e-5, 5e-5]}
+        _, board = tune(scenario, grid, ObjectiveWeights(overshoot=0.0))
+        for entry in board:
+            assert entry.overshoot_pct == math.inf
+            assert entry.objective == entry.itae + (0.0 if entry.settled else 1000.0)
+            assert math.isfinite(entry.objective)
+
     def test_grid_validation(self):
         scenario = experiment2_scenario("pi", smooth=True)
         with pytest.raises(ValueError, match="empty"):
@@ -505,24 +534,37 @@ class TestTune:
                 tune(scenario, {"kp": values, "ki": [1e-5]})
 
 
+def lockstep(scenario, gains_list, j):
+    """tune's lockstep loop over the gain sets, as one chunk, logging the
+    measured force on the axis AXES[j]."""
+    scenario = dataclasses.replace(scenario, gains={"x": gains_list[0], "z": gains_list[0]})
+    columns = np.array([dataclasses.astuple(g) for g in gains_list], dtype=float).T
+    return list(sim._lockstep(scenario, columns, j))
+
+
 def batch_against_run(scenario, gains_list):
-    """run_batch's results, each checked bit for bit against run() of the
-    scenario with that member's gains on both axes, with numpy warnings as
-    errors."""
+    """run() of the scenario with each member's gains on both axes, checked
+    against tune's lockstep loop on each axis, with numpy warnings as
+    errors: the logged force bit for bit against run()'s f_x or f_z, or the
+    same WorkspaceViolation. Returns run()'s results."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        results = list(run_batch(scenario, gains_list))
-        assert len(results) == len(gains_list)
-        for gains, got in zip(gains_list, results):
-            member = dataclasses.replace(scenario, gains={"x": gains, "z": gains})
+        results = []
+        for gains in gains_list:
             try:
-                want = run(member)
+                results.append(run(dataclasses.replace(scenario, gains={"x": gains, "z": gains})))
             except WorkspaceViolation as exc:
-                assert isinstance(got, WorkspaceViolation)
-                assert (got.tick, got.t, str(got)) == (exc.tick, exc.t, str(exc))
-            else:
-                assert isinstance(got, Trace)
-                assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+                results.append(exc)
+        for j, axis in enumerate(AXES):
+            forces = lockstep(scenario, gains_list, j)
+            assert len(forces) == len(gains_list)
+            for got, want in zip(forces, results):
+                if isinstance(want, WorkspaceViolation):
+                    assert isinstance(got, WorkspaceViolation)
+                    assert (got.tick, got.t, str(got)) == (want.tick, want.t, str(want))
+                else:
+                    assert isinstance(got, np.ndarray)
+                    assert np.array_equal(got.view(np.uint64), want.column(f"f_{axis}").view(np.uint64))
     return results
 
 
@@ -546,6 +588,10 @@ FUZZY_GRID = [FuzzyPIGains(kp, 1 / 15, kx) for kp in (0.05, 0.2) for kx in (1e-3
 
 
 class TestRunBatch:
+    """tune's lockstep loop runs a batch of gain sets, each bit for bit as
+    run() does, on hand-built scenarios where each feature reaches the
+    logged force."""
+
     def test_box_entered_and_left(self):
         scenario = floor_scenario(
             path=NominalPath(
@@ -581,7 +627,7 @@ class TestRunBatch:
         # A shorter wavelength lets a profile phase overflow to inf within the
         # arm's reach, where math.sin raises and np.sin gives NaN; the scenario
         # rejects it. At the shortest accepted one, every phase is finite and
-        # huge, and run() and run_batch agree bit for bit.
+        # huge, and run() and the lockstep loop agree bit for bit.
         def scenario(wavelength):
             surface = RoughSurface(
                 height_base=0.25,
@@ -614,15 +660,34 @@ class TestRunBatch:
             batch_against_run(floor_scenario(sensor=sensor), grid)
 
     def test_elbow_up(self):
-        scenario = floor_scenario(arm=ArmParams(elbow="up"))
+        # A floor in reach of the correction: the two elbow branches servo
+        # along paths that differ in the last bits, and so do their forces.
+        scenario = floor_scenario(
+            environment=Environment((RoughSurface(height_base=0.255),), seed=3),
+            arm=ArmParams(elbow="up"),
+        )
         for trace in batch_against_run(scenario, PI_GRID):
             assert np.all(trace.column("q2") < 0.0)
+        for gains in PI_GRID:
+            up = dataclasses.replace(scenario, gains={"x": gains, "z": gains})
+            down = dataclasses.replace(up, arm=ArmParams(elbow="down"))
+            assert np.any(run(up).column("f_z") != run(down).column("f_z"))
 
     def test_deselected_axis_evaluates_no_law(self):
-        scenario = floor_scenario(setpoint=AxisForce(5.0, 10.0))
+        # On a rough floor, a correction along x moves the tool to another
+        # height of the profile, so a law run on the deselected x axis would
+        # show in f_z.
+        surface = RoughSurface(height_base=0.25, roughness_amplitude=0.002)
+        scenario = floor_scenario(
+            setpoint=AxisForce(5.0, 10.0), environment=Environment((surface,), seed=3)
+        )
         for trace in batch_against_run(scenario, FUZZY_GRID):
             assert np.all(trace.column("du_x") == 0.0) and np.all(trace.column("u_x") == 0.0)
             assert np.any(trace.column("e_x") != 0.0)
+        for gains in FUZZY_GRID:
+            member = dataclasses.replace(scenario, gains={"x": gains, "z": gains})
+            both = dataclasses.replace(member, selection=SelectionMatrix.identity())
+            assert np.any(run(member).column("f_z") != run(both).column("f_z"))
 
     def test_members_leave_the_workspace_at_their_own_ticks(self):
         # In free space the error stays at the setpoint, so u grows by ki * 10
@@ -653,15 +718,13 @@ class TestRunBatch:
         assert results[0].tick == 29
 
     def test_signed_zero_clamps_as_python_does(self):
-        # Python's min and max keep their first argument on a tie, numpy's
-        # minimum and maximum their second: with u pinned to [-0.0, -0.0],
-        # run() logs u = 0.0 for a zero increment and -0.0 for a positive one.
+        # u pinned to [-0.0, -0.0]: Python's min and max keep their first
+        # argument on a tie, numpy's minimum and maximum their second, so the
+        # two loops may hold zeros of either sign. The forces agree bit for
+        # bit; the sign of a zero u reaches no output of the lockstep loop.
         zero = CorrectionLimits(-0.0, -0.0, 5e-4)
         scenario = floor_scenario(limits={"x": zero, "z": zero})
-        grid = [PIGains(0.0, 0.0), PIGains(0.0, 1e-4)]
-        still, pushed = batch_against_run(scenario, grid)
-        assert not np.signbit(still.column("u_z")).any()
-        assert np.signbit(pushed.column("u_z")[1:]).all()
+        batch_against_run(scenario, [PIGains(0.0, 0.0), PIGains(0.0, 1e-4)])
 
     def test_presets_with_their_committed_gains(self):
         for preset in ("exp1", "exp2", "exp3"):
@@ -678,11 +741,9 @@ class TestRunBatch:
             batch_against_run(scenario, [scenario.gains["z"]])
 
     def test_empty_batch(self):
-        assert list(run_batch(floor_scenario(), [])) == []
-
-    def test_rejects_mixed_laws(self):
-        with pytest.raises(ValueError, match="one control law, got PIGains and FuzzyPIGains"):
-            run_batch(floor_scenario(), [PI_GRID[0], FUZZY_GRID[0], PI_GRID[1]])
+        # A grid with an empty value list has no point to run or rank.
+        with pytest.raises(ValueError, match="empty value list in tuner grid"):
+            tune(floor_scenario(), {"kp": [], "ki": [5e-5]})
 
     def test_members_that_take_the_scalar_engine(self, monkeypatch):
         # exp1's selected x axis has a zero setpoint and never meets a force,
@@ -694,42 +755,39 @@ class TestRunBatch:
         monkeypatch.setattr(
             FuzzyInference, "output", lambda self, e, de: scalar_calls.append(e) or output(self, e, de)
         )
-        list(run_batch(scenario, FUZZY_GRID))
+        lockstep(scenario, FUZZY_GRID, 1)
         assert scalar_calls and len(scalar_calls) < len(FUZZY_GRID) * 2 * 301
         batch_against_run(scenario, FUZZY_GRID)
 
     @pytest.mark.parametrize("members_per_chunk,sizes", [(1, [1, 1, 1, 1, 1]), (2, [2, 2, 1])])
     def test_chunks_match_one_loop(self, members_per_chunk, sizes, monkeypatch):
-        scenario = free_space_scenario(
-            setpoint=AxisForce(0.0, 10.0),
+        # Each chunk replays the noisy sensor stream from its seed. A floor
+        # 3 cm below the path: the largest ki leaves the workspace, the
+        # smallest never reaches the floor, the others regulate.
+        scenario = floor_scenario(
             path=NominalPath(((0.0, Pose(0.6, -0.5)),)),
-            selection=SelectionMatrix(False, True),
+            environment=Environment((RoughSurface(height_base=-0.53),), seed=3),
             sensor=SensorModel(noise_sigma=0.5, seed=11),
-            limits={"x": CorrectionLimits(), "z": CorrectionLimits(-1.0, 1.0, 1.0)},
+            limits={"x": CorrectionLimits(), "z": CorrectionLimits(-0.05, 1.0, 1.0)},
+            duration=1.5,
         )
-        grid = [PIGains(0.0, ki) for ki in (1e-2, 1e-5, 5e-3, 1e-2, 2e-5)]
-        whole = list(run_batch(scenario, grid))
+        grid = {"kp": [0.0], "ki": [1e-6, 2e-5, 1e-4, 3e-4, 5e-2]}
+        _, whole = tune(scenario, grid)
+        assert {e.failure is None for e in whole} == {True, False}
         chunks = []
-        lockstep = sim._lockstep
+        loop = sim._lockstep
         monkeypatch.setattr(
-            sim, "_lockstep", lambda s, law, cols: chunks.append(cols.shape[1]) or lockstep(s, law, cols)
+            sim, "_lockstep", lambda s, cols, j: chunks.append(cols.shape[1]) or loop(s, cols, j)
         )
-        # Room for that many members' rows: 151 ticks of 14 floats each.
-        monkeypatch.setattr(sim, "_BATCH_ROW_BYTES", members_per_chunk * 151 * 14 * 8)
-        chunked = list(run_batch(scenario, grid))
+        # Room for that many members' forces: 151 ticks of one float each.
+        monkeypatch.setattr(sim, "_CHUNK_BYTES", members_per_chunk * 151 * 8)
+        _, chunked = tune(scenario, grid)
         assert chunks == sizes
-        for got, want in zip(chunked, whole, strict=True):
-            if isinstance(want, WorkspaceViolation):
-                assert (got.tick, str(got)) == (want.tick, str(want))
-            else:
-                assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
-        assert sum(isinstance(r, Trace) for r in whole) == 2
+        assert chunked == whole
 
 
 class TestTuneLogsOnlyTheScoredForce:
-    def test_one_chunk_where_run_batch_needs_several(self, monkeypatch):
-        # tune logs 8 bytes per member and tick, run_batch 112: a row budget
-        # that splits run_batch's members into chunks holds all of tune's.
+    def test_chunk_budget_counts_one_float_per_member_and_tick(self, monkeypatch):
         # The scenario of TestTuneScoresEachRun: scored and failed points.
         scenario = floor_scenario(
             path=NominalPath(((0.0, Pose(0.6, -0.5)),)),
@@ -739,20 +797,19 @@ class TestTuneLogsOnlyTheScoredForce:
         )
         grid = {"kp": [0.0, 1e-5], "ki": [1e-6, 1e-4, 5e-2]}
         _, whole = tune(scenario, grid)
-        assert {e.failure is None for e in whole} == {True, False}
         chunks = []
-        lockstep = sim._lockstep
+        loop = sim._lockstep
         monkeypatch.setattr(
-            sim, "_lockstep", lambda *args: chunks.append(args[2].shape[1]) or lockstep(*args)
+            sim, "_lockstep", lambda *args: chunks.append(args[1].shape[1]) or loop(*args)
         )
-        # Room for two members' rows of 14 floats: 151 ticks.
-        monkeypatch.setattr(sim, "_BATCH_ROW_BYTES", 2 * 151 * 14 * 8)
-        list(run_batch(scenario, [PIGains(kp, ki) for kp in grid["kp"] for ki in grid["ki"]]))
-        assert chunks == [2, 2, 2]
-        chunks.clear()
-        _, board = tune(scenario, grid)
-        assert chunks == [6]
-        assert board == whole
+        # Room for all six members' forces, 151 ticks of 8 bytes each; a byte
+        # less leaves room for five.
+        for budget, sizes in ((6 * 151 * 8, [6]), (6 * 151 * 8 - 1, [5, 1])):
+            chunks.clear()
+            monkeypatch.setattr(sim, "_CHUNK_BYTES", budget)
+            _, board = tune(scenario, grid)
+            assert chunks == sizes
+            assert board == whole
 
 
 class TestTuneScoresEachRun:

@@ -5,12 +5,7 @@ errors into Cartesian corrections; an internal joint servo tracks the
 corrected path against compliant obstacles.
 """
 
-from .config import (
-    experiment1_scenario,
-    experiment2_scenario,
-    experiment3_scenario,
-    preset_scenario,
-)
+from .config import preset_scenario
 from .control import (
     AXES,
     AxisForce,
@@ -34,7 +29,6 @@ from .presets import PRESET_NAMES
 from .sim import (
     AllRunsFailed,
     ArmParams,
-    ComparisonReport,
     Metrics,
     NoContact,
     NominalPath,
@@ -43,7 +37,6 @@ from .sim import (
     Scenario,
     Trace,
     WorkspaceViolation,
-    compare,
     compute_metrics,
     run,
     tune,
@@ -56,7 +49,6 @@ __all__ = [
     "ArmParams",
     "AxisForce",
     "Box",
-    "ComparisonReport",
     "CorrectionLimits",
     "Environment",
     "FuzzyInference",
@@ -80,12 +72,8 @@ __all__ = [
     "Trace",
     "Unreachable",
     "WorkspaceViolation",
-    "compare",
     "compute_metrics",
     "defuzzify_coa",
-    "experiment1_scenario",
-    "experiment2_scenario",
-    "experiment3_scenario",
     "fuzzify",
     "infer",
     "preset_scenario",

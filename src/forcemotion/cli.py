@@ -31,7 +31,6 @@ from .sim import (
     Trace,
     TRACE_COLUMNS,
     WorkspaceViolation,
-    compare,
     compute_metrics,
     run,
     tune,
@@ -159,44 +158,45 @@ def cmd_run(args) -> int:
     return 0
 
 
+_DELTA_KEYS = ("overshoot_pct", "settling_time", "steady_state_rms", "max_force", "itae")
+
+
+def _delta(pi: Optional[float], fz: Optional[float]) -> Optional[float]:
+    """fz - pi; None when either is None or the difference is NaN (inf - inf)."""
+    if pi is None or fz is None or math.isnan(fz - pi):
+        return None
+    return fz - pi
+
+
 def cmd_compare(args) -> int:
+    """Run both laws on one config and report each selected axis from the
+    two run summaries (`_metrics_summary`, as `run` writes them)."""
     cfg = _effective_config(args)
     out = _out_path(args)
     name = cfg["name"]
     *csv_paths, report_path = _result_paths(
         out, *(f"{name}_{kind}.csv" for kind in cfgmod._LAWS), f"{name}_compare.yaml"
     )
-    traces: Dict[str, Trace] = {}
-    scenarios = {}
-    for kind in cfgmod._LAWS:
-        scenario = cfgmod.scenario_from_config(cfg, controller=kind)
-        scenarios[kind] = scenario
-        traces[kind] = run(scenario)
+    scenarios = {kind: cfgmod.scenario_from_config(cfg, controller=kind) for kind in cfgmod._LAWS}
+    traces = {kind: run(scenario) for kind, scenario in scenarios.items()}
+    summaries = {kind: _metrics_summary(cfg, trace) for kind, trace in traces.items()}
 
     report: Dict[str, Any] = {"scenario": name, "config": cfg, "axes": {}}
     for axis in _selected_axes(cfg):
-        setpoint = float(cfg["setpoint"][axis])
-        try:
-            rep = compare(
-                traces["pi"],
-                traces["fuzzy"],
-                axis,
-                setpoint,
-                label_a="pi",
-                label_b="fuzzy",
-                gains_a=scenarios["pi"].gains,
-                gains_b=scenarios["fuzzy"].gains,
-            )
-        except NoContact as exc:
-            report["axes"][axis] = {"setpoint": setpoint, "error": str(exc)}
-            continue
-        report["axes"][axis] = {
-            "setpoint": setpoint,
-            "pi": dataclasses.asdict(rep.metrics_a),
-            "fuzzy": dataclasses.asdict(rep.metrics_b),
-            "deltas_fuzzy_minus_pi": rep.deltas,
-            "gains": {"pi": rep.gains_a, "fuzzy": rep.gains_b},
-        }
+        pi, fz = summaries["pi"][axis], summaries["fuzzy"][axis]
+        body: Dict[str, Any] = {"setpoint": float(cfg["setpoint"][axis])}
+        error = pi.get("error") or fz.get("error")
+        if error:
+            body["error"] = error
+        else:
+            body["pi"], body["fuzzy"] = pi, fz
+            body["deltas_fuzzy_minus_pi"] = {key: _delta(pi[key], fz[key]) for key in _DELTA_KEYS}
+            # Fresh mappings per axis: to_yaml writes a shared one as an alias.
+            body["gains"] = {
+                kind: {a: dataclasses.asdict(g) for a, g in scenario.gains.items()}
+                for kind, scenario in scenarios.items()
+            }
+        report["axes"][axis] = body
 
     report["trace_csv"] = {kind: path.name for kind, path in zip(traces, csv_paths)}
     results = {path: format_trace_csv(trace) for path, trace in zip(csv_paths, traces.values())}

@@ -280,11 +280,6 @@ def read_config(path) -> Dict[str, Any]:
     return raw or {}
 
 
-def load_config(path) -> Dict[str, Any]:
-    """Read and validate a YAML config file."""
-    return validate_config(read_config(path))
-
-
 def apply_overrides(raw: Dict[str, Any], overrides: List[str]) -> Dict[str, Any]:
     """Apply repeatable --set key=value entries (dotted keys, YAML values)."""
     updated = copy.deepcopy(raw)
@@ -416,37 +411,12 @@ def preset_config(name: str) -> Dict[str, Any]:
     return {**copy.deepcopy(PRESETS[name]), "controller": "pi", "gains": _tuned_gains(name)}
 
 
-def _preset(raw: Dict[str, Any], controller_kind: str, seed: int) -> Scenario:
-    return scenario_from_config(validate_config(dict(raw, controller=controller_kind, seed=seed)))
-
-
 def preset_scenario(
     name: str, controller_kind: str = "fuzzy", seed: int = DEFAULT_SEED
 ) -> Scenario:
-    """Look up a built-in experiment by name (exp1, exp2, exp3)."""
-    return _preset(preset_config(name), controller_kind, seed)
-
-
-def experiment1_scenario(controller_kind: str = "fuzzy", seed: int = DEFAULT_SEED) -> Scenario:
-    """Collision with a foreign block: regulate 10 N down, 0 N sideways."""
-    return _preset(preset_config("exp1"), controller_kind, seed)
-
-
-def experiment2_scenario(
-    controller_kind: str = "fuzzy", seed: int = DEFAULT_SEED, smooth: bool = False
-) -> Scenario:
-    """Sliding pass over an irregular floor: regulate 30 N down, x in motion
-    control only. `smooth=True` flattens the floor for convergence tests."""
-    raw = preset_config("exp2")
-    if smooth:
-        raw["name"] = "exp2-smooth"
-        raw["environment"]["obstacles"][0].update(roughness_amplitude=0.0, noise_amplitude=0.0)
-    return _preset(raw, controller_kind, seed)
-
-
-def experiment3_scenario(controller_kind: str = "fuzzy", seed: int = DEFAULT_SEED) -> Scenario:
-    """Experiment 2 with sliding friction: regulate 6 N along x and 30 N along z."""
-    return _preset(preset_config("exp3"), controller_kind, seed)
+    """Build a built-in experiment (exp1, exp2, exp3) with one law's tuned gains."""
+    raw = dict(preset_config(name), controller=controller_kind, seed=seed)
+    return scenario_from_config(validate_config(raw))
 
 
 def _c_emits_alike(node: Any) -> bool:

@@ -1,6 +1,6 @@
 """Closed-loop simulation: nominal paths, scenarios, the fixed-step hybrid
-force/motion loop, performance metrics, controller comparison, and a
-grid-search gain tuner that runs its grid points in one lockstep loop.
+force/motion loop, performance metrics, and a grid-search gain tuner that
+runs its grid points in one lockstep loop.
 
 Per tick the loop (1) takes the nominal pose, (2) offsets it by the
 accumulated correction mapped through the press-direction signs, (3) solves
@@ -51,6 +51,10 @@ _MAX_TICKS = 10**6
 # tune runs its grid points in chunks whose (ticks, B) logged forces take at
 # most this many bytes, or one point when a single point's take more.
 _CHUNK_BYTES = 64 * 2**20
+# A force above this magnitude [N] is contact; a zero setpoint settles
+# within this absolute band [N].
+_CONTACT_N = 0.1
+_ZERO_BAND_N = 1.0
 
 
 class WorkspaceViolation(Exception):
@@ -68,7 +72,8 @@ class NoContact(Exception):
 
 
 class AllRunsFailed(Exception):
-    """Every tuner grid point aborted or never made contact."""
+    """No tuner grid point scored a finite objective: each aborted, never
+    made contact or scored inf."""
 
 
 @dataclass(frozen=True)
@@ -383,31 +388,23 @@ class Metrics:
     first_contact_time: float
 
 
-def compute_metrics(
-    trace: Trace,
-    axis: str,
-    setpoint: float,
-    band_pct: float = 0.05,
-    zero_band_abs: float = 1.0,
-    contact_threshold: float = 0.1,
-) -> Metrics:
+def compute_metrics(trace: Trace, axis: str, setpoint: float, band_pct: float = 0.05) -> Metrics:
     """Overshoot, settling, steady-state RMS, peak force, and ITAE.
 
-    Overshoot and settling are measured from first contact (|f| above the
-    contact threshold). For a zero setpoint the settling band is the absolute
-    `zero_band_abs` and overshoot is the peak excess over that band,
-    expressed as a percentage of it.
+    Overshoot and settling are measured from first contact (|f| above
+    _CONTACT_N). For a zero setpoint the settling band is the absolute
+    _ZERO_BAND_N and overshoot is the peak excess over that band, expressed
+    as a percentage of it.
     """
     t, f = trace.column("t"), trace.column(f"f_{axis}")
-    return _metrics(t, f, axis, setpoint, band_pct, zero_band_abs, contact_threshold)
+    return _metrics(t, f, axis, setpoint, band_pct)
 
 
-def _metrics(t: np.ndarray, f: np.ndarray, axis: str, setpoint: float, band_pct: float = 0.05,
-             zero_band_abs: float = 1.0, contact_threshold: float = 0.1) -> Metrics:
+def _metrics(t: np.ndarray, f: np.ndarray, axis: str, setpoint: float, band_pct: float = 0.05) -> Metrics:
     """compute_metrics of the force f on `axis` at the times t."""
-    in_contact = np.abs(f) > contact_threshold
+    in_contact = np.abs(f) > _CONTACT_N
     if not in_contact.any():
-        raise NoContact(f"no contact on axis {axis} (threshold {contact_threshold} N)")
+        raise NoContact(f"no contact on axis {axis} (threshold {_CONTACT_N} N)")
     first = int(np.argmax(in_contact))
     post = f[first:]
 
@@ -415,7 +412,7 @@ def _metrics(t: np.ndarray, f: np.ndarray, axis: str, setpoint: float, band_pct:
         band = band_pct * abs(setpoint)
         overshoot = max(0.0, (float(post.max()) - setpoint) / abs(setpoint) * 100.0)
     else:
-        band = zero_band_abs
+        band = _ZERO_BAND_N
         overshoot = max(0.0, (float(np.abs(post).max()) - band) / band * 100.0)
 
     outside = np.abs(post - setpoint) > band
@@ -441,56 +438,6 @@ def _metrics(t: np.ndarray, f: np.ndarray, axis: str, setpoint: float, band_pct:
         max_force=float(np.abs(f).max()),
         itae=itae,
         first_contact_time=float(t[first]),
-    )
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Side-by-side metrics for two runs of one scenario; deltas are b - a.
-
-    Gains travel with the report so results stay auditable. No winner is
-    declared: interpretation is left to the reader.
-    """
-
-    label_a: str
-    label_b: str
-    metrics_a: Metrics
-    metrics_b: Metrics
-    deltas: Dict[str, Optional[float]]
-    gains_a: Dict[str, Dict[str, float]]
-    gains_b: Dict[str, Dict[str, float]]
-
-
-def _gains_as_dict(gains: Dict[str, AxisGains]) -> Dict[str, Dict[str, float]]:
-    return {axis: dataclasses.asdict(g) for axis, g in gains.items()}
-
-
-def compare(
-    trace_a: Trace,
-    trace_b: Trace,
-    axis: str,
-    setpoint: float,
-    band_pct: float = 0.05,
-    label_a: str = "a",
-    label_b: str = "b",
-    gains_a: Optional[Dict[str, AxisGains]] = None,
-    gains_b: Optional[Dict[str, AxisGains]] = None,
-) -> ComparisonReport:
-    m_a = compute_metrics(trace_a, axis, setpoint, band_pct)
-    m_b = compute_metrics(trace_b, axis, setpoint, band_pct)
-    deltas: Dict[str, Optional[float]] = {}
-    for name in ("overshoot_pct", "settling_time", "steady_state_rms", "max_force", "itae"):
-        va = getattr(m_a, name)
-        vb = getattr(m_b, name)
-        deltas[name] = None if va is None or vb is None else vb - va
-    return ComparisonReport(
-        label_a,
-        label_b,
-        m_a,
-        m_b,
-        deltas,
-        _gains_as_dict(gains_a) if gains_a else {},
-        _gains_as_dict(gains_b) if gains_b else {},
     )
 
 
@@ -538,7 +485,8 @@ def tune(
     Ties break on lower overshoot, then on the lexicographic order of the
     gain tuple (in field order), so the winner does not depend on
     enumeration order. Returns (best, leaderboard); the leaderboard carries
-    every evaluated point.
+    every evaluated point. Raises AllRunsFailed when no point scores a
+    finite objective.
     """
     if not grid:
         raise ValueError("empty tuner grid")
@@ -600,6 +548,8 @@ def tune(
 
     leaderboard = sorted(entries, key=sort_key)
     best = leaderboard[0]
-    if best.failure is not None:
+    if all(entry.failure is not None for entry in entries):
         raise AllRunsFailed("every grid point failed to produce a scored run")
+    if not math.isfinite(best.objective):
+        raise AllRunsFailed("no grid point scored a finite objective")
     return best, leaderboard

@@ -1,5 +1,25 @@
+import dataclasses
 import sys
 from pathlib import Path
 
+import pytest
+
 # Make the sibling oracles module importable from every test file.
 sys.path.insert(0, str(Path(__file__).parent))
+
+from forcemotion.config import preset_scenario  # noqa: E402
+
+
+@pytest.fixture
+def smooth_exp2():
+    """Builds exp2 for a control law on a flat floor: the preset with the
+    floor's roughness and noise amplitudes at 0 and the same environment
+    seed, for convergence tests."""
+
+    def build(controller_kind):
+        scenario = preset_scenario("exp2", controller_kind)
+        env = scenario.environment
+        floor = dataclasses.replace(env.obstacles[0], roughness_amplitude=0.0, noise_amplitude=0.0)
+        return dataclasses.replace(scenario, environment=dataclasses.replace(env, obstacles=(floor,)))
+
+    return build

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from forcemotion.cli import main as cli_main
-from forcemotion.config import experiment1_scenario, experiment2_scenario, experiment3_scenario
+from forcemotion.config import preset_scenario
 from forcemotion.control import AxisForce, CorrectionLimits, HybridForceController, PIGains, SelectionMatrix
 from forcemotion.control import fuzzy_pi_step
 from forcemotion.fuzzy import (
@@ -39,11 +39,11 @@ def final_fraction(values: np.ndarray, fraction: float) -> np.ndarray:
 @pytest.fixture(scope="module")
 def exp1_results():
     baseline = dataclasses.replace(
-        experiment1_scenario("pi"), selection=SelectionMatrix.none()
+        preset_scenario("exp1", "pi"), selection=SelectionMatrix.none()
     )
     out = {"baseline": run(baseline)}
     for kind in ("pi", "fuzzy"):
-        out[kind] = run(experiment1_scenario(kind))
+        out[kind] = run(preset_scenario("exp1", kind))
     return out
 
 
@@ -79,17 +79,17 @@ def test_criterion_2_defuzzifier_against_oracle():
           f"(worst |diff| = {worst:.2e} <= 1e-6); zero input gives |du| <= 1e-9")
 
 
-def test_criterion_3_experiment2_regulation():
+def test_criterion_3_experiment2_regulation(smooth_exp2):
     durations = {}
     for kind in ("pi", "fuzzy"):
         t0 = time.perf_counter()
-        trace = run(experiment2_scenario(kind, smooth=True))
+        trace = run(smooth_exp2(kind))
         durations[(kind, "smooth")] = time.perf_counter() - t0
         tail = final_fraction(trace.column("f_z"), 0.2)
         assert np.abs(tail - 30.0).max() <= 0.5
 
         t0 = time.perf_counter()
-        trace = run(experiment2_scenario(kind, smooth=False))
+        trace = run(preset_scenario("exp2", kind))
         durations[(kind, "rough")] = time.perf_counter() - t0
         half = final_fraction(trace.column("f_z"), 0.5)
         assert 29.0 <= float(half.mean()) <= 31.0
@@ -119,7 +119,7 @@ def test_criterion_4_experiment1_comparison(exp1_results):
 def test_criterion_5_experiment3_dual_axis():
     means = {}
     for kind in ("pi", "fuzzy"):
-        trace = run(experiment3_scenario(kind))
+        trace = run(preset_scenario("exp3", kind))
         fx = float(final_fraction(trace.column("f_x"), 0.5).mean())
         fz = float(final_fraction(trace.column("f_z"), 0.5).mean())
         means[kind] = (fx, fz)

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import math
@@ -12,7 +13,7 @@ import yaml
 
 from forcemotion import cli, fuzzy
 from forcemotion.cli import format_trace_csv, main
-from forcemotion.config import ConfigInvalid
+from forcemotion.config import ConfigInvalid, preset_scenario
 from forcemotion.sim import TRACE_COLUMNS, Trace
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -205,10 +206,11 @@ class TestRunCommand:
         metric_lines = [line for line in out.splitlines() if "overshoot" in line]
         assert len(metric_lines) == 3
         assert max(len(line) for line in metric_lines) < 120
-        # Only the printed lines change: the files keep every digit.
+        # Only the printed lines change: the files keep every digit. Both
+        # steady-state RMS values overflow to inf, so their delta is null.
         digests = {
             "exp2_pi_summary.yaml": "981cc63bb6f1a19a73dbc1b127a2d97e8fec9ce228b580c55b4e95974fc33ec0",
-            "exp2_compare.yaml": "34aaab3868705f8306662525b3c29652d09c0b4d782f25a7428f6dc09fd2ceec",
+            "exp2_compare.yaml": "3585c54cb0cf9bde86616c680636433e3899eacee5a53b6a5b9881edad8b32dc",
         }
         for name, digest in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
@@ -363,6 +365,62 @@ class TestCompareCommand:
         assert body["fuzzy"]["overshoot_pct"] < body["pi"]["overshoot_pct"]
         assert body["fuzzy"]["settling_time"] < body["pi"]["settling_time"]
 
+    def test_identical_traces_zero_deltas(self, tmp_path):
+        # Corrections pinned at 0 leave both laws with the uncontrolled
+        # trace, which settles at 100 N on the block.
+        code = run_cli(
+            "compare", "--preset", "exp1",
+            "--set", "limits.x.u_min=0.0", "--set", "limits.x.u_max=0.0",
+            "--set", "limits.z.u_min=0.0", "--set", "limits.z.u_max=0.0",
+            "--set", "setpoint.z=100.0", "--out", str(tmp_path),
+        )
+        assert code == 0
+        pi, fz = (read_csv_column(tmp_path / f"exp1_{kind}.csv", "f_z") for kind in ("pi", "fuzzy"))
+        assert np.array_equal(pi, fz)
+        body = yaml.safe_load((tmp_path / "exp1_compare.yaml").read_text())["axes"]["z"]
+        assert body["pi"] == body["fuzzy"] and body["pi"]["settled"]
+        assert body["deltas_fuzzy_minus_pi"] == {
+            "overshoot_pct": 0.0, "settling_time": 0.0, "steady_state_rms": 0.0,
+            "max_force": 0.0, "itae": 0.0,
+        }
+
+    def test_gains_carried_for_audit(self, tmp_path):
+        code = run_cli("compare", "--preset", "exp1", "--out", str(tmp_path))
+        assert code == 0
+        body = yaml.safe_load((tmp_path / "exp1_compare.yaml").read_text())["axes"]["z"]
+        for kind in ("pi", "fuzzy"):
+            gains = preset_scenario("exp1", kind).gains
+            assert body["gains"][kind] == {axis: dataclasses.asdict(g) for axis, g in gains.items()}
+
+    def test_axis_where_only_fuzzy_never_touches_carries_its_error(self, tmp_path, capsys):
+        # A negative setpoint makes the fuzzy law retract before the block;
+        # the PI law, with zero gains, still dives into it.
+        override = (
+            "--set", "setpoint.z=-10.0", "--set", "gains.pi.z.kp=0.0", "--set", "gains.pi.z.ki=0.0",
+        )
+        assert run_cli("run", "--preset", "exp1", "--controller", "pi", *override,
+                       "--out", str(tmp_path / "pi")) == 0
+        summary = yaml.safe_load((tmp_path / "pi" / "exp1_pi_summary.yaml").read_text())
+        assert "error" not in summary["metrics"]["z"]
+        assert run_cli("compare", "--preset", "exp1", *override, "--out", str(tmp_path)) == 0
+        body = yaml.safe_load((tmp_path / "exp1_compare.yaml").read_text())["axes"]["z"]
+        assert body == {"setpoint": -10.0, "error": "no contact on axis z (threshold 0.1 N)"}
+        assert capsys.readouterr().out.splitlines()[-1] == "    no contact on axis z (threshold 0.1 N)"
+
+    def test_infinite_metrics_give_null_deltas(self, tmp_path):
+        # A 1e308 N sensor bias makes both laws' overshoot, RMS and ITAE inf;
+        # inf - inf is no delta.
+        code = run_cli("compare", "--preset", "exp2", "--set", "sensor.bias.z=1.0e+308",
+                       "--out", str(tmp_path))
+        assert code == 0
+        text = (tmp_path / "exp2_compare.yaml").read_text()
+        assert ".nan" not in text
+        body = yaml.safe_load(text)["axes"]["z"]
+        for key in ("overshoot_pct", "steady_state_rms", "itae"):
+            assert body["pi"][key] == body["fuzzy"][key] == math.inf
+            assert body["deltas_fuzzy_minus_pi"][key] is None
+        assert body["deltas_fuzzy_minus_pi"]["max_force"] == 0.0
+
     def test_exp2_traces_hold_setpoint_mean(self, tmp_path):
         code = run_cli("compare", "--preset", "exp2", "--out", str(tmp_path))
         assert code == 0
@@ -507,15 +565,30 @@ class TestTuneCommand:
 
     def test_zero_weight_drops_an_infinite_term(self, tmp_path, capsys):
         # 0 * inf overshoot made every objective NaN, and NaN ranked "best".
+        # At a setpoint of 1e-307 N every overshoot percentage is inf.
         code = run_cli(
             "tune", "--config", str(ROOT / "tuning" / "exp2_pi_best.yaml"),
-            "--set", "tuner.weights.overshoot=0.0", "--set", "sensor.bias.z=1.0e+308",
+            "--set", "tuner.weights.overshoot=0.0", "--set", "setpoint.z=1.0e-307",
             "--out", str(tmp_path),
         )
         assert code == 0
         assert "nan" not in capsys.readouterr().out
         board = yaml.safe_load((tmp_path / "exp2_pi_leaderboard.yaml").read_text())
-        assert not any(math.isnan(entry["objective"]) for entry in board["entries"])
+        for entry in board["entries"]:
+            assert entry["overshoot_pct"] == math.inf
+            assert math.isfinite(entry["objective"])
+
+    def test_no_finite_objective_exits_4_writing_nothing(self, tmp_path, capsys):
+        # A 1e308 N sensor bias makes every objective inf; the gain tuple's
+        # order alone picked the smallest gains as "best".
+        out = tmp_path / "out"
+        code = run_cli(
+            "tune", "--config", str(ROOT / "tuning" / "exp2_pi_best.yaml"),
+            "--set", "sensor.bias.z=1.0e+308", "--out", str(out),
+        )
+        assert code == 4
+        assert capsys.readouterr().err == "tuner failed: no grid point scored a finite objective\n"
+        assert not out.exists()
 
     def test_all_runs_failed_exit_code(self, tmp_path):
         config = tmp_path / "free.yaml"

@@ -11,7 +11,6 @@ from forcemotion.config import (
     _OBSTACLE_DEFAULTS,
     ConfigInvalid,
     apply_overrides,
-    load_config,
     preset_config,
     read_config,
     scenario_from_config,
@@ -160,16 +159,16 @@ class TestPresetsAndFiles:
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "exp2.yaml"
         path.write_text(to_yaml(preset_config("exp2")))
-        cfg = load_config(path)
+        cfg = validate_config(read_config(path))
         assert cfg == validate_config(yaml.safe_load(path.read_text()))
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigInvalid, match="not found"):
-            load_config(tmp_path / "missing.yaml")
+            validate_config(read_config(tmp_path / "missing.yaml"))
         bad = tmp_path / "bad.yaml"
         bad.write_text("controller: [unbalanced")
         with pytest.raises(ConfigInvalid, match="not valid YAML"):
-            load_config(bad)
+            validate_config(read_config(bad))
 
     def test_custom_rule_file_is_wired_through(self, tmp_path):
         rules = tmp_path / "all_zr.txt"

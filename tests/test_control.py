@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forcemotion import control
-from forcemotion.config import experiment2_scenario
+from forcemotion.config import preset_scenario
 from forcemotion.control import (
     AxisForce,
     CorrectionLimits,
@@ -196,7 +196,7 @@ class TestSelection:
             return fuzzy_pi_step(gains, e, de, engine)
 
         monkeypatch.setattr(control, "fuzzy_pi_step", counting)
-        scenario = experiment2_scenario("fuzzy")
+        scenario = preset_scenario("exp2", "fuzzy")
         assert scenario.selection == SelectionMatrix(False, True)
         # A nonzero x setpoint makes the recorded x error visible; a
         # deselected axis's setpoint does not steer the arm.

@@ -1,17 +1,14 @@
 import dataclasses
+import importlib.util
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from forcemotion.config import (
-    experiment1_scenario,
-    experiment2_scenario,
-    experiment3_scenario,
-    preset_scenario,
-)
+from forcemotion.config import preset_scenario
 from forcemotion import sim
 from forcemotion.fuzzy import FuzzyInference
 from forcemotion.control import (
@@ -35,7 +32,6 @@ from forcemotion.sim import (
     Trace,
     TRACE_COLUMNS,
     WorkspaceViolation,
-    compare,
     compute_metrics,
     run,
     tune,
@@ -219,13 +215,13 @@ class TestRun:
         assert gap[-1] < 1e-6
 
     def test_deterministic(self):
-        scenario = experiment2_scenario("fuzzy")
+        scenario = preset_scenario("exp2", "fuzzy")
         a = run(scenario)
         b = run(scenario)
         assert np.array_equal(a.values, b.values)
 
-    def test_smooth_surface_regulates_to_setpoint(self):
-        trace = run(experiment2_scenario("pi", smooth=True))
+    def test_smooth_surface_regulates_to_setpoint(self, smooth_exp2):
+        trace = run(smooth_exp2("pi"))
         f_z = trace.column("f_z")
         tail = f_z[int(round(0.8 * (len(f_z) - 1))):]
         assert np.abs(tail - 30.0).max() <= 0.5
@@ -233,7 +229,7 @@ class TestRun:
     def test_correction_accumulation_identity(self):
         # u in row k is the correction used at tick k; it advances by the
         # selected du and never shrinks by any other mechanism.
-        trace = run(experiment2_scenario("fuzzy"))
+        trace = run(preset_scenario("exp2", "fuzzy"))
         u_z = trace.column("u_z")
         du_z = trace.column("du_z")
         limits = CorrectionLimits()
@@ -242,10 +238,10 @@ class TestRun:
             assert u_z[k + 1] == pytest.approx(expected, abs=1e-15)
         assert np.all(trace.column("u_x") == 0.0)  # x is motion-only in exp2
 
-    def test_commanded_pose_deviates_from_nominal_by_u(self):
+    def test_commanded_pose_deviates_from_nominal_by_u(self, smooth_exp2):
         # With an effectively instantaneous servo the actual pose equals the
         # commanded one, exposing cmd = nominal + press * u directly.
-        scenario = experiment2_scenario("pi", smooth=True)
+        scenario = smooth_exp2("pi")
         scenario = dataclasses.replace(
             scenario, arm=ArmParams(tau_servo=1e-9, qdot_max=1e9)
         )
@@ -276,18 +272,18 @@ class TestRun:
 
     def test_uncontrolled_exp1_exceeds_setpoint(self):
         scenario = dataclasses.replace(
-            experiment1_scenario("pi"), selection=SelectionMatrix.none()
+            preset_scenario("exp1", "pi"), selection=SelectionMatrix.none()
         )
         trace = run(scenario)
         assert trace.column("f_z").max() > 10.0
 
     def test_exp1_obstacle_on_path(self):
-        scenario = experiment1_scenario("pi")
+        scenario = preset_scenario("exp1", "pi")
         trace = run(scenario)
         assert trace.column("f_z").max() > 0.1  # collision happens without doubt
 
     def test_exp3_setpoints(self):
-        scenario = experiment3_scenario("pi")
+        scenario = preset_scenario("exp3", "pi")
         assert scenario.setpoint == (6.0, 30.0)
         assert scenario.selection == SelectionMatrix.identity()
 
@@ -296,7 +292,7 @@ class TestRun:
         # inside the regulation bands.
         for kind in ("pi", "fuzzy"):
             scenario = dataclasses.replace(
-                experiment3_scenario(kind), sensor=SensorModel(noise_sigma=0.5, seed=777)
+                preset_scenario("exp3", kind), sensor=SensorModel(noise_sigma=0.5, seed=777)
             )
             trace = run(scenario)
             fx = trace.column("f_x")
@@ -305,7 +301,7 @@ class TestRun:
             assert 29.0 <= fz[len(fz) // 2:].mean() <= 31.0
 
     def test_run_respects_joint_rate_and_correction_clamps(self):
-        scenario = experiment1_scenario("fuzzy")
+        scenario = preset_scenario("exp1", "fuzzy")
         trace = run(scenario)
         for joint in ("q1", "q2"):
             rates = np.abs(np.diff(trace.column(joint))) / scenario.dt
@@ -316,7 +312,7 @@ class TestRun:
         assert u_z.max() <= limits.u_max + 1e-15
 
     def test_exp2_setpoint_and_selection(self):
-        scenario = experiment2_scenario("fuzzy")
+        scenario = preset_scenario("exp2", "fuzzy")
         assert scenario.setpoint.z == 30.0
         assert scenario.selection == SelectionMatrix(x=False, z=True)
         surface = scenario.environment.obstacles[0]
@@ -330,8 +326,8 @@ class TestRun:
         # run() draws the noise from its own generator, so two scenarios that
         # share one SensorModel do not disturb each other's stream.
         sensor = SensorModel(noise_sigma=0.5, seed=777)
-        a = dataclasses.replace(experiment3_scenario("pi"), sensor=sensor)
-        b = dataclasses.replace(experiment3_scenario("fuzzy"), sensor=sensor)
+        a = dataclasses.replace(preset_scenario("exp3", "pi"), sensor=sensor)
+        b = dataclasses.replace(preset_scenario("exp3", "fuzzy"), sensor=sensor)
         a_first, b_second = run(a).values, run(b).values
         b_first, a_second = run(b).values, run(a).values
         assert np.array_equal(a_first, a_second)
@@ -441,56 +437,38 @@ class TestMetrics:
         m = compute_metrics(make_trace(t, f), "z", 30.0)
         assert m.itae == pytest.approx(float(np.sum(t * 2.0) * 0.1))
 
-
-class TestCompare:
-    def test_identical_traces_zero_deltas(self):
-        t = np.arange(0, 1.0, 0.01)
-        f = np.full_like(t, 30.0)
-        trace = make_trace(t, f)
-        report = compare(trace, trace, "z", 30.0)
-        assert all(d == 0.0 for d in report.deltas.values())
-
-    def test_gains_carried_for_audit(self):
-        scenario_pi = experiment1_scenario("pi")
-        scenario_fz = experiment1_scenario("fuzzy")
-        report = compare(
-            run(scenario_pi),
-            run(scenario_fz),
-            "z",
-            10.0,
-            label_a="pi",
-            label_b="fuzzy",
-            gains_a=scenario_pi.gains,
-            gains_b=scenario_fz.gains,
-        )
-        assert report.gains_a["z"]["ki"] == scenario_pi.gains["z"].ki
-        assert report.gains_b["z"]["kx"] == scenario_fz.gains["z"].kx
-        assert report.metrics_b.overshoot_pct < report.metrics_a.overshoot_pct
+    def test_contact_threshold_matches_the_benchmark_copy(self):
+        # perfbench/counts.py counts contact ticks with its own copy.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "counts.py"
+        spec = importlib.util.spec_from_file_location("perfbench_counts", path)
+        counts = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(counts)
+        assert sim._CONTACT_N == counts.CONTACT_N
 
 
 class TestTune:
-    def test_single_point_grid(self):
-        scenario = experiment2_scenario("pi", smooth=True)
+    def test_single_point_grid(self, smooth_exp2):
+        scenario = smooth_exp2("pi")
         best, board = tune(scenario, {"kp": [1e-4], "ki": [5e-5]})
         assert best.gains == {"kp": 1e-4, "ki": 5e-5}
         assert len(board) == 1
 
-    def test_stable_gains_beat_unstable(self):
-        scenario = experiment2_scenario("pi", smooth=True)
+    def test_stable_gains_beat_unstable(self, smooth_exp2):
+        scenario = smooth_exp2("pi")
         best, board = tune(scenario, {"kp": [1e-4], "ki": [2e-5, 5e-3]})
         assert best.gains["ki"] == 2e-5
         assert len(board) == 2
 
-    def test_enumeration_order_irrelevant(self):
-        scenario = experiment2_scenario("pi", smooth=True)
+    def test_enumeration_order_irrelevant(self, smooth_exp2):
+        scenario = smooth_exp2("pi")
         grid_a = {"kp": [0.0, 1e-4], "ki": [2e-5, 1e-4]}
         grid_b = {"ki": [1e-4, 2e-5], "kp": [1e-4, 0.0]}
         best_a, _ = tune(scenario, grid_a)
         best_b, _ = tune(scenario, grid_b)
         assert best_a.gains == best_b.gains
 
-    def test_best_is_leaderboard_minimum(self):
-        scenario = experiment2_scenario("fuzzy", smooth=True)
+    def test_best_is_leaderboard_minimum(self, smooth_exp2):
+        scenario = smooth_exp2("fuzzy")
         best, board = tune(
             scenario, {"kp": [0.05, 0.1], "ki": [1 / 30], "kx": [1e-3, 2e-3]}
         )
@@ -499,8 +477,16 @@ class TestTune:
 
     def test_all_runs_failed(self):
         scenario = free_space_scenario()  # no obstacle: every run is NoContact
-        with pytest.raises(AllRunsFailed):
+        with pytest.raises(AllRunsFailed, match="every grid point failed"):
             tune(scenario, {"kp": [1e-4], "ki": [5e-5]})
+
+    def test_no_finite_objective_is_a_failure(self, smooth_exp2):
+        # A 1e308 N sensor bias makes every scored force, and so every
+        # objective, inf; the gain tuple's order alone would pick a "best".
+        scenario = smooth_exp2("pi")
+        scenario = dataclasses.replace(scenario, sensor=SensorModel(bias=AxisForce(0.0, 1.0e308)))
+        with pytest.raises(AllRunsFailed, match="no grid point scored a finite objective"):
+            tune(scenario, {"kp": [0.0, 1e-4], "ki": [2e-5]})
 
     @pytest.mark.parametrize("value", [-1000.0, -5e-324, math.nan])
     @pytest.mark.parametrize("name", ["overshoot", "not_settled"])
@@ -509,10 +495,10 @@ class TestTune:
             ObjectiveWeights(**{name: value})
         assert getattr(ObjectiveWeights(**{name: -0.0}), name) == 0.0
 
-    def test_zero_weight_drops_its_term(self):
+    def test_zero_weight_drops_its_term(self, smooth_exp2):
         # At a setpoint of 1e-307 N every overshoot percentage is inf; a zero
         # weight times it made the objective NaN, which sorts anywhere.
-        scenario = experiment2_scenario("pi", smooth=True)
+        scenario = smooth_exp2("pi")
         scenario = dataclasses.replace(scenario, setpoint=AxisForce(0.0, 1.0e-307))
         grid = {"kp": [1e-4], "ki": [2e-5, 5e-5]}
         _, board = tune(scenario, grid, ObjectiveWeights(overshoot=0.0))
@@ -521,8 +507,8 @@ class TestTune:
             assert entry.objective == entry.itae + (0.0 if entry.settled else 1000.0)
             assert math.isfinite(entry.objective)
 
-    def test_grid_validation(self):
-        scenario = experiment2_scenario("pi", smooth=True)
+    def test_grid_validation(self, smooth_exp2):
+        scenario = smooth_exp2("pi")
         with pytest.raises(ValueError, match="empty"):
             tune(scenario, {})
         with pytest.raises(ValueError, match="must define"):
@@ -709,7 +695,7 @@ class TestRunBatch:
             compute_metrics(never, "z", 10.0)
 
     def test_huge_sensor_noise_aborts_with_a_nan_target(self):
-        scenario = experiment2_scenario("pi")
+        scenario = preset_scenario("exp2", "pi")
         sensor = dataclasses.replace(scenario.sensor, noise_sigma=1.0e308)
         grid = [scenario.gains["z"], *PI_GRID]
         results = batch_against_run(dataclasses.replace(scenario, sensor=sensor), grid)

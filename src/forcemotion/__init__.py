@@ -16,7 +16,6 @@ from .control import (
 )
 from .fuzzy import (
     AggregatedOutput,
-    FuzzyInference,
     FuzzySet,
     Label,
     RuleBase,
@@ -28,7 +27,6 @@ from .plant import Box, Environment, PlanarArm, Pose, RoughSurface, SensorModel,
 from .presets import PRESET_NAMES
 from .sim import (
     AllRunsFailed,
-    ArmParams,
     Metrics,
     NoContact,
     NominalPath,
@@ -46,12 +44,10 @@ __all__ = [
     "AXES",
     "AggregatedOutput",
     "AllRunsFailed",
-    "ArmParams",
     "AxisForce",
     "Box",
     "CorrectionLimits",
     "Environment",
-    "FuzzyInference",
     "FuzzyPIGains",
     "FuzzySet",
     "Label",

@@ -66,7 +66,7 @@ _CSV_ROW = ",".join(["%.9g"] * len(TRACE_COLUMNS)) + "\n"
 
 
 def format_trace_csv(trace: Trace) -> str:
-    return _CSV_HEADER + "".join([_CSV_ROW % tuple(row) for row in trace.values.tolist()])
+    return _CSV_HEADER + (_CSV_ROW * len(trace)) % tuple(trace.values.ravel().tolist())
 
 
 def _selected_axes(cfg: Dict[str, Any]) -> List[str]:

@@ -19,9 +19,9 @@ import yaml
 
 from .control import AXES, AxisForce, CorrectionLimits, FuzzyPIGains, PIGains, SelectionMatrix
 from .fuzzy import RuleBase
-from .plant import Box, Environment, Pose, RoughSurface, SensorModel
+from .plant import Box, Environment, PlanarArm, Pose, RoughSurface, SensorModel
 from .presets import DEFAULT_SEED, PRESET_NAMES, PRESETS, TUNED_FUZZY, TUNED_PI
-from .sim import ArmParams, NominalPath, ObjectiveWeights, PressDirection, Scenario
+from .sim import NominalPath, ObjectiveWeights, PressDirection, Scenario
 
 
 class ConfigInvalid(Exception):
@@ -61,7 +61,7 @@ _DEFAULTS: Dict[str, Any] = {
     "seed": DEFAULT_SEED,
     "dt": Scenario.dt,
     "duration": Scenario.duration,
-    "arm": _fields(ArmParams),
+    "arm": _fields(PlanarArm),
     "setpoint": {axis: _REQUIRED for axis in AXES},
     "selection": SelectionMatrix.identity()._asdict(),
     "press_direction": PressDirection()._asdict(),
@@ -358,7 +358,7 @@ def _build_scenario(cfg: Dict[str, Any], controller: Optional[str]) -> Scenario:
         limits={
             axis: _build(f"limits.{axis}", CorrectionLimits, **cfg["limits"][axis]) for axis in AXES
         },
-        arm=_build("arm", ArmParams, **cfg["arm"]),
+        arm=_build("arm", PlanarArm, **cfg["arm"]),
         sensor=_build(
             "sensor",
             SensorModel,

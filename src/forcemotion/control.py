@@ -13,7 +13,7 @@ from typing import ClassVar, Dict, NamedTuple, Tuple
 
 import numpy as np
 
-from .fuzzy import FuzzyInference
+from .fuzzy import RuleBase
 
 AXES = ("x", "z")
 
@@ -37,13 +37,13 @@ class PIGains:
         if not (self.kp >= 0.0 and self.ki >= 0.0):
             raise ValueError("PI gains must be nonnegative")
 
-    def step(self, e: float, de: float, limits: CorrectionLimits, engine: FuzzyInference) -> float:
+    def step(self, e: float, de: float, limits: CorrectionLimits, engine: RuleBase) -> float:
         """Increment for error e and its change de, clamped to +-du_max."""
         return pi_step(self, e, de, limits.du_max)
 
     @staticmethod
     def step_columns(
-        columns: np.ndarray, e: np.ndarray, de: np.ndarray, limits: CorrectionLimits, engine: FuzzyInference
+        columns: np.ndarray, e: np.ndarray, de: np.ndarray, limits: CorrectionLimits, engine: RuleBase
     ) -> np.ndarray:
         """Column form of `step`, bit for bit: `columns` holds one member's
         kp and ki per column, e and de one value per member."""
@@ -69,13 +69,13 @@ class FuzzyPIGains:
         if not (self.kp >= 0.0 and self.ki >= 0.0 and self.kx >= 0.0):
             raise ValueError("fuzzy-PI gains must be nonnegative")
 
-    def step(self, e: float, de: float, limits: CorrectionLimits, engine: FuzzyInference) -> float:
+    def step(self, e: float, de: float, limits: CorrectionLimits, engine: RuleBase) -> float:
         """Increment for error e and its change de; |du| <= kx, du_max unused."""
         return fuzzy_pi_step(self, e, de, engine)
 
     @staticmethod
     def step_columns(
-        columns: np.ndarray, e: np.ndarray, de: np.ndarray, limits: CorrectionLimits, engine: FuzzyInference
+        columns: np.ndarray, e: np.ndarray, de: np.ndarray, limits: CorrectionLimits, engine: RuleBase
     ) -> np.ndarray:
         """Column form of `step`, bit for bit: `columns` holds one member's
         kp, ki and kx per column, e and de one value per member."""
@@ -134,7 +134,7 @@ def pi_step(gains: PIGains, e: float, de: float, du_max: float = float("inf")) -
     return min(max(du, -du_max), du_max)
 
 
-def fuzzy_pi_step(gains: FuzzyPIGains, e: float, de: float, engine: FuzzyInference) -> float:
+def fuzzy_pi_step(gains: FuzzyPIGains, e: float, de: float, engine: RuleBase) -> float:
     """Fuzzy-PI increment: scale, fuzzify, infer, defuzzify, scale back.
 
     The defuzzified output lies in [-1, 1], so |du| <= kx for any input.
@@ -152,7 +152,7 @@ class HybridForceController:
     """
 
     def __init__(self, gains: Dict[str, PIGains | FuzzyPIGains], limits: Dict[str, CorrectionLimits],
-                 selection: SelectionMatrix, engine: FuzzyInference) -> None:
+                 selection: SelectionMatrix, engine: RuleBase) -> None:
         self.gains_x, self.gains_z = gains["x"], gains["z"]
         self.limits_x, self.limits_z = limits["x"], limits["z"]
         self.selection, self.engine = selection, engine

@@ -8,7 +8,7 @@ operations are pure functions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Tuple
@@ -101,7 +101,13 @@ _COL_ORDER = (Label.NL, Label.NM, Label.NS, Label.ZR, Label.PS, Label.PM, Label.
 
 @dataclass(frozen=True)
 class RuleBase:
-    """Complete (e_label, de_label) -> output label map."""
+    """Complete (e_label, de_label) -> output label map, and the engine that
+    runs it on the fixed partition, from normalized inputs to output.
+
+    `output` runs the full fuzzify -> infer -> defuzzify pipeline on
+    already-scaled inputs and returns a crisp value in [-1, 1]. `outputs`
+    is its column form, bit for bit.
+    """
 
     table: Dict[Tuple[Label, Label], Label]
 
@@ -153,6 +159,57 @@ class RuleBase:
     @classmethod
     def default(cls) -> "RuleBase":
         return cls.parse(_DEFAULT_TABLE)
+
+    def output(self, e_norm: float, de_norm: float) -> float:
+        return defuzzify_coa(infer(fuzzify(e_norm), fuzzify(de_norm), self))
+
+    @cached_property
+    def _cells(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The rule cells in the order fire_rules scans them, e labels
+        ascending and then de labels ascending: each cell's output label
+        index (0..6); the cells sorted by that label; where each used
+        label's run of sorted cells starts; and the used labels."""
+        labels = np.array([self.table[e, de] + 3 for e in LABELS for de in LABELS])
+        order = np.argsort(labels, kind="stable")
+        used, starts = np.unique(labels[order], return_index=True)
+        return labels, order, starts, used
+
+    def outputs(self, e_norm: np.ndarray, de_norm: np.ndarray) -> np.ndarray:
+        """`output` of each pair (e_norm[i], de_norm[i]), bit for bit.
+
+        Both inputs are fuzzified to (7, n) degrees after fuzzify's clamp,
+        the rules fire as (49, n) min-AND strengths, each output label's clip
+        is its largest strength, and the first fired cell names the first
+        shape. Aggregates of exactly two clipped shapes, the common case near
+        and away from the settled cell, are integrated in numpy. Every other
+        pair goes through `output`: an infinite input clamps as fuzzify
+        clamps it, and a NaN one stays NaN and clips no shape.
+        """
+        e_norm = np.asarray(e_norm, dtype=float)
+        de_norm = np.asarray(de_norm, dtype=float)
+        n = len(e_norm)
+        cell_labels, order, starts, used = self._cells
+        x = np.minimum(np.maximum(np.concatenate((e_norm, de_norm)), -1.0), 1.0)
+        # Every label's triangle, (7, 2n); beyond the four that fuzzify
+        # evaluates it is about -1/3 or less, so no extra label fires.
+        mu = np.maximum(1.0 - np.abs(x - _CENTER_ROW[:, None]) / HALF_WIDTH, 0.0)
+        strength = np.minimum(mu[:, None, :n], mu[None, :, n:]).reshape(49, n)
+        clip = np.zeros((_N_LABELS, n))
+        clip[used] = np.maximum.reduceat(strength.take(order, axis=0), starts, axis=0)
+        clipped = clip > 0.0
+        pair = clipped.sum(axis=0) == 2
+        every = pair.all()
+        cols = slice(None) if every else np.flatnonzero(pair)
+        first = cell_labels[(strength[:, cols] > 0.0).argmax(axis=0)]
+        labels = np.array((first, _LABEL_INDEX @ clipped[:, cols] - first))
+        paired = _two_shape_coa(labels, clip[:, cols][labels, np.arange(len(first))])
+        if every:
+            return paired
+        out = np.empty(n)
+        out[cols] = paired
+        for i in np.flatnonzero(~pair).tolist():
+            out[i] = self.output(float(e_norm[i]), float(de_norm[i]))
+        return out
 
 
 class RuleFiring(NamedTuple):
@@ -424,67 +481,3 @@ def _two_shape_coa(labels: np.ndarray, clips: np.ndarray) -> np.ndarray:
     np.copyto(sums[1, 1:], m * (cubes[1:] - cubes[:-1]) / 3.0 + 0.5 * q * squares, where=adds)
     area, moment = np.add.accumulate(sums, axis=1)[:, -1]
     return np.where(area > _EMPTY_AGGREGATE_AREA, moment / area, 0.0)
-
-
-@dataclass(frozen=True)
-class FuzzyInference:
-    """Bundled engine: the rule base on the fixed partition, from normalized
-    inputs to output.
-
-    `output` runs the full fuzzify -> infer -> defuzzify pipeline on
-    already-scaled inputs and returns a crisp value in [-1, 1]. `outputs`
-    is its column form, bit for bit.
-    """
-
-    rules: RuleBase = field(default_factory=RuleBase.default)
-
-    def output(self, e_norm: float, de_norm: float) -> float:
-        return defuzzify_coa(infer(fuzzify(e_norm), fuzzify(de_norm), self.rules))
-
-    @cached_property
-    def _cells(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The rule cells in the order fire_rules scans them, e labels
-        ascending and then de labels ascending: each cell's output label
-        index (0..6); the cells sorted by that label; where each used
-        label's run of sorted cells starts; and the used labels."""
-        labels = np.array([self.rules.table[e, de] + 3 for e in LABELS for de in LABELS])
-        order = np.argsort(labels, kind="stable")
-        used, starts = np.unique(labels[order], return_index=True)
-        return labels, order, starts, used
-
-    def outputs(self, e_norm: np.ndarray, de_norm: np.ndarray) -> np.ndarray:
-        """`output` of each pair (e_norm[i], de_norm[i]), bit for bit.
-
-        Both inputs are fuzzified to (7, n) degrees after fuzzify's clamp,
-        the rules fire as (49, n) min-AND strengths, each output label's clip
-        is its largest strength, and the first fired cell names the first
-        shape. Aggregates of exactly two clipped shapes, the common case near
-        and away from the settled cell, are integrated in numpy. Every other
-        pair goes through `output`: an infinite input clamps as fuzzify
-        clamps it, and a NaN one stays NaN and clips no shape.
-        """
-        e_norm = np.asarray(e_norm, dtype=float)
-        de_norm = np.asarray(de_norm, dtype=float)
-        n = len(e_norm)
-        cell_labels, order, starts, used = self._cells
-        x = np.minimum(np.maximum(np.concatenate((e_norm, de_norm)), -1.0), 1.0)
-        # Every label's triangle, (7, 2n); beyond the four that fuzzify
-        # evaluates it is about -1/3 or less, so no extra label fires.
-        mu = np.maximum(1.0 - np.abs(x - _CENTER_ROW[:, None]) / HALF_WIDTH, 0.0)
-        strength = np.minimum(mu[:, None, :n], mu[None, :, n:]).reshape(49, n)
-        clip = np.zeros((_N_LABELS, n))
-        clip[used] = np.maximum.reduceat(strength.take(order, axis=0), starts, axis=0)
-        clipped = clip > 0.0
-        pair = clipped.sum(axis=0) == 2
-        every = pair.all()
-        cols = slice(None) if every else np.flatnonzero(pair)
-        first = cell_labels[(strength[:, cols] > 0.0).argmax(axis=0)]
-        labels = np.array((first, _LABEL_INDEX @ clipped[:, cols] - first))
-        paired = _two_shape_coa(labels, clip[:, cols][labels, np.arange(len(first))])
-        if every:
-            return paired
-        out = np.empty(n)
-        out[cols] = paired
-        for i in np.flatnonzero(~pair).tolist():
-            out[i] = self.output(float(e_norm[i]), float(de_norm[i]))
-        return out

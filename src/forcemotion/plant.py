@@ -26,20 +26,21 @@ class Pose(NamedTuple):
     z: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlanarArm:
-    """Two revolute joints in the x-z plane; base at the origin.
+    """Two revolute joints in the x-z plane; base at the origin; `elbow` is
+    the inverse-kinematics branch ("down" has q2 >= 0).
 
     The internal motion loop is modeled as a first-order lag toward the
-    commanded joint angles with a per-joint rate limit.
+    commanded joint angles with a per-joint rate limit. The arm holds no
+    joint angles: the tick loops carry them and pass them in.
     """
 
     l1: float = 0.5
     l2: float = 0.5
-    q1: float = 0.0
-    q2: float = 0.0
     tau_servo: float = 0.04
     qdot_max: float = 2.0
+    elbow: str = "down"
 
     def __post_init__(self) -> None:
         if not (self.l1 > 0.0 and self.l2 > 0.0):
@@ -56,17 +57,18 @@ class PlanarArm:
         if not self.qdot_max > 0.0:
             raise ValueError("qdot_max must be positive")
 
-    def fk(self) -> Pose:
-        """Tool position from the current joint angles."""
-        q12 = self.q1 + self.q2
+    def fk(self, q: Tuple[float, float]) -> Pose:
+        """Tool position at the joint angles q."""
+        q1, q2 = q
+        q12 = q1 + q2
         return Pose(
-            self.l1 * math.cos(self.q1) + self.l2 * math.cos(q12),
-            self.l1 * math.sin(self.q1) + self.l2 * math.sin(q12),
+            self.l1 * math.cos(q1) + self.l2 * math.cos(q12),
+            self.l1 * math.sin(q1) + self.l2 * math.sin(q12),
         )
 
-    def jacobian(self) -> np.ndarray:
-        """Analytic 2x2 Jacobian of fk, rows (dx/dq, dz/dq)."""
-        return _jacobians(self.l1, self.l2, np.array([[self.q1, self.q2]]))[0]
+    def jacobian(self, q: Tuple[float, float]) -> np.ndarray:
+        """Analytic 2x2 Jacobian of fk at the joint angles q, rows (dx/dq, dz/dq)."""
+        return _jacobians(self.l1, self.l2, np.array([q], dtype=float))[0]
 
     def joint_torques(self, f: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Joint torques equivalent to the Cartesian tool forces: J^T f.
@@ -86,13 +88,15 @@ class PlanarArm:
             raise ValueError("dt must be positive")
         return 1.0 - math.exp(-dt / self.tau_servo), self.qdot_max * dt
 
-    def servo_step(self, q_des: Tuple[float, float], alpha: float, dq_max: float) -> None:
-        """First-order step toward q_des, rate-limited per joint, with the
-        gain and limit of `servo_rates`."""
-        dq1 = min(max(alpha * (q_des[0] - self.q1), -dq_max), dq_max)
-        dq2 = min(max(alpha * (q_des[1] - self.q2), -dq_max), dq_max)
-        self.q1 += dq1
-        self.q2 += dq2
+    def servo_step(
+        self, q: Tuple[float, float], q_des: Tuple[float, float], alpha: float, dq_max: float
+    ) -> Tuple[float, float]:
+        """The joint angles after a first-order step from q toward q_des,
+        rate-limited per joint, with the gain and limit of `servo_rates`."""
+        q1, q2 = q
+        dq1 = min(max(alpha * (q_des[0] - q1), -dq_max), dq_max)
+        dq2 = min(max(alpha * (q_des[1] - q2), -dq_max), dq_max)
+        return q1 + dq1, q2 + dq2
 
 
 # The batch functions below compute, for a (2, B) array of joint angles,
@@ -141,14 +145,16 @@ def ik(l1: float, l2: float, target: Pose, elbow: str = "down") -> Tuple[float, 
     if not abs(l1 - l2) - 1e-12 <= r <= l1 + l2 + 1e-12:
         raise outside_workspace(l1, l2, target)
     cos_q2 = (r2 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
-    cos_q2 = min(max(cos_q2, -1.0), 1.0)
+    return _angles(l1, l2, target.x, target.z, min(max(cos_q2, -1.0), 1.0), elbow)
+
+
+def _angles(l1: float, l2: float, x: float, z: float, cos_q2: float, elbow: str) -> Tuple[float, float]:
+    """The joint angles reaching (x, z) on the elbow branch, given the
+    elbow cosine clamped to [-1, 1]."""
     q2 = math.acos(cos_q2)
     if elbow == "up":
         q2 = -q2
-    q1 = math.atan2(target.z, target.x) - math.atan2(
-        l2 * math.sin(q2), l1 + l2 * math.cos(q2)
-    )
-    return q1, q2
+    return math.atan2(z, x) - math.atan2(l2 * math.sin(q2), l1 + l2 * math.cos(q2)), q2
 
 
 def outside_workspace(l1: float, l2: float, target: Pose) -> Unreachable:
@@ -169,8 +175,8 @@ def ik_batch(l1: float, l2: float, target: np.ndarray, elbow: str = "down") -> T
     """`ik` for (2, B) targets: the (2, B) joint angles and the (B,) mask of
     reachable targets. The angles of an unreachable target mean nothing.
 
-    math.acos and both math.atan2 run per member: numpy's arccos and
-    arctan2 differ from them in the last bit. (The ±1 clamp has no signed-zero tie.)
+    `ik`'s angle solver runs per member: numpy's arccos and arctan2 differ
+    from math's in the last bit. (The ±1 clamp has no signed-zero tie.)
     """
     if elbow not in ("down", "up"):
         raise ValueError(f"unknown elbow branch: {elbow!r}")
@@ -179,12 +185,8 @@ def ik_batch(l1: float, l2: float, target: np.ndarray, elbow: str = "down") -> T
     r = np.sqrt(r2)
     reachable = (abs(l1 - l2) - 1e-12 <= r) & (r <= l1 + l2 + 1e-12)
     cos_q2 = np.minimum(np.maximum((r2 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2), -1.0), 1.0)
-    q2 = np.array(list(map(math.acos, cos_q2.tolist())))
-    if elbow == "up":
-        q2 = -q2
-    bearing = list(map(math.atan2, z.tolist(), x.tolist()))
-    bend = list(map(math.atan2, (l2 * np.sin(q2)).tolist(), (l1 + l2 * np.cos(q2)).tolist()))
-    return np.array((np.subtract(bearing, bend), q2)), reachable
+    angles = [_angles(l1, l2, a, b, c, elbow) for a, b, c in zip(x.tolist(), z.tolist(), cos_q2.tolist())]
+    return np.array(angles).T, reachable
 
 
 @dataclass(frozen=True)

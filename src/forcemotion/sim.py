@@ -29,7 +29,7 @@ from .control import (
     SelectionMatrix,
     clamp,
 )
-from .fuzzy import FuzzyInference, RuleBase
+from .fuzzy import RuleBase
 from .plant import (
     Environment,
     PlanarArm,
@@ -120,19 +120,6 @@ class PressDirection(NamedTuple):
     z: int = -1
 
 
-@dataclass(frozen=True)
-class ArmParams:
-    l1: float = 0.5
-    l2: float = 0.5
-    tau_servo: float = 0.04
-    qdot_max: float = 2.0
-    elbow: str = "down"
-
-    def __post_init__(self) -> None:
-        # Reject what PlanarArm rejects here, not when run() builds the arm.
-        PlanarArm(self.l1, self.l2, tau_servo=self.tau_servo, qdot_max=self.qdot_max)
-
-
 @dataclass
 class Scenario:
     """Complete, self-contained experiment definition. Runs are a pure
@@ -148,7 +135,7 @@ class Scenario:
     limits: Dict[str, CorrectionLimits] = field(
         default_factory=lambda: {a: CorrectionLimits() for a in AXES}
     )
-    arm: ArmParams = ArmParams()
+    arm: PlanarArm = PlanarArm()
     sensor: SensorModel = field(default_factory=SensorModel)
     rules: RuleBase = field(default_factory=RuleBase.default)
     dt: float = 0.01
@@ -243,34 +230,31 @@ class Trace:
 def run(scenario: Scenario) -> Trace:
     """Simulate the scenario tick by tick; returns the full trace.
 
-    The loop carries only the joint angles (in the arm), the correction u,
-    the controller state and the previous pose. Time, the nominal poses and
+    The loop carries only the joint angles q, the correction u, the
+    controller state and the previous pose, as `_lockstep` carries its
+    (2, B) q, u and e_prev. Time, the nominal poses and
     the joint torques depend on nothing the loop feeds back, so they are
     computed for the whole trace outside it.
 
     Raises WorkspaceViolation when a commanded pose cannot be reached.
     """
-    arm_p = scenario.arm
-    l1, l2, elbow = arm_p.l1, arm_p.l2, arm_p.elbow
+    arm = scenario.arm
+    l1, l2, elbow = arm.l1, arm.l2, arm.elbow
     px, pz = scenario.press_direction
     dt = scenario.dt
     setpoint = scenario.setpoint
     contact_force = scenario.environment.contact_force
     sense = scenario.sensor.sense
-    hybrid = HybridForceController(
-        scenario.gains, scenario.limits, scenario.selection, FuzzyInference(rules=scenario.rules)
-    )
+    hybrid = HybridForceController(scenario.gains, scenario.limits, scenario.selection, scenario.rules)
     sensor_rng = np.random.default_rng(scenario.sensor.seed)
-
-    q1, q2 = ik(l1, l2, scenario.path.pose_at(0.0), elbow)
-    arm = PlanarArm(l1, l2, q1, q2, arm_p.tau_servo, arm_p.qdot_max)
-
     alpha, dq_max = arm.servo_rates(dt)
+
     t = _tick_times(scenario)
     nominal = scenario.path.poses(t)
+    q = ik(l1, l2, scenario.path.pose_at(0.0), elbow)
     rows = []
     u_x = u_z = 0.0
-    prev = arm.fk()
+    prev = arm.fk(q)
     v = (0.0, 0.0)
 
     for k, (nom_x, nom_z) in enumerate(nominal.tolist()):
@@ -278,8 +262,8 @@ def run(scenario: Scenario) -> Trace:
             q_des = ik(l1, l2, Pose(nom_x + px * u_x, nom_z + pz * u_z), elbow)
         except Unreachable as exc:
             raise WorkspaceViolation(k, k * dt, str(exc)) from exc
-        arm.servo_step(q_des, alpha, dq_max)
-        pose = arm.fk()
+        q = arm.servo_step(q, q_des, alpha, dq_max)
+        pose = arm.fk(q)
         if k > 0:
             v = ((pose.x - prev.x) / dt, (pose.z - prev.z) / dt)
         f_tool = contact_force(pose, v)
@@ -288,7 +272,7 @@ def run(scenario: Scenario) -> Trace:
         # project the sensed tool force onto the press directions.
         measured = AxisForce(-px * sensed.x, -pz * sensed.z)
         u_next, du, e = hybrid.step(setpoint, measured)
-        rows.append((*measured, *e, *du, u_x, u_z, *pose, arm.q1, arm.q2, *f_tool))
+        rows.append((*measured, *e, *du, u_x, u_z, *pose, *q, *f_tool))
         u_x, u_z = u_next
         prev = pose
 
@@ -315,8 +299,8 @@ def _lockstep(
     the law's `step_columns` once a tick. Overflow and NaN pass silently
     (np.errstate(all="ignore")), as they do in run()'s Python floats.
     """
-    arm_p = scenario.arm
-    l1, l2, elbow = arm_p.l1, arm_p.l2, arm_p.elbow
+    arm = scenario.arm
+    l1, l2, elbow = arm.l1, arm.l2, arm.elbow
     press = np.array(scenario.press_direction, dtype=float)[:, None]
     dt = scenario.dt
     setpoint = np.array(scenario.setpoint, dtype=float)[:, None]
@@ -326,9 +310,9 @@ def _lockstep(
     u_max = np.array([[scenario.limits[a].u_max] for a in AXES])
     contact_force = scenario.environment.contact_force_batch
     sense = scenario.sensor.sense_batch
-    engine = FuzzyInference(rules=scenario.rules)
+    engine = scenario.rules
     sensor_rng = np.random.default_rng(scenario.sensor.seed)
-    alpha, dq_max = PlanarArm(l1, l2, tau_servo=arm_p.tau_servo, qdot_max=arm_p.qdot_max).servo_rates(dt)
+    alpha, dq_max = arm.servo_rates(dt)
 
     n = columns.shape[1]
     t = _tick_times(scenario)
@@ -428,8 +412,13 @@ def _metrics(t: np.ndarray, f: np.ndarray, axis: str, setpoint: float, band_pct:
     dt = float(t[1] - t[0]) if len(t) > 1 else 0.0
     # Forces beyond float range once squared or summed give inf, silently.
     with np.errstate(over="ignore"):
-        rms = float(np.sqrt(np.mean((tail - setpoint) ** 2)))
+        err = tail - setpoint
+        rms = float(np.sqrt(np.mean(err**2)))
         itae = float(np.sum(t * np.abs(setpoint - f)) * dt)
+    if not math.isfinite(rms) and np.isfinite(err).all():
+        # Finite errors whose squares overflow: scale them into range first.
+        scale = np.abs(err).max()
+        rms = float(scale * np.sqrt(np.mean((err / scale) ** 2)))
     return Metrics(
         overshoot_pct=overshoot,
         settling_time=settling_time,

@@ -18,7 +18,6 @@ from forcemotion.control import AxisForce, CorrectionLimits, HybridForceControll
 from forcemotion.control import fuzzy_pi_step
 from forcemotion.fuzzy import (
     AggregatedOutput,
-    FuzzyInference,
     Label,
     RuleBase,
     defuzzify_coa,
@@ -73,7 +72,7 @@ def test_criterion_2_defuzzifier_against_oracle():
         diff = abs(defuzzify_coa(agg) - oracles.riemann_coa(clips))
         worst = max(worst, diff)
         assert diff <= 1e-6
-    engine = FuzzyInference()
+    engine = RuleBase.default()
     assert abs(engine.output(0.0, 0.0)) <= 1e-9
     print(f"ACCEPTANCE 2: PASS - CoA matches the 1e6-point Riemann oracle "
           f"(worst |diff| = {worst:.2e} <= 1e-6); zero input gives |du| <= 1e-9")
@@ -139,22 +138,20 @@ def test_criterion_6_kinematics_suite():
         angle = rng.uniform(-math.pi, math.pi)
         target = Pose(radius * math.cos(angle), radius * math.sin(angle))
         q1, q2 = ik(0.5, 0.5, target, "down" if rng.random() < 0.5 else "up")
-        pose = PlanarArm(0.5, 0.5, q1, q2).fk()
+        pose = PlanarArm(0.5, 0.5).fk((q1, q2))
         worst_rt = max(worst_rt, math.hypot(pose.x - target.x, pose.z - target.z))
     assert worst_rt <= 1e-9
 
     worst_jac = 0.0
     for _ in range(100):
         q1, q2 = rng.uniform(-math.pi, math.pi, size=2)
-        arm = PlanarArm(0.5, 0.5, q1, q2)
-        fd = oracles.finite_difference_jacobian(
-            lambda a, b: PlanarArm(0.5, 0.5, a, b).fk(), q1, q2
-        )
-        worst_jac = max(worst_jac, float(np.abs(arm.jacobian() - fd).max()))
+        arm = PlanarArm(0.5, 0.5)
+        fd = oracles.finite_difference_jacobian(lambda a, b: arm.fk((a, b)), q1, q2)
+        worst_jac = max(worst_jac, float(np.abs(arm.jacobian((q1, q2)) - fd).max()))
     assert worst_jac <= 1e-6
 
-    arm = PlanarArm(0.5, 0.5, 0.37, -0.81)
-    q = np.array([[arm.q1, arm.q2]])
+    arm = PlanarArm(0.5, 0.5)
+    q = np.array([[0.37, -0.81]])
     f = np.array([[2.25, -6.5]])
     tau = arm.joint_torques(f, q)
     doubled = arm.joint_torques(2 * f, q)
@@ -171,7 +168,7 @@ def test_criterion_7_pi_form_equivalence():
     expected = oracles.pi_closed_form(kp, ki, errors)
     gains, limits = PIGains(kp, ki), CorrectionLimits(-math.inf, math.inf, math.inf)
     hybrid = HybridForceController(
-        {"x": gains, "z": gains}, {"x": limits, "z": limits}, SelectionMatrix.identity(), FuzzyInference()
+        {"x": gains, "z": gains}, {"x": limits, "z": limits}, SelectionMatrix.identity(), RuleBase.default()
     )
     worst = 0.0
     for k, e_k in enumerate(errors):
@@ -203,7 +200,7 @@ def test_criterion_8_preset_determinism(tmp_path):
 
 def test_criterion_9_fuzzy_pi_bound_and_antisymmetry():
     gains = TUNED_FUZZY["exp2"]
-    engine = FuzzyInference()
+    engine = RuleBase.default()
     es = np.linspace(-2.0 / gains.ki, 2.0 / gains.ki, 101)
     des = np.linspace(-2.0 / gains.kp, 2.0 / gains.kp, 101)
     outputs = np.empty((101, 101))

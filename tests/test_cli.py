@@ -183,15 +183,31 @@ class TestRunCommand:
 
     @pytest.mark.filterwarnings("error")
     def test_force_beyond_float_range_reports_inf_without_warning(self, tmp_path, capsys):
-        # The squared force error overflows: the steady-state RMS is inf.
+        # A 1e308 N bias: the overshoot and the ITAE leave float range and
+        # read inf. The errors stay finite, so the steady-state RMS does not.
         code = run_cli(
             "run", "--preset", "exp2", "--controller", "pi",
-            "--set", "sensor.bias.z=1.0e+300", "--out", str(tmp_path),
+            "--set", "sensor.bias.z=1.0e+308", "--out", str(tmp_path),
         )
         assert code == 0
-        assert "steady RMS inf N" in capsys.readouterr().out
-        summary = yaml.safe_load((tmp_path / "exp2_pi_summary.yaml").read_text())
-        assert summary["metrics"]["z"]["steady_state_rms"] == math.inf
+        assert "overshoot inf %, not settled, steady RMS 1.000e+308 N" in capsys.readouterr().out
+        metrics = yaml.safe_load((tmp_path / "exp2_pi_summary.yaml").read_text())["metrics"]["z"]
+        assert metrics["overshoot_pct"] == metrics["itae"] == math.inf
+        assert metrics["steady_state_rms"] == pytest.approx(1.0e308)
+
+    @pytest.mark.filterwarnings("error")
+    def test_steady_rms_of_huge_finite_errors_is_finite(self, tmp_path, capsys):
+        # Sensor noise of 1e200 N: the squared errors overflow, the errors
+        # and their RMS do not.
+        code = run_cli(
+            "run", "--preset", "exp2", "--controller", "pi",
+            "--set", "sensor.noise_sigma=1.0e+200", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert "steady RMS 9.737e+199 N" in capsys.readouterr().out
+        rms = yaml.safe_load((tmp_path / "exp2_pi_summary.yaml").read_text())["metrics"]["z"]["steady_state_rms"]
+        tail = read_csv_column(tmp_path / "exp2_pi.csv", "f_z")[240:] - 30.0
+        assert rms == pytest.approx(1.0e200 * math.sqrt(np.mean((tail / 1.0e200) ** 2)), rel=1e-8)
 
     def test_huge_metrics_print_in_exponent_form(self, tmp_path, capsys):
         # A finite overshoot of ~3.3e300 % (and an ITAE of ~4.5e300) printed
@@ -207,10 +223,10 @@ class TestRunCommand:
         assert len(metric_lines) == 3
         assert max(len(line) for line in metric_lines) < 120
         # Only the printed lines change: the files keep every digit. Both
-        # steady-state RMS values overflow to inf, so their delta is null.
+        # steady-state RMS values are 1.0e+300, so their delta is 0.0.
         digests = {
-            "exp2_pi_summary.yaml": "981cc63bb6f1a19a73dbc1b127a2d97e8fec9ce228b580c55b4e95974fc33ec0",
-            "exp2_compare.yaml": "3585c54cb0cf9bde86616c680636433e3899eacee5a53b6a5b9881edad8b32dc",
+            "exp2_pi_summary.yaml": "fa266059f7238ac7657b22141b49e27248ad78b0e79c4731b247d7b1e0cf45aa",
+            "exp2_compare.yaml": "86ddf2f32a6e7073b9f445ff256f5e4d66b5f5a2a872ed434471abe1c20b22cd",
         }
         for name, digest in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
@@ -408,18 +424,20 @@ class TestCompareCommand:
         assert capsys.readouterr().out.splitlines()[-1] == "    no contact on axis z (threshold 0.1 N)"
 
     def test_infinite_metrics_give_null_deltas(self, tmp_path):
-        # A 1e308 N sensor bias makes both laws' overshoot, RMS and ITAE inf;
-        # inf - inf is no delta.
+        # A 1e308 N sensor bias makes both laws' overshoot and ITAE inf;
+        # inf - inf is no delta. Their finite RMS values differ by 0.0.
         code = run_cli("compare", "--preset", "exp2", "--set", "sensor.bias.z=1.0e+308",
                        "--out", str(tmp_path))
         assert code == 0
         text = (tmp_path / "exp2_compare.yaml").read_text()
         assert ".nan" not in text
         body = yaml.safe_load(text)["axes"]["z"]
-        for key in ("overshoot_pct", "steady_state_rms", "itae"):
+        for key in ("overshoot_pct", "itae"):
             assert body["pi"][key] == body["fuzzy"][key] == math.inf
             assert body["deltas_fuzzy_minus_pi"][key] is None
+        assert body["pi"]["steady_state_rms"] == body["fuzzy"]["steady_state_rms"] == pytest.approx(1.0e308)
         assert body["deltas_fuzzy_minus_pi"]["max_force"] == 0.0
+        assert body["deltas_fuzzy_minus_pi"]["steady_state_rms"] == 0.0
 
     def test_exp2_traces_hold_setpoint_mean(self, tmp_path):
         code = run_cli("compare", "--preset", "exp2", "--out", str(tmp_path))

@@ -19,12 +19,12 @@ from forcemotion.control import (
     fuzzy_pi_step,
     pi_step,
 )
-from forcemotion.fuzzy import FuzzyInference
+from forcemotion.fuzzy import RuleBase
 from forcemotion.sim import run
 
 import oracles
 
-ENGINE = FuzzyInference()
+ENGINE = RuleBase.default()
 
 
 class TestGainsValidation:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from forcemotion.fuzzy import (
     AggregatedOutput,
-    FuzzyInference,
     FuzzySet,
     Label,
     RuleBase,
@@ -223,7 +222,7 @@ class TestDefuzzify:
 
 
 class TestPipeline:
-    ENGINE = FuzzyInference()
+    ENGINE = RuleBase.default()
 
     def test_zero_fixed_point(self):
         assert abs(self.ENGINE.output(0.0, 0.0)) <= 1e-9
@@ -261,13 +260,13 @@ class TestBitExactness:
     SURFACE_DIGEST = "baecb6e86414c9e8044ab0e08e1ddfe62475683fd97584a19c3381f60c62ab5b"
 
     def test_output_surface_digest(self):
-        engine = FuzzyInference()
+        engine = RuleBase.default()
         values = [engine.output(float(e), float(de)) for e in self.SURFACE for de in self.SURFACE]
         assert self._digest(values) == self.SURFACE_DIGEST
 
     def test_column_output_surface_digest(self):
         e, de = np.meshgrid(self.SURFACE, self.SURFACE, indexing="ij")
-        assert self._digest(FuzzyInference().outputs(e.ravel(), de.ravel())) == self.SURFACE_DIGEST
+        assert self._digest(RuleBase.default().outputs(e.ravel(), de.ravel())) == self.SURFACE_DIGEST
 
     def test_defuzzify_digest_on_random_clip_sets(self):
         # Arbitrary label subsets and heights (exactly 0 and 1 included),
@@ -388,7 +387,7 @@ class TestBitExactness:
     def test_column_output_on_non_finite_and_signed_zero_inputs(self):
         special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.2, -0.45]
         e, de = (v.ravel() for v in np.meshgrid(special, special, indexing="ij"))
-        engine = FuzzyInference()
+        engine = RuleBase.default()
         want = [engine.output(float(a), float(b)) for a, b in zip(e, de)]
         got = engine.outputs(e, de)
         assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
@@ -400,7 +399,7 @@ class TestBitExactness:
         rng = np.random.default_rng(seed)
         used = rng.choice(7, size=int(rng.integers(2, 8)), replace=False)
         table = {(e, de): Label(int(rng.choice(used)) - 3) for e in Label for de in Label}
-        engine = FuzzyInference(RuleBase(table))
+        engine = RuleBase(table)
         e = np.concatenate((rng.uniform(-1.2, 1.2, 1500), rng.normal(0.0, 0.05, 500)))
         de = np.concatenate((rng.uniform(-1.2, 1.2, 1500), rng.normal(0.0, 0.05, 500)))
         want = [engine.output(float(a), float(b)) for a, b in zip(e, de)]
@@ -423,7 +422,7 @@ class TestBitExactness:
         # differently from the row order it takes for wider arrays: the
         # column engine must agree with the scalar one at every width.
         rng = np.random.default_rng(n)
-        engine = FuzzyInference()
+        engine = RuleBase.default()
         for _ in range(300):
             e = rng.uniform(-1.2, 1.2, n)
             de = rng.normal(0.0, 0.2, n)
@@ -439,7 +438,7 @@ class TestBitExactness:
             assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
     def test_column_output_on_an_empty_batch(self):
-        assert FuzzyInference().outputs(np.array([]), np.array([])).shape == (0,)
+        assert RuleBase.default().outputs(np.array([]), np.array([])).shape == (0,)
 
     @pytest.mark.parametrize(
         "clips",

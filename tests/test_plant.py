@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,26 +13,28 @@ from forcemotion.plant import (
     RoughSurface,
     SensorModel,
     Unreachable,
+    fk_batch,
     ik,
+    ik_batch,
     outside_workspace,
+    servo_step_batch,
 )
 
 import oracles
 
 
-def make_arm(q1=0.0, q2=0.0):
-    return PlanarArm(l1=0.5, l2=0.5, q1=q1, q2=q2)
+ARM = PlanarArm(l1=0.5, l2=0.5)
 
 
 class TestForwardKinematics:
     def test_fully_stretched(self):
-        assert make_arm(0.0, 0.0).fk() == pytest.approx((1.0, 0.0))
+        assert ARM.fk((0.0, 0.0)) == pytest.approx((1.0, 0.0))
 
     def test_right_angle_elbow(self):
-        assert make_arm(0.0, math.pi / 2).fk() == pytest.approx((0.5, 0.5))
+        assert ARM.fk((0.0, math.pi / 2)) == pytest.approx((0.5, 0.5))
 
     def test_vertical_stretch(self):
-        assert make_arm(math.pi / 2, 0.0).fk() == pytest.approx((0.0, 1.0), abs=1e-15)
+        assert ARM.fk((math.pi / 2, 0.0)) == pytest.approx((0.0, 1.0), abs=1e-15)
 
 
 class TestInverseKinematics:
@@ -41,8 +44,7 @@ class TestInverseKinematics:
     def test_right_angle_case(self):
         q1, q2 = ik(0.5, 0.5, Pose(0.5, 0.5), elbow="down")
         assert (q1, q2) == pytest.approx((0.0, math.pi / 2))
-        arm = make_arm(q1, q2)
-        assert arm.fk() == pytest.approx((0.5, 0.5), abs=1e-12)
+        assert ARM.fk((q1, q2)) == pytest.approx((0.5, 0.5), abs=1e-12)
 
     def test_unreachable(self):
         with pytest.raises(Unreachable):
@@ -73,7 +75,7 @@ class TestInverseKinematics:
         up = ik(0.5, 0.5, Pose(0.6, 0.3), elbow="up")
         assert down[1] == pytest.approx(-up[1])
         for q1, q2 in (down, up):
-            assert make_arm(q1, q2).fk() == pytest.approx((0.6, 0.3), abs=1e-12)
+            assert ARM.fk((q1, q2)) == pytest.approx((0.6, 0.3), abs=1e-12)
 
     def test_round_trip_on_random_reachable_targets(self):
         rng = np.random.default_rng(314)
@@ -83,7 +85,7 @@ class TestInverseKinematics:
             target = Pose(radius * math.cos(angle), radius * math.sin(angle))
             elbow = "down" if rng.random() < 0.5 else "up"
             q1, q2 = ik(0.5, 0.5, target, elbow)
-            pose = make_arm(q1, q2).fk()
+            pose = ARM.fk((q1, q2))
             assert math.hypot(pose.x - target.x, pose.z - target.z) <= 1e-9
 
 
@@ -107,24 +109,24 @@ class TestLinkLengths:
 
 class TestJacobian:
     def test_stretched_configuration(self):
-        jac = make_arm(0.0, 0.0).jacobian()
+        jac = ARM.jacobian((0.0, 0.0))
         fd = oracles.finite_difference_jacobian(
-            lambda q1, q2: make_arm(q1, q2).fk(), 0.0, 0.0
+            lambda q1, q2: ARM.fk((q1, q2)), 0.0, 0.0
         )
         assert np.abs(jac - fd).max() <= 1e-6
         assert jac == pytest.approx(np.array([[0.0, 0.0], [1.0, 0.5]]), abs=1e-12)
 
     def test_vertical_configuration(self):
-        jac = make_arm(math.pi / 2, 0.0).jacobian()
+        jac = ARM.jacobian((math.pi / 2, 0.0))
         assert jac == pytest.approx(np.array([[-1.0, -0.5], [0.0, 0.0]]), abs=1e-12)
 
     def test_matches_finite_differences_on_random_configurations(self):
         rng = np.random.default_rng(1618)
         for _ in range(100):
             q1, q2 = rng.uniform(-math.pi, math.pi, size=2)
-            jac = make_arm(q1, q2).jacobian()
+            jac = ARM.jacobian((q1, q2))
             fd = oracles.finite_difference_jacobian(
-                lambda a, b: make_arm(a, b).fk(), q1, q2
+                lambda a, b: ARM.fk((a, b)), q1, q2
             )
             assert np.abs(jac - fd).max() <= 1e-6
 
@@ -132,39 +134,39 @@ class TestJacobian:
         rng = np.random.default_rng(2718)
         for _ in range(20):
             q1, q2 = rng.uniform(-math.pi, math.pi, size=2)
-            jac = make_arm(q1, q2).jacobian()
+            jac = ARM.jacobian((q1, q2))
             q12 = q1 + q2
             assert jac[:, 1] == pytest.approx(
                 [-0.5 * math.sin(q12), 0.5 * math.cos(q12)], abs=1e-12
             )
 
 
-def torques(arm, fx, fz):
-    """joint_torques of one force at the arm's joint angles, as a one-row array."""
-    return arm.joint_torques(np.array([[fx, fz]]), np.array([[arm.q1, arm.q2]]))
+def torques(q, fx, fz):
+    """joint_torques of one force at the joint angles q, as a one-row array."""
+    return ARM.joint_torques(np.array([[fx, fz]]), np.array([q]))
 
 
 class TestJointTorques:
     def test_zero_force(self):
-        assert torques(make_arm(), 0.0, 0.0).tolist() == [[0.0, 0.0]]
+        assert torques((0.0, 0.0), 0.0, 0.0).tolist() == [[0.0, 0.0]]
 
     def test_downward_force_at_stretch(self):
         # tau = J^T f with the finite-difference-verified Jacobian.
-        tau = torques(make_arm(0.0, 0.0), 0.0, -10.0)
+        tau = torques((0.0, 0.0), 0.0, -10.0)
         assert tau[0] == pytest.approx((-10.0, -5.0))
 
     def test_doubling_force_doubles_torque_exactly(self):
-        arm = make_arm(0.7, -1.1)
+        q = (0.7, -1.1)
         fx, fz = 3.3, -7.7
-        tau = torques(arm, fx, fz)
-        doubled = torques(arm, 2 * fx, 2 * fz)
+        tau = torques(q, fx, fz)
+        doubled = torques(q, 2 * fx, 2 * fz)
         assert doubled.tolist() == (2 * tau).tolist()
 
     def test_linearity_random_combination(self):
-        arm = make_arm(0.3, 0.9)
+        q = (0.3, 0.9)
         fa, fb = AxisForce(1.2, -0.4), AxisForce(-2.0, 5.5)
-        combined = torques(arm, fa.x + fb.x, fa.z + fb.z)
-        parts = torques(arm, *fa) + torques(arm, *fb)
+        combined = torques(q, fa.x + fb.x, fa.z + fb.z)
+        parts = torques(q, *fa) + torques(q, *fb)
         assert combined[0] == pytest.approx(tuple(parts[0]), abs=1e-12)
 
     def test_whole_trace_matches_per_tick_bit_for_bit(self):
@@ -175,7 +177,7 @@ class TestJointTorques:
         q = rng.uniform(-math.pi, math.pi, (n, 2))
         f = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
         assert np.all(f != 0.0)
-        arm = make_arm()
+        arm = ARM
         tau = arm.joint_torques(f, q)
         assert tau.shape == (n, 2)
         l1, l2 = arm.l1, arm.l2
@@ -190,42 +192,49 @@ class TestJointTorques:
 
 class TestServo:
     def test_fixed_point(self):
-        arm = make_arm(0.3, -0.2)
-        arm.servo_step((0.3, -0.2), *arm.servo_rates(0.01))
-        assert (arm.q1, arm.q2) == (0.3, -0.2)
+        assert ARM.servo_step((0.3, -0.2), (0.3, -0.2), *ARM.servo_rates(0.01)) == (0.3, -0.2)
 
     def test_small_time_constant_snaps_within_rate_limit(self):
-        arm = PlanarArm(q1=0.0, q2=0.0, tau_servo=1e-9, qdot_max=1000.0)
-        arm.servo_step((0.5, -0.4), *arm.servo_rates(0.01))
-        assert (arm.q1, arm.q2) == pytest.approx((0.5, -0.4), abs=1e-9)
+        arm = PlanarArm(tau_servo=1e-9, qdot_max=1000.0)
+        q = arm.servo_step((0.0, 0.0), (0.5, -0.4), *arm.servo_rates(0.01))
+        assert q == pytest.approx((0.5, -0.4), abs=1e-9)
 
     def test_first_order_response(self):
         # One step of length tau covers 1 - exp(-1) of the remaining distance.
-        arm = PlanarArm(q1=0.0, q2=0.0, tau_servo=0.04, qdot_max=1000.0)
-        arm.servo_step((1.0, 0.0), *arm.servo_rates(0.04))
-        assert arm.q1 == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+        arm = PlanarArm(tau_servo=0.04, qdot_max=1000.0)
+        q1, _ = arm.servo_step((0.0, 0.0), (1.0, 0.0), *arm.servo_rates(0.04))
+        assert q1 == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
     def test_rate_limit(self):
-        arm = PlanarArm(q1=0.0, q2=0.0, tau_servo=1e-9, qdot_max=2.0)
-        arm.servo_step((1.0, -1.0), *arm.servo_rates(0.01))
-        assert (arm.q1, arm.q2) == pytest.approx((0.02, -0.02))
+        arm = PlanarArm(tau_servo=1e-9, qdot_max=2.0)
+        q = arm.servo_step((0.0, 0.0), (1.0, -1.0), *arm.servo_rates(0.01))
+        assert q == pytest.approx((0.02, -0.02))
 
     def test_distance_non_increasing(self):
-        arm = PlanarArm(q1=-1.0, q2=1.2, tau_servo=0.04, qdot_max=2.0)
+        arm = PlanarArm(tau_servo=0.04, qdot_max=2.0)
+        q = (-1.0, 1.2)
         target = (0.8, -0.5)
         rates = arm.servo_rates(0.01)
         previous = math.inf
         for _ in range(200):
-            arm.servo_step(target, *rates)
-            distance = math.hypot(arm.q1 - target[0], arm.q2 - target[1])
+            q = arm.servo_step(q, target, *rates)
+            distance = math.hypot(q[0] - target[0], q[1] - target[1])
             assert distance <= previous + 1e-15
             previous = distance
         assert previous < 1e-6
 
+    def test_arm_holds_no_joint_angles(self):
+        # The tick loops carry q; the arm is a frozen description.
+        assert [f.name for f in dataclasses.fields(PlanarArm)] == [
+            "l1", "l2", "tau_servo", "qdot_max", "elbow"
+        ]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ARM.l1 = 1.0
+
     @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
     def test_rates_reject_non_positive_dt(self, dt):
         with pytest.raises(ValueError, match="dt must be positive"):
-            make_arm(0.0, 0.0).servo_rates(dt)
+            ARM.servo_rates(dt)
 
 
 class TestContact:
@@ -387,3 +396,87 @@ class TestSensor:
         assert seq_a == seq_b
         rng_a = np.random.default_rng(a.seed)
         assert [a.sense(AxisForce(1.0, 2.0), rng_a) for _ in range(10)] == seq_a
+
+
+def bits(values) -> np.ndarray:
+    """The float64 bit patterns of `values`, so that -0.0 differs from 0.0."""
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+class TestBatchTwins:
+    """Each (2, B) batch function gives, column by column, the bits of its
+    scalar twin, which `run()` calls once per tick."""
+
+    def test_fk_batch(self):
+        rng = np.random.default_rng(41)
+        q = np.concatenate((rng.uniform(-math.pi, math.pi, (2, 500)), [[0.0, -0.0, 1e3], [-0.0, 0.0, -1e3]]), axis=1)
+        arm = PlanarArm(0.7, 0.3)
+        want = [arm.fk(column) for column in q.T.tolist()]
+        assert np.array_equal(bits(fk_batch(arm.l1, arm.l2, q).T), bits(want))
+
+    def test_servo_step_batch(self):
+        rng = np.random.default_rng(42)
+        q = rng.uniform(-2.0, 2.0, (2, 400))
+        q_des = q + rng.uniform(-0.1, 0.1, (2, 400))
+        # Exact ties: alpha * (q_des - q) lands on +-dq_max, or the limit is
+        # 0.0, where Python's clamp keeps -0.0 and q = -0.0 shows the sign.
+        q[:, :4] = [[0.0, 0.0, -0.0, -0.0], [-0.0, 0.0, -0.0, -0.0]]
+        q_des[:, :4] = [[0.5, -0.5, -0.5, 0.0], [-0.0, 0.5, 0.5, -0.0]]
+        arm = PlanarArm()
+        for alpha, dq_max in [arm.servo_rates(0.01), (0.5, 0.25), (0.5, 0.0), (1.0, 1e-3)]:
+            want = [arm.servo_step(a, b, alpha, dq_max) for a, b in zip(q.T.tolist(), q_des.T.tolist())]
+            got = servo_step_batch(q.copy(), q_des, alpha, dq_max)
+            assert np.array_equal(bits(got.T), bits(want))
+
+    @pytest.mark.parametrize("l1,l2", [(0.5, 0.5), (0.8, 0.2), (0.3, 0.9), (1.0e150, 1.0e150)])
+    @pytest.mark.parametrize("elbow", ["down", "up"])
+    def test_ik_batch(self, l1, l2, elbow):
+        rng = np.random.default_rng(43)
+        angle = rng.uniform(-math.pi, math.pi, 60)
+        lo, hi = abs(l1 - l2), l1 + l2
+        # At, just inside and just beyond both reach limits, and within them.
+        edges = [np.full(3, r * (1.0 + d)) for r in (lo, hi) for d in (0.0, 1e-12, -1e-12, 3e-12, -3e-12)]
+        radius = np.concatenate([*edges, rng.uniform(lo, hi, 30)])
+        target = np.array((radius * np.cos(angle), radius * np.sin(angle)))
+        target[:, -1] = (math.nan, 0.3)
+        q, reachable = ik_batch(l1, l2, target, elbow)
+        for i, (x, z) in enumerate(target.T.tolist()):
+            try:
+                want = ik(l1, l2, Pose(x, z), elbow)
+            except Unreachable:
+                assert not reachable[i]
+                continue
+            assert reachable[i]
+            assert np.array_equal(bits(q[:, i]), bits(want))
+        assert reachable.any() and not reachable.all()
+
+    def test_contact_force_batch(self):
+        rng = np.random.default_rng(44)
+        floor = RoughSurface(0.25, roughness_amplitude=1e-3, noise_amplitude=2e-4, friction_coeff=0.3)
+        box = Box(0.5, 0.7, 0.1, 0.3)
+        env = Environment((floor, box), seed=5)
+        x = rng.uniform(0.45, 0.75, 300)
+        z = rng.uniform(0.05, 0.35, 300)
+        # A box centre and diagonal points tie two or four faces.
+        x[:3], z[:3] = (0.6, 0.55, 0.65), (0.2, 0.15, 0.25)
+        vx = rng.uniform(-1.0, 1.0, 300)
+        vx[3:7] = (0.0, -0.0, 0.0, -0.0)
+        x[3:7], z[3:7] = 0.6, 0.2495
+        want = [env.contact_force(Pose(a, b), (v, 0.0)) for a, b, v in zip(x.tolist(), z.tolist(), vx.tolist())]
+        got = env.contact_force_batch(np.array((x, z)), vx)
+        assert np.array_equal(bits(got.T), bits(want))
+        assert np.any(got[0, 7:] != 0.0) and np.all(got[0, 3:7] == 0.0)
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
+    def test_sense_batch(self, noise_sigma):
+        # Every member's run draws one noise pair a tick from its own
+        # generator with the sensor seed.
+        rng = np.random.default_rng(45)
+        sensor = SensorModel(noise_sigma, AxisForce(0.3, -0.7), seed=9)
+        forces = rng.uniform(-50.0, 50.0, (20, 2, 8))
+        batch_rng = np.random.default_rng(sensor.seed)
+        got = np.array([sensor.sense_batch(f, batch_rng) for f in forces])
+        for i in range(forces.shape[2]):
+            member_rng = np.random.default_rng(sensor.seed)
+            want = [sensor.sense(AxisForce(*f[:, i].tolist()), member_rng) for f in forces]
+            assert np.array_equal(bits(got[:, :, i]), bits(want))

@@ -10,7 +10,7 @@ import pytest
 
 from forcemotion.config import preset_scenario
 from forcemotion import sim
-from forcemotion.fuzzy import FuzzyInference
+from forcemotion.fuzzy import RuleBase
 from forcemotion.control import (
     AXES,
     AxisForce,
@@ -23,7 +23,6 @@ from forcemotion.control import (
 from forcemotion.plant import Box, Environment, PlanarArm, Pose, RoughSurface, SensorModel
 from forcemotion.sim import (
     AllRunsFailed,
-    ArmParams,
     NoContact,
     NominalPath,
     ObjectiveWeights,
@@ -148,7 +147,7 @@ class TestScenarioValidation:
     def test_rejects_a_start_that_ik_rejects(self, waypoints, where):
         # run() would raise Unreachable from its first ik call.
         with pytest.raises(ValueError, match=f"^{re.escape(where)} is unreachable"):
-            free_space_scenario(arm=ArmParams(l2=0.3), path=NominalPath(waypoints))
+            free_space_scenario(arm=PlanarArm(l2=0.3), path=NominalPath(waypoints))
 
     @pytest.mark.parametrize("pose", [Pose(math.nan, 0.2), Pose(0.6, math.nan)])
     def test_rejects_nan_waypoint_pose(self, pose):
@@ -197,7 +196,7 @@ class TestScenarioValidation:
     )
     def test_arm_params_apply_the_arm_checks(self, field, value, message):
         with pytest.raises(ValueError, match=message):
-            ArmParams(**{field: value})
+            PlanarArm(**{field: value})
 
 
 class TestRun:
@@ -243,7 +242,7 @@ class TestRun:
         # commanded one, exposing cmd = nominal + press * u directly.
         scenario = smooth_exp2("pi")
         scenario = dataclasses.replace(
-            scenario, arm=ArmParams(tau_servo=1e-9, qdot_max=1e9)
+            scenario, arm=PlanarArm(tau_servo=1e-9, qdot_max=1e9)
         )
         trace = run(scenario)
         act_z = trace.column("act_z")
@@ -384,6 +383,24 @@ class TestMetrics:
         assert m.overshoot_pct == 0.0
         assert m.settled and m.settling_time == m.first_contact_time == 0.0
         assert m.steady_state_rms == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0e154, 1.0e200, 1.0e300])
+    def test_rms_of_finite_errors_whose_squares_overflow(self, scale):
+        # Errors of +-3.5 times the scale square beyond float range; their
+        # RMS, 3.5 times the scale, does not.
+        t = np.arange(0, 1.0, 0.01)
+        f = scale * np.tile([3.5, -3.5], 50)
+        rms = compute_metrics(make_trace(t, f), "z", 0.0).steady_state_rms
+        assert rms == pytest.approx(3.5 * scale, rel=1e-15)
+
+    def test_rms_of_non_finite_errors_stays_non_finite(self):
+        t = np.arange(0, 1.0, 0.01)
+        f = np.full_like(t, 1.0e300)
+        f[-1] = math.inf
+        assert compute_metrics(make_trace(t, f), "z", 0.0).steady_state_rms == math.inf
+        f[-1] = math.nan
+        assert math.isnan(compute_metrics(make_trace(t, f), "z", 0.0).steady_state_rms)
 
     def test_overshoot_percentage(self):
         t = np.arange(0, 1.0, 0.01)
@@ -650,13 +667,13 @@ class TestRunBatch:
         # along paths that differ in the last bits, and so do their forces.
         scenario = floor_scenario(
             environment=Environment((RoughSurface(height_base=0.255),), seed=3),
-            arm=ArmParams(elbow="up"),
+            arm=PlanarArm(elbow="up"),
         )
         for trace in batch_against_run(scenario, PI_GRID):
             assert np.all(trace.column("q2") < 0.0)
         for gains in PI_GRID:
             up = dataclasses.replace(scenario, gains={"x": gains, "z": gains})
-            down = dataclasses.replace(up, arm=ArmParams(elbow="down"))
+            down = dataclasses.replace(up, arm=PlanarArm(elbow="down"))
             assert np.any(run(up).column("f_z") != run(down).column("f_z"))
 
     def test_deselected_axis_evaluates_no_law(self):
@@ -737,9 +754,9 @@ class TestRunBatch:
         # one-shape aggregate, which the column engine leaves to `output`.
         scenario = preset_scenario("exp1", "fuzzy")
         scalar_calls = []
-        output = FuzzyInference.output
+        output = RuleBase.output
         monkeypatch.setattr(
-            FuzzyInference, "output", lambda self, e, de: scalar_calls.append(e) or output(self, e, de)
+            RuleBase, "output", lambda self, e, de: scalar_calls.append(e) or output(self, e, de)
         )
         lockstep(scenario, FUZZY_GRID, 1)
         assert scalar_calls and len(scalar_calls) < len(FUZZY_GRID) * 2 * 301

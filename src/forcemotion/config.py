@@ -21,7 +21,7 @@ from .control import AXES, AxisForce, CorrectionLimits, FuzzyPIGains, PIGains, S
 from .fuzzy import RuleBase
 from .plant import Box, Environment, PlanarArm, Pose, RoughSurface, SensorModel
 from .presets import DEFAULT_SEED, PRESET_NAMES, PRESETS, TUNED_FUZZY, TUNED_PI
-from .sim import NominalPath, ObjectiveWeights, PressDirection, Scenario
+from .sim import NominalPath, ObjectiveWeights, PressDirection, Scenario, check_grid
 
 
 class ConfigInvalid(Exception):
@@ -85,6 +85,16 @@ _DEFAULTS: Dict[str, Any] = {
 
 _OBSTACLE_DEFAULTS = {kind: {"type": kind, **_fields(cls)} for kind, cls in _OBSTACLES.items()}
 
+# Keys that take one of a few values, keyed without list indices. `in` on a
+# tuple compares by ==, so an unhashable value is rejected, not a crash.
+_CHOICES = {
+    "controller": tuple(_LAWS),
+    "arm.elbow": ("down", "up"),
+    "tuner.axis": AXES,
+    **{f"press_direction.{axis}": (1, -1) for axis in AXES},
+    "environment.obstacles.type": tuple(_OBSTACLES),
+}
+_LIST_INDEX = re.compile(r"\[\d+\]")
 # Keys whose value may be None (filled in or resolved later).
 _NULLABLE = {"environment.seed", "sensor.seed", "rule_file"}
 # Seeds take any non-negative integer, however large; None derives them.
@@ -147,16 +157,18 @@ def _check_scalar(path: str, default: Any, value: Any) -> Any:
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ConfigInvalid(f"{path}: expected a non-negative integer, got {value!r}")
         return value
+    if path == "rule_file" and not isinstance(value, str):
+        raise ConfigInvalid(f"rule_file: expected a file path, got {_type_name(value)}")
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigInvalid(f"{path}: expected a boolean, got {_type_name(value)}")
         return value
-    if isinstance(default, (int, float)):
+    choices = _CHOICES.get(_LIST_INDEX.sub("", path))
+    if isinstance(default, (int, float)) or (default == _REQUIRED and choices is None):
+        # The required scalars (setpoint, path, obstacle extents) are numbers.
         _check_number(path, value)
-        return value
-    if default == _REQUIRED and isinstance(value, int) and path != "controller":
-        # The other required scalars (setpoint, path, obstacle extents) are floats.
-        _check_number(path, value)
+    if choices is not None and value not in choices:
+        raise ConfigInvalid(f"{path}: expected {' or '.join(map(repr, choices))}, got {value!r}")
     return value
 
 
@@ -204,11 +216,7 @@ def _merge_list(path: str, items: Any) -> List[Dict[str, Any]]:
         if path == "path":
             result.append(_merge({"t": _REQUIRED, "x": _REQUIRED, "z": _REQUIRED}, item, sub_path))
         else:
-            kind = item.get("type")
-            if kind not in _OBSTACLE_DEFAULTS:
-                raise ConfigInvalid(
-                    f"{sub_path}.type: expected one of {sorted(_OBSTACLE_DEFAULTS)}, got {kind!r}"
-                )
+            kind = _check_scalar(f"{sub_path}.type", _REQUIRED, item.get("type"))
             result.append(_merge(_OBSTACLE_DEFAULTS[kind], item, sub_path))
     return result
 
@@ -216,30 +224,12 @@ def _merge_list(path: str, items: Any) -> List[Dict[str, Any]]:
 def validate_config(raw: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     """Fill defaults and reject unknown keys/bad types; returns the effective config."""
     effective = _merge(_DEFAULTS, raw or {}, "")
-    if effective["controller"] not in _LAWS:
-        laws = " or ".join(map(repr, _LAWS))
-        raise ConfigInvalid(f"controller: expected {laws}, got {effective['controller']!r}")
-    if effective["arm"]["elbow"] not in ("down", "up"):
-        raise ConfigInvalid(f"arm.elbow: expected 'down' or 'up', got {effective['arm']['elbow']!r}")
-    if effective["tuner"]["axis"] not in AXES:
-        raise ConfigInvalid(f"tuner.axis: expected 'x' or 'z', got {effective['tuner']['axis']!r}")
-    grid = effective["tuner"]["grid"]
-    if not isinstance(grid, dict):
-        raise ConfigInvalid("tuner.grid: expected a mapping of gain name to value list")
-    for gain, values in grid.items():
-        if not isinstance(values, list) or not values:
-            raise ConfigInvalid(f"tuner.grid.{gain}: expected a nonempty list")
+    # The summary echoes the grid; `tune` alone reads it, through `tuner_settings`.
+    for gain, values in effective["tuner"]["grid"].items():
+        if not isinstance(values, list):
+            raise ConfigInvalid(f"tuner.grid.{gain}: expected a list, got {_type_name(values)}")
         for v in values:
             _check_number(f"tuner.grid.{gain}", v)
-        if len(set(values)) < len(values):
-            raise ConfigInvalid(f"tuner.grid.{gain}: expected distinct values, got {values}")
-    for axis in AXES:
-        _check_number(f"setpoint.{axis}", effective["setpoint"][axis])
-        if effective["press_direction"][axis] not in (1, -1):
-            raise ConfigInvalid(
-                f"press_direction.{axis}: expected 1 or -1, "
-                f"got {effective['press_direction'][axis]!r}"
-            )
     name = effective["name"]
     if not isinstance(name, str) or not _NAME_PATTERN.fullmatch(name):
         raise ConfigInvalid(
@@ -375,18 +365,10 @@ def _build_scenario(cfg: Dict[str, Any], controller: Optional[str]) -> Scenario:
 def tuner_settings(cfg: Dict[str, Any]) -> Dict[str, Any]:
     """Extract tuner axis/grid/weights from an effective config."""
     t = cfg["tuner"]
-    if not t["grid"]:
-        raise ConfigInvalid("tuner.grid: a tune run needs at least one gain list")
-    # The grid needs one list of nonnegative values per field of the gains type.
-    kind, grid = cfg["controller"], t["grid"]
-    names = [f.name for f in dataclasses.fields(_LAWS[kind])]
-    for gain in [*grid, *names]:
-        if gain not in names:
-            raise ConfigInvalid(f"tuner.grid.{gain}: the {kind} law has only the gains {names}")
-        if gain not in grid:
-            raise ConfigInvalid(f"tuner.grid.{gain}: missing; the {kind} law tunes {names}")
-        if min(grid[gain]) < 0:
-            raise ConfigInvalid(f"tuner.grid.{gain}: expected nonnegative gains, got {min(grid[gain])}")
+    try:
+        check_grid(_LAWS[cfg["controller"]], t["grid"])
+    except ValueError as exc:
+        raise ConfigInvalid(f"tuner.grid.{exc}") from None
     if not cfg["selection"][t["axis"]]:
         raise ConfigInvalid(
             f"tuner.axis: {t['axis']!r} is not force controlled (selection.{t['axis']} is false), "

@@ -410,15 +410,11 @@ def _metrics(t: np.ndarray, f: np.ndarray, axis: str, setpoint: float, band_pct:
 
     tail = f[int(round(0.8 * (len(f) - 1))):]
     dt = float(t[1] - t[0]) if len(t) > 1 else 0.0
-    # Forces beyond float range once squared or summed give inf, silently.
-    with np.errstate(over="ignore"):
-        err = tail - setpoint
-        rms = float(np.sqrt(np.mean(err**2)))
-        itae = float(np.sum(t * np.abs(setpoint - f)) * dt)
-    if not math.isfinite(rms) and np.isfinite(err).all():
-        # Finite errors whose squares overflow: scale them into range first.
-        scale = np.abs(err).max()
-        rms = float(scale * np.sqrt(np.mean((err / scale) ** 2)))
+    # Forces beyond float range once subtracted, squared or summed give inf,
+    # silently. The ITAE weighs the error at t = 0 by 0, even an infinite one.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rms = _scaled(lambda err: np.sqrt(np.mean(err**2)), tail - setpoint)
+        itae = _scaled(lambda err: np.sum(np.where(t > 0.0, t * err, 0.0)) * dt, np.abs(setpoint - f))
     return Metrics(
         overshoot_pct=overshoot,
         settling_time=settling_time,
@@ -428,6 +424,16 @@ def _metrics(t: np.ndarray, f: np.ndarray, axis: str, setpoint: float, band_pct:
         itae=itae,
         first_contact_time=float(t[first]),
     )
+
+
+def _scaled(reduce, x: np.ndarray) -> float:
+    """float(reduce(x)) for a `reduce` with reduce(c * x) = c * reduce(x).
+    When that overflows although x is finite, x is scaled into range first."""
+    value = float(reduce(x))
+    if math.isfinite(value) or not np.isfinite(x).all():
+        return value
+    scale = float(np.abs(x).max())
+    return scale * float(reduce(x / scale))
 
 
 @dataclass(frozen=True)
@@ -454,6 +460,27 @@ class TuneEntry:
     failure: Optional[str]
 
 
+def check_grid(law: type, grid: Dict[str, Sequence[float]]) -> List[str]:
+    """The field names of the gains type `law`, once the tuner grid is
+    checked to hold one nonempty list of distinct, nonnegative values per
+    field. A ValueError's message starts with the gain it names."""
+    names = [f.name for f in dataclasses.fields(law)]
+    for gain in [*grid, *names]:
+        if gain not in names:
+            raise ValueError(f"{gain}: unknown gain; the {law.kind} law has only the gains {names}")
+        if gain not in grid:
+            got = list(grid) or "an empty grid"
+            raise ValueError(f"{gain}: missing; a {law.kind} tuner grid must define {names}, got {got}")
+        values = grid[gain]
+        if not len(values):
+            raise ValueError(f"{gain}: empty value list in tuner grid")
+        if len(set(values)) < len(values):
+            raise ValueError(f"{gain}: expected distinct values, got duplicates in {list(values)}")
+        if min(values) < 0:
+            raise ValueError(f"{gain}: expected nonnegative gains, got {min(values)}")
+    return names
+
+
 def tune(
     scenario: Scenario,
     grid: Dict[str, Sequence[float]],
@@ -463,8 +490,7 @@ def tune(
 ) -> Tuple[TuneEntry, List[TuneEntry]]:
     """Exhaustive grid search over gain combinations, smallest objective wins.
 
-    The grid holds one nonempty list of distinct values per field of the
-    gains type.
+    The grid must pass `check_grid` for the scenario's law.
     Every grid point is simulated by the lockstep loop `_lockstep`, bit for
     bit what `run` gives for it with those gains on both axes, logging only
     the scored force. The points run in consecutive chunks, each with its own
@@ -477,19 +503,8 @@ def tune(
     every evaluated point. Raises AllRunsFailed when no point scores a
     finite objective.
     """
-    if not grid:
-        raise ValueError("empty tuner grid")
     law = type(scenario.gains["x"])
-    names = [f.name for f in dataclasses.fields(law)]
-    extra = set(grid) - set(names)
-    if extra:
-        raise ValueError(f"unknown gain names in grid: {sorted(extra)}")
-    if len(grid) != len(names):
-        raise ValueError(f"{law.kind} tuner grid must define {names}, got {sorted(grid)}")
-    if any(len(set(grid[n])) < len(grid[n]) for n in names):
-        raise ValueError(f"duplicate values in tuner grid: {grid}")
-    if any(len(grid[n]) == 0 for n in names):
-        raise ValueError(f"empty value list in tuner grid: {grid}")
+    names = check_grid(law, grid)
     setpoint = getattr(scenario.setpoint, axis)
     t = _tick_times(scenario)
 

@@ -79,6 +79,21 @@ class TestRunCommand:
             ("sensor.seed=1.5", "sensor.seed"),
             ("sensor.seed=false", "sensor.seed"),
             pytest.param("seed=" + "1" * 4401, "seed", id="seed=4401-digit-integer"),
+            (
+                "environment.obstacles=[{type: rough_surface, height_base: abc}]",
+                "environment.obstacles[0].height_base",
+            ),
+            ("controller=[pi]", "controller"),
+            ("environment.obstacles=[{type: [a]}]", "environment.obstacles[0].type"),
+            ("path=[{t: 0.0, x: abc, z: 0.2}]", "path[0].x"),
+            (
+                "environment.obstacles=[{type: box, x_min: 0.0, x_max: 1.0, z_min: 0.0, z_max: '0.3'}]",
+                "environment.obstacles[0].z_max",
+            ),
+            ("rule_file=5", "rule_file"),
+            ("rule_file=[a]", "rule_file"),
+            ("rule_file=true", "rule_file"),
+            ("rule_file={a: 1}", "rule_file"),
         ],
     )
     def test_bad_numbers_exit_2_naming_the_key(self, override, key, tmp_path, capsys):
@@ -90,7 +105,7 @@ class TestRunCommand:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{key}: expected" in err
+        assert f"config error: {key}: expected" in err
         # PyYAML reads 1e9 and 1.0e9 as strings; the message says how to write the number.
         if override == "duration=1e9":
             assert "got the string '1e9'" in err and "write it as 1.0e+9" in err
@@ -208,6 +223,35 @@ class TestRunCommand:
         rms = yaml.safe_load((tmp_path / "exp2_pi_summary.yaml").read_text())["metrics"]["z"]["steady_state_rms"]
         tail = read_csv_column(tmp_path / "exp2_pi.csv", "f_z")[240:] - 30.0
         assert rms == pytest.approx(1.0e200 * math.sqrt(np.mean((tail / 1.0e200) ** 2)), rel=1e-8)
+
+    @pytest.mark.filterwarnings("error")
+    def test_itae_of_huge_finite_errors_is_finite(self, tmp_path):
+        # A 4e306 N bias: the ITAE's sum overflowed before its multiplication
+        # by dt, so it read inf although the true ITAE, about 4e306 * 4.515,
+        # is within float range.
+        code = run_cli(
+            "run", "--preset", "exp2", "--controller", "pi",
+            "--set", "sensor.bias.z=4.0e+306", "--out", str(tmp_path),
+        )
+        assert code == 0
+        metrics = yaml.safe_load((tmp_path / "exp2_pi_summary.yaml").read_text())["metrics"]["z"]
+        f = read_csv_column(tmp_path / "exp2_pi.csv", "f_z")
+        t = read_csv_column(tmp_path / "exp2_pi.csv", "t")
+        assert metrics["itae"] == pytest.approx(np.sum(t * np.abs(30.0 - f) / 4.0e306) * 0.01 * 4.0e306)
+        assert metrics["steady_state_rms"] == pytest.approx(4.0e306)
+
+    @pytest.mark.filterwarnings("error")
+    def test_force_infinite_from_the_first_tick_gives_inf_itae(self, tmp_path):
+        # A floor at 1e308 m presses an infinite force from t = 0. The ITAE
+        # took 0 * inf at t = 0: a RuntimeWarning and `itae: .nan`.
+        code = run_cli(
+            "run", "--preset", "exp2", "--controller", "fuzzy",
+            "--set", "environment.obstacles=[{type: rough_surface, height_base: 1.0e+308}]",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        metrics = yaml.safe_load((tmp_path / "exp2_fuzzy_summary.yaml").read_text())["metrics"]["z"]
+        assert metrics["max_force"] == metrics["itae"] == math.inf
 
     def test_huge_metrics_print_in_exponent_form(self, tmp_path, capsys):
         # A finite overshoot of ~3.3e300 % (and an ITAE of ~4.5e300) printed

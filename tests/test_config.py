@@ -64,6 +64,24 @@ class TestValidation:
             validate_config({**MINIMAL, "selection": {"z": 1}})
         with pytest.raises(ConfigInvalid, match="setpoint.z: expected a number"):
             validate_config({"controller": "pi", "setpoint": {"x": 0, "z": "many"}})
+        # Leaves without a typed default: these ended in a traceback (height_base,
+        # an unhashable controller or type) or in a message naming no key.
+        obstacle = {"type": "box", "x_min": 0.0, "x_max": 1.0, "z_min": 0.0, "z_max": 0.3}
+        cases = [
+            ("environment.obstacles[0].height_base", {"type": "rough_surface", "height_base": "abc"}),
+            ("environment.obstacles[0].type", {"type": ["a"]}),
+            ("environment.obstacles[0].z_max", {**obstacle, "z_max": "0.3"}),
+        ]
+        for key, item in cases:
+            with pytest.raises(ConfigInvalid, match="^" + re.escape(key) + ": expected"):
+                validate_config({**MINIMAL, "environment": {"obstacles": [item]}})
+        with pytest.raises(ConfigInvalid, match=r"^path\[0\]\.x: expected a number"):
+            validate_config({**MINIMAL, "path": [{"t": 0.0, "x": "abc", "z": 0.2}]})
+        with pytest.raises(ConfigInvalid, match="^controller: expected 'pi' or 'fuzzy', got \\['pi'\\]"):
+            validate_config({**MINIMAL, "controller": ["pi"]})
+        for rule_file in (5, ["a"], True, {"a": 1}):
+            with pytest.raises(ConfigInvalid, match="^rule_file: expected a file path"):
+                validate_config({**MINIMAL, "rule_file": rule_file})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(

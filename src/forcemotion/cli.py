@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional
 from . import config as cfgmod
 from . import fuzzy
 from .config import ConfigInvalid
-from .control import AXES, FuzzyPIGains
+from .control import AXES, LAWS, FuzzyPIGains
 from .plant import fmt_num
 from .presets import PRESET_NAMES, TUNED_FUZZY
 from .sim import (
@@ -42,8 +42,13 @@ def _tmp(path: Path) -> Path:
 
 
 def _write_results(results: Dict[Path, str]) -> None:
-    """Write each text to its path's temp name, then rename them all; on a
-    failure, remove every temp and result this call wrote."""
+    """Create the results' directory, write each text to its path's temp name
+    and rename them all; a failure removes every temp and result written."""
+    out = next(iter(results)).parent
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(f"--out {out}: {exc.strerror or exc}") from None
     written: List[Path] = []
     try:
         for path, text in results.items():
@@ -91,32 +96,21 @@ def _effective_config(args) -> Dict[str, Any]:
     return cfgmod.validate_config(raw)
 
 
-def _out_path(args) -> Path:
-    """--out, checked before anything is simulated (and created only to
-    write results): the longest part of it that exists must be a directory."""
+def _result_paths(args, *names: str) -> List[Path]:
+    """The result files in --out, checked before anything is simulated (--out
+    is created only to write them): the longest part of --out that exists
+    must be a directory, and neither a result name nor its temp name may be
+    held by a directory."""
     out = Path(args.out)
     existing = next((p for p in (out, *out.parents) if os.path.exists(p)), out)
     if not os.path.isdir(existing):
         raise ConfigInvalid(f"--out {out}: {existing} is not a directory")
-    return out
-
-
-def _result_paths(out: Path, *names: str) -> List[Path]:
-    """The result files, checked before anything is simulated: neither a
-    result name nor its temp name may be held by a directory."""
     paths = [out / name for name in names]
     for path in paths:
         for taken in (path, _tmp(path)):
             if taken.is_dir():
                 raise ConfigInvalid(f"{taken}: cannot write: Is a directory")
     return paths
-
-
-def _make_dir(out: Path) -> None:
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigInvalid(f"--out {out}: {exc.strerror or exc}") from None
 
 
 def _metrics_summary(cfg: Dict[str, Any], trace: Trace) -> Dict[str, Any]:
@@ -133,14 +127,12 @@ def _metrics_summary(cfg: Dict[str, Any], trace: Trace) -> Dict[str, Any]:
 def cmd_run(args) -> int:
     cfg = _effective_config(args)
     scenario = cfgmod.scenario_from_config(cfg)
-    out = _out_path(args)
-    stem = f"{scenario.name}_{scenario.controller_kind}"
-    csv_path, summary_path = _result_paths(out, f"{stem}.csv", f"{stem}_summary.yaml")
+    stem = f"{cfg['name']}_{cfg['controller']}"
+    csv_path, summary_path = _result_paths(args, f"{stem}.csv", f"{stem}_summary.yaml")
     trace = run(scenario)
 
     metrics = _metrics_summary(cfg, trace)
     summary = {"config": cfg, "ticks": len(trace), "trace_csv": csv_path.name, "metrics": metrics}
-    _make_dir(out)
     _write_results({csv_path: format_trace_csv(trace), summary_path: cfgmod.to_yaml(summary)})
     print(f"wrote {csv_path} and {summary_path}")
     for axis, m in metrics.items():
@@ -172,12 +164,11 @@ def cmd_compare(args) -> int:
     """Run both laws on one config and report each selected axis from the
     two run summaries (`_metrics_summary`, as `run` writes them)."""
     cfg = _effective_config(args)
-    out = _out_path(args)
     name = cfg["name"]
     *csv_paths, report_path = _result_paths(
-        out, *(f"{name}_{kind}.csv" for kind in cfgmod._LAWS), f"{name}_compare.yaml"
+        args, *(f"{name}_{kind}.csv" for kind in LAWS), f"{name}_compare.yaml"
     )
-    scenarios = {kind: cfgmod.scenario_from_config(cfg, controller=kind) for kind in cfgmod._LAWS}
+    scenarios = {kind: cfgmod.scenario_from_config(dict(cfg, controller=kind)) for kind in LAWS}
     traces = {kind: run(scenario) for kind, scenario in scenarios.items()}
     summaries = {kind: _metrics_summary(cfg, trace) for kind, trace in traces.items()}
 
@@ -200,7 +191,6 @@ def cmd_compare(args) -> int:
 
     report["trace_csv"] = {kind: path.name for kind, path in zip(traces, csv_paths)}
     results = {path: format_trace_csv(trace) for path, trace in zip(csv_paths, traces.values())}
-    _make_dir(out)
     _write_results({**results, report_path: cfgmod.to_yaml(report)})
 
     print(f"wrote {report_path}")
@@ -209,7 +199,7 @@ def cmd_compare(args) -> int:
         if "error" in body:
             print(f"    {body['error']}")
             continue
-        for kind in cfgmod._LAWS:
+        for kind in LAWS:
             m = body[kind]
             settle = "not settled" if not m["settled"] else f"{fmt_num(m['settling_time'], '.3f')} s"
             print(
@@ -224,27 +214,20 @@ def cmd_tune(args) -> int:
     cfg = _effective_config(args)
     settings = cfgmod.tuner_settings(cfg)
     scenario = cfgmod.scenario_from_config(cfg)
-    out = _out_path(args)
-    stem = f"{scenario.name}_{scenario.controller_kind}"
-    board_path, best_path = _result_paths(out, f"{stem}_leaderboard.yaml", f"{stem}_best.yaml")
-    best, leaderboard = tune(
-        scenario,
-        settings["grid"],
-        weights=settings["weights"],
-        axis=settings["axis"],
-        band_pct=settings["band_pct"],
-    )
+    kind = cfg["controller"]
+    stem = f"{cfg['name']}_{kind}"
+    board_path, best_path = _result_paths(args, f"{stem}_leaderboard.yaml", f"{stem}_best.yaml")
+    best, leaderboard = tune(scenario, **settings)
 
     board = {
         "scenario": scenario.name,
-        "controller": scenario.controller_kind,
+        "controller": kind,
         "axis": settings["axis"],
         "entries": [dataclasses.asdict(e) for e in leaderboard],
     }
     best_cfg = copy.deepcopy(cfg)
     for axis in AXES:
-        best_cfg["gains"][scenario.controller_kind][axis] = dict(best.gains)
-    _make_dir(out)
+        best_cfg["gains"][kind][axis] = dict(best.gains)
     _write_results({board_path: cfgmod.to_yaml(board), best_path: cfgmod.to_yaml(best_cfg)})
     print(f"wrote {board_path} and {best_path}")
     print(f"  best gains: {best.gains} (objective {fmt_num(best.objective, '.4f')})")
@@ -292,7 +275,7 @@ def _add_common(parser: argparse.ArgumentParser, with_controller: bool = True) -
     parser.add_argument("--preset", choices=PRESET_NAMES, help="built-in scenario")
     parser.add_argument("--config", help="YAML scenario config file")
     if with_controller:
-        parser.add_argument("--controller", choices=tuple(cfgmod._LAWS), help="force loop law")
+        parser.add_argument("--controller", choices=tuple(LAWS), help="force loop law")
     parser.add_argument(
         "--set",
         action="append",

@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional
 
 import yaml
 
-from .control import AXES, AxisForce, CorrectionLimits, FuzzyPIGains, PIGains, SelectionMatrix
+from .control import AXES, LAWS, AxisForce, CorrectionLimits, SelectionMatrix
 from .fuzzy import RuleBase
 from .plant import Box, Environment, PlanarArm, Pose, RoughSurface, SensorModel
 from .presets import DEFAULT_SEED, PRESET_NAMES, PRESETS, TUNED_FUZZY, TUNED_PI
@@ -30,8 +30,6 @@ class ConfigInvalid(Exception):
 
 _REQUIRED = "__required__"
 
-# `controller` value -> gains type; the gains type carries the control law.
-_LAWS = {law.kind: law for law in (PIGains, FuzzyPIGains)}
 # Obstacle `type` value -> the obstacle type it builds.
 _OBSTACLES = {"rough_surface": RoughSurface, "box": Box}
 
@@ -88,7 +86,7 @@ _OBSTACLE_DEFAULTS = {kind: {"type": kind, **_fields(cls)} for kind, cls in _OBS
 # Keys that take one of a few values, keyed without list indices. `in` on a
 # tuple compares by ==, so an unhashable value is rejected, not a crash.
 _CHOICES = {
-    "controller": tuple(_LAWS),
+    "controller": tuple(LAWS),
     "arm.elbow": ("down", "up"),
     "tuner.axis": AXES,
     **{f"press_direction.{axis}": (1, -1) for axis in AXES},
@@ -299,10 +297,10 @@ def apply_overrides(raw: Dict[str, Any], overrides: List[str]) -> Dict[str, Any]
     return updated
 
 
-def scenario_from_config(cfg: Dict[str, Any], controller: Optional[str] = None) -> Scenario:
+def scenario_from_config(cfg: Dict[str, Any]) -> Scenario:
     """Build a runnable Scenario from an effective (validated) config."""
     try:
-        return _build_scenario(cfg, controller)
+        return _build_scenario(cfg)
     except (ValueError, TypeError, OSError) as exc:
         raise ConfigInvalid(str(exc)) from exc
 
@@ -318,8 +316,8 @@ def _build(key: str, cls, **kwargs) -> Any:
         raise ConfigInvalid(f"{key}.{message}" if named else f"{key}: {message}") from None
 
 
-def _build_scenario(cfg: Dict[str, Any], controller: Optional[str]) -> Scenario:
-    kind = controller or cfg["controller"]
+def _build_scenario(cfg: Dict[str, Any]) -> Scenario:
+    kind = cfg["controller"]
     seed = cfg["seed"]
     env_seed = cfg["environment"]["seed"]
     sensor = cfg["sensor"]
@@ -340,7 +338,7 @@ def _build_scenario(cfg: Dict[str, Any], controller: Optional[str]) -> Scenario:
         ),
         environment=Environment(tuple(obstacles), seed=seed if env_seed is None else env_seed),
         gains={
-            axis: _build(f"gains.{kind}.{axis}", _LAWS[kind], **cfg["gains"][kind][axis])
+            axis: _build(f"gains.{kind}.{axis}", LAWS[kind], **cfg["gains"][kind][axis])
             for axis in AXES
         },
         selection=SelectionMatrix(**cfg["selection"]),
@@ -363,10 +361,11 @@ def _build_scenario(cfg: Dict[str, Any], controller: Optional[str]) -> Scenario:
 
 
 def tuner_settings(cfg: Dict[str, Any]) -> Dict[str, Any]:
-    """Extract tuner axis/grid/weights from an effective config."""
+    """`tune`'s keyword arguments (axis, band_pct, weights, grid) from an
+    effective config."""
     t = cfg["tuner"]
     try:
-        check_grid(_LAWS[cfg["controller"]], t["grid"])
+        check_grid(LAWS[cfg["controller"]], t["grid"])
     except ValueError as exc:
         raise ConfigInvalid(f"tuner.grid.{exc}") from None
     if not cfg["selection"][t["axis"]]:

@@ -83,6 +83,10 @@ class FuzzyPIGains:
         return kx * engine.outputs(ki * e, kp * de)
 
 
+# `controller` value -> gains type; the gains type carries the control law.
+LAWS = {law.kind: law for law in (PIGains, FuzzyPIGains)}
+
+
 @dataclass(frozen=True)
 class CorrectionLimits:
     """Clamp limits for the accumulated correction and the per-tick increment.
@@ -112,10 +116,6 @@ class SelectionMatrix(NamedTuple):
     @classmethod
     def identity(cls) -> "SelectionMatrix":
         return cls(True, True)
-
-    @classmethod
-    def none(cls) -> "SelectionMatrix":
-        return cls(False, False)
 
 
 def clamp(a: np.ndarray, lo, hi) -> np.ndarray:

@@ -30,10 +30,6 @@ class Label(enum.IntEnum):
     PM = 2
     PL = 3
 
-    def negate(self) -> "Label":
-        """Mirror the label about ZR (NL <-> PL, NM <-> PM, ...)."""
-        return Label(-self.value)
-
 
 LABELS: Tuple[Label, ...] = tuple(Label)
 _N_LABELS = len(LABELS)
@@ -58,9 +54,6 @@ class FuzzySet:
         for label, degree in self.degrees.items():
             if not 0.0 <= degree <= 1.0:
                 raise ValueError(f"degree of {label.name} out of [0, 1]: {degree}")
-
-    def degree(self, label: Label) -> float:
-        return self.degrees.get(label, 0.0)
 
 
 def fuzzify(x: float) -> FuzzySet:
@@ -120,9 +113,6 @@ class RuleBase:
         ]
         if missing:
             raise ValueError(f"rule base incomplete, missing cells: {missing}")
-
-    def lookup(self, e_label: Label, de_label: Label) -> Label:
-        return self.table[(e_label, de_label)]
 
     @classmethod
     def parse(cls, text: str) -> "RuleBase":

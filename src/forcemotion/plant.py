@@ -66,10 +66,6 @@ class PlanarArm:
             self.l1 * math.sin(q1) + self.l2 * math.sin(q12),
         )
 
-    def jacobian(self, q: Tuple[float, float]) -> np.ndarray:
-        """Analytic 2x2 Jacobian of fk at the joint angles q, rows (dx/dq, dz/dq)."""
-        return _jacobians(self.l1, self.l2, np.array([q], dtype=float))[0]
-
     def joint_torques(self, f: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Joint torques equivalent to the Cartesian tool forces: J^T f.
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .control import (
     AXES,
+    LAWS,
     AxisForce,
     CorrectionLimits,
     FuzzyPIGains,
@@ -161,7 +162,7 @@ class Scenario:
             raise ValueError(
                 f"both axes must use one control law, got {law.__name__} and {law_z.__name__}"
             )
-        if law not in (PIGains, FuzzyPIGains):
+        if law not in LAWS.values():
             raise ValueError(f"unknown gains type {law.__name__}")
         arm = self.arm
         points = list(self.path.waypoints)
@@ -169,11 +170,11 @@ class Scenario:
             # run() starts the arm at the path's pose at t = 0, here between
             # two waypoints or at the last.
             points.append((None, self.path.pose_at(0.0)))
-        for t, pose in points:
+        for i, (t, pose) in enumerate(points):
             try:
                 ik(arm.l1, arm.l2, pose, arm.elbow)
             except Unreachable:
-                where = "the path's start at t=0.0" if t is None else f"waypoint at t={t}"
+                where = "path: the path's start at t=0.0" if t is None else f"path[{i}]: waypoint at t={t}"
                 raise ValueError(f"{where} is unreachable: {pose}") from None
         reach_hi = arm.l1 + arm.l2
         for i, obstacle in enumerate(self.environment.obstacles):
@@ -184,11 +185,6 @@ class Scenario:
                     f"{obstacle.roughness_wavelength} is so short that the profile's sine "
                     f"argument overflows within the arm's reach {reach_hi}"
                 )
-
-    @property
-    def controller_kind(self) -> str:
-        """The control law, "pi" or "fuzzy", as its gains type names it."""
-        return self.gains["x"].kind
 
 
 TRACE_COLUMNS = (

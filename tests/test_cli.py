@@ -768,6 +768,12 @@ class TestOutputPaths:
             cli._write_results({tmp_path / "a.csv": "x", tmp_path / "b.yaml": "y"})
         assert list(tmp_path.iterdir()) == []
 
+    def test_write_results_creates_the_results_directory(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        cli._write_results({out / "a.csv": "x", out / "b.yaml": "y"})
+        assert sorted(p.name for p in out.iterdir()) == ["a.csv", "b.yaml"]
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_nested_out_is_created(self, tmp_path):
         out = tmp_path / "a" / "b"
         assert run_cli(*self.COMMANDS["run"], "--out", str(out)) == 0
@@ -786,11 +792,15 @@ class TestStartAndArmChecks:
     CASES = {
         "start-on-the-inner-edge": (
             ("arm.l2=0.3", "path=[{t: 0.0, x: -0.061200066677516644, z: -0.1904062809842877}]"),
-            "config error: waypoint at t=0.0 is unreachable",
+            "config error: path[0]: waypoint at t=0.0 is unreachable",
         ),
         "start-between-waypoints": (
             ("arm.l2=0.3", "path=[{t: -1.0, x: 0.6, z: 0.1}, {t: 1.0, x: -0.6, z: 0.1}]"),
-            "config error: the path's start at t=0.0 is unreachable",
+            "config error: path: the path's start at t=0.0 is unreachable",
+        ),
+        "waypoint-out-of-reach": (
+            ("path=[{t: 0.0, x: 3, z: 0.2475}]",),
+            "config error: path[0]: waypoint at t=0.0 is unreachable: Pose(x=3, z=0.2475)",
         ),
         "squares-overflow": (
             ("arm.l1=1.0e+154", "arm.l2=1.0e+154"),

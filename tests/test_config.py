@@ -170,9 +170,10 @@ class TestPresetsAndFiles:
         for name in ("exp1", "exp2", "exp3"):
             cfg = validate_config(preset_config(name))
             for kind in ("pi", "fuzzy"):
-                scenario = scenario_from_config(cfg, controller=kind)
+                # As `compare` builds each law's scenario.
+                scenario = scenario_from_config(dict(cfg, controller=kind))
                 assert scenario.name == name
-                assert scenario.controller_kind == kind
+                assert scenario.gains["x"].kind == kind
 
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "exp2.yaml"
@@ -193,7 +194,7 @@ class TestPresetsAndFiles:
         rules.write_text("zr zr zr zr zr zr zr\n" * 7)
         cfg = validate_config({**MINIMAL, "rule_file": str(rules)})
         scenario = scenario_from_config(cfg)
-        assert scenario.rules.lookup(Label.PL, Label.PL) is Label.ZR
+        assert scenario.rules.table[Label.PL, Label.PL] is Label.ZR
 
     def test_missing_rule_file_is_config_error(self):
         cfg = validate_config({**MINIMAL, "rule_file": "/nonexistent/rules.txt"})

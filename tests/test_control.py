@@ -164,7 +164,7 @@ class TestSelection:
         assert e == (2.0, 4.0)
 
     def test_pure_motion_control(self):
-        u, du, e = self._step(SelectionMatrix.none())
+        u, du, e = self._step(SelectionMatrix(False, False))
         assert (u, du) == ((0.0, 0.0), (0.0, 0.0))
         assert e == (2.0, 4.0)
 
@@ -249,7 +249,7 @@ class TestAccumulate:
 
 class TestHybridStep:
     def test_all_axes_deselected_keeps_u(self):
-        hybrid = _hybrid(PIGains(1e-4, 5e-5), selection=SelectionMatrix.none())
+        hybrid = _hybrid(PIGains(1e-4, 5e-5), selection=SelectionMatrix(False, False))
         for _ in range(5):
             u, du, _ = hybrid.step(AxisForce(5.0, 10.0), AxisForce(0.0, 0.0))
             assert u == (0.0, 0.0)

@@ -87,10 +87,10 @@ _TOKEN = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def _names_a_key(message):
-    """Whether the message names a config key. `tuner.grid` takes any gain
-    name, and the reachability check names a path waypoint by its time."""
+    """Whether the message names a config key; `tuner.grid` takes any gain
+    name."""
     tokens = _TOKEN.findall(re.sub(r"\[\d+\]", "", message))
-    return any(t in KEYS or t.startswith("tuner.grid.") or t == "waypoint" for t in tokens)
+    return any(t in KEYS or t.startswith("tuner.grid.") for t in tokens)
 
 
 def _scalars(node, key=None):

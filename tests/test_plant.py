@@ -13,6 +13,7 @@ from forcemotion.plant import (
     RoughSurface,
     SensorModel,
     Unreachable,
+    _jacobians,
     fk_batch,
     ik,
     ik_batch,
@@ -109,7 +110,7 @@ class TestLinkLengths:
 
 class TestJacobian:
     def test_stretched_configuration(self):
-        jac = ARM.jacobian((0.0, 0.0))
+        jac = _jacobians(ARM.l1, ARM.l2, np.array([(0.0, 0.0)]))[0]
         fd = oracles.finite_difference_jacobian(
             lambda q1, q2: ARM.fk((q1, q2)), 0.0, 0.0
         )
@@ -117,14 +118,14 @@ class TestJacobian:
         assert jac == pytest.approx(np.array([[0.0, 0.0], [1.0, 0.5]]), abs=1e-12)
 
     def test_vertical_configuration(self):
-        jac = ARM.jacobian((math.pi / 2, 0.0))
+        jac = _jacobians(ARM.l1, ARM.l2, np.array([(math.pi / 2, 0.0)]))[0]
         assert jac == pytest.approx(np.array([[-1.0, -0.5], [0.0, 0.0]]), abs=1e-12)
 
     def test_matches_finite_differences_on_random_configurations(self):
         rng = np.random.default_rng(1618)
         for _ in range(100):
             q1, q2 = rng.uniform(-math.pi, math.pi, size=2)
-            jac = ARM.jacobian((q1, q2))
+            jac = _jacobians(ARM.l1, ARM.l2, np.array([(q1, q2)]))[0]
             fd = oracles.finite_difference_jacobian(
                 lambda a, b: ARM.fk((a, b)), q1, q2
             )
@@ -134,7 +135,7 @@ class TestJacobian:
         rng = np.random.default_rng(2718)
         for _ in range(20):
             q1, q2 = rng.uniform(-math.pi, math.pi, size=2)
-            jac = ARM.jacobian((q1, q2))
+            jac = _jacobians(ARM.l1, ARM.l2, np.array([(q1, q2)]))[0]
             q12 = q1 + q2
             assert jac[:, 1] == pytest.approx(
                 [-0.5 * math.sin(q12), 0.5 * math.cos(q12)], abs=1e-12

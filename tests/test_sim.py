@@ -138,9 +138,9 @@ class TestScenarioValidation:
         [
             # math.hypot puts this pose on the inner edge of the workspace,
             # and ik's sqrt(x*x + z*z) an ulp inside it.
-            (((0.0, Pose(-0.061200066677516644, -0.1904062809842877)),), "waypoint at t=0.0"),
+            (((0.0, Pose(-0.061200066677516644, -0.1904062809842877)),), "path[0]: waypoint at t=0.0"),
             # Both waypoints are reachable; the pose at t = 0 between them is not.
-            (((-1.0, Pose(0.6, 0.1)), (1.0, Pose(-0.6, 0.1))), "the path's start at t=0.0"),
+            (((-1.0, Pose(0.6, 0.1)), (1.0, Pose(-0.6, 0.1))), "path: the path's start at t=0.0"),
         ],
         ids=["inner-edge", "start-between-waypoints"],
     )
@@ -152,7 +152,7 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("pose", [Pose(math.nan, 0.2), Pose(0.6, math.nan)])
     def test_rejects_nan_waypoint_pose(self, pose):
         # Its radius is NaN, which compares false with both reach limits.
-        with pytest.raises(ValueError, match="unreachable"):
+        with pytest.raises(ValueError, match=r"^path\[1\]: waypoint at t=1.0 is unreachable"):
             free_space_scenario(path=NominalPath(((0.0, Pose(0.6, 0.2)), (1.0, pose))))
 
     def test_rejects_bad_timing(self):
@@ -271,7 +271,7 @@ class TestRun:
 
     def test_uncontrolled_exp1_exceeds_setpoint(self):
         scenario = dataclasses.replace(
-            preset_scenario("exp1", "pi"), selection=SelectionMatrix.none()
+            preset_scenario("exp1", "pi"), selection=SelectionMatrix(False, False)
         )
         trace = run(scenario)
         assert trace.column("f_z").max() > 10.0

@@ -16,7 +16,6 @@ from .control import (
 )
 from .fuzzy import (
     AggregatedOutput,
-    FuzzySet,
     Label,
     RuleBase,
     defuzzify_coa,
@@ -49,7 +48,6 @@ __all__ = [
     "CorrectionLimits",
     "Environment",
     "FuzzyPIGains",
-    "FuzzySet",
     "Label",
     "Metrics",
     "NoContact",

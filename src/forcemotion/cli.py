@@ -246,11 +246,11 @@ def cmd_infer(args) -> int:
     rules = fuzzy.RuleBase.default()
     e_norm = gains.ki * args.e
     de_norm = gains.kp * args.de
-    e_set = fuzzy.fuzzify(e_norm)
-    de_set = fuzzy.fuzzify(de_norm)
+    e_degrees = fuzzy.fuzzify(e_norm)
+    de_degrees = fuzzy.fuzzify(de_norm)
     # `infer` fires the rules again; the firings are fired here for printing.
-    firings = fuzzy.fire_rules(e_set, de_set, rules)
-    agg = fuzzy.infer(e_set, de_set, rules)
+    firings = fuzzy.fire_rules(e_degrees, de_degrees, rules)
+    agg = fuzzy.infer(e_degrees, de_degrees, rules)
     centroid = fuzzy.defuzzify_coa(agg)
     du = gains.kx * centroid
     print(f"e = {args.e:g} N, de = {args.de:g} N")

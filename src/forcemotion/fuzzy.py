@@ -44,20 +44,9 @@ CENTERS: Tuple[float, ...] = (-1.0, -2 / 3, -1 / 3, 0.0, 1 / 3, 2 / 3, 1.0)
 HALF_WIDTH = 1 / 3
 
 
-@dataclass(frozen=True)
-class FuzzySet:
-    """Membership degrees per label; zero-degree labels are omitted."""
-
-    degrees: Dict[Label, float]
-
-    def __post_init__(self) -> None:
-        for label, degree in self.degrees.items():
-            if not 0.0 <= degree <= 1.0:
-                raise ValueError(f"degree of {label.name} out of [0, 1]: {degree}")
-
-
-def fuzzify(x: float) -> FuzzySet:
-    """Map a crisp value to membership degrees, clamping x to [-1, 1].
+def fuzzify(x: float) -> List[float]:
+    """Map a crisp value to its seven membership degrees in label order,
+    NL .. PL, 0.0 where x does not reach; x is clamped to [-1, 1].
 
     Only labels whose center is within one spacing of x can be nonzero, so
     the triangle is evaluated for the four labels k-1 .. k+2 around the
@@ -66,14 +55,14 @@ def fuzzify(x: float) -> FuzzySet:
     center).
     """
     x = min(max(x, -1.0), 1.0)
-    degrees = {}
+    degrees = [0.0] * _N_LABELS
     if x == x:  # NaN has degree 0 in every label
         k = int((x + 1.0) / HALF_WIDTH)
         for i in range(max(k - 1, 0), min(k + 3, _N_LABELS)):
             t = 1.0 - abs(x - CENTERS[i]) / HALF_WIDTH
             if t > 0.0:
-                degrees[LABELS[i]] = t
-    return FuzzySet(degrees)
+                degrees[i] = t
+    return degrees
 
 
 # 7x7 PI-type rule table. Rows are de from PL (top) to NL (bottom), columns
@@ -211,15 +200,16 @@ class RuleFiring(NamedTuple):
     strength: float
 
 
-def fire_rules(e_set: FuzzySet, de_set: FuzzySet, rules: RuleBase) -> List[RuleFiring]:
-    """Evaluate every rule whose antecedents both have nonzero degree."""
+def fire_rules(e_degrees: List[float], de_degrees: List[float], rules: RuleBase) -> List[RuleFiring]:
+    """Evaluate every rule whose antecedents both have nonzero degree, e
+    labels ascending and then de labels ascending."""
     table = rules.table
-    de_degrees = de_set.degrees.items()
+    de_fired = [(label, mu) for label, mu in zip(LABELS, de_degrees) if mu > 0.0]
     firings = []
-    for e_label, mu_e in e_set.degrees.items():
-        for de_label, mu_de in de_degrees:
-            strength = mu_de if mu_de < mu_e else mu_e
-            if strength > 0.0:
+    for e_label, mu_e in zip(LABELS, e_degrees):
+        if mu_e > 0.0:
+            for de_label, mu_de in de_fired:
+                strength = mu_de if mu_de < mu_e else mu_e
                 firings.append(RuleFiring(e_label, de_label, table[e_label, de_label], strength))
     return firings
 
@@ -240,10 +230,10 @@ class AggregatedOutput:
                 raise ValueError(f"clip of {label.name} out of [0, 1]: {clip}")
 
 
-def infer(e_set: FuzzySet, de_set: FuzzySet, rules: RuleBase) -> AggregatedOutput:
+def infer(e_degrees: List[float], de_degrees: List[float], rules: RuleBase) -> AggregatedOutput:
     """Mamdani inference: min-AND firing, clip implication, max aggregation."""
     clips: Dict[Label, float] = {}
-    for _, _, out_label, strength in fire_rules(e_set, de_set, rules):
+    for _, _, out_label, strength in fire_rules(e_degrees, de_degrees, rules):
         if strength > clips.get(out_label, 0.0):
             clips[out_label] = strength
     return AggregatedOutput(clips)

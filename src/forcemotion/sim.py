@@ -152,6 +152,14 @@ class Scenario:
                 f"duration / dt: expected at most {_MAX_TICKS} ticks, got "
                 f"duration {self.duration} / dt {self.dt} = {self.duration / self.dt:.6g}"
             )
+        # run() rounds duration / dt to whole ticks; the relative tolerance
+        # lets 3.0 / 0.01 = 299.99999999999994 through.
+        ticks = self.duration / self.dt
+        if abs(ticks - round(ticks)) > 1e-9 * ticks:
+            raise ValueError(
+                f"duration: expected a whole number of ticks of dt = {self.dt}, got "
+                f"{self.duration} / {self.dt} = {ticks:.10g}"
+            )
         for axis in AXES:
             if axis not in self.gains:
                 raise ValueError(f"missing gains for axis {axis}")
@@ -372,9 +380,11 @@ def compute_metrics(trace: Trace, axis: str, setpoint: float, band_pct: float = 
     """Overshoot, settling, steady-state RMS, peak force, and ITAE.
 
     Overshoot and settling are measured from first contact (|f| above
-    _CONTACT_N). For a zero setpoint the settling band is the absolute
-    _ZERO_BAND_N and overshoot is the peak excess over that band, expressed
-    as a percentage of it.
+    _CONTACT_N). Overshoot is the peak excess of the force beyond the
+    setpoint, away from zero, as a percentage of |setpoint|, so a trace and
+    its mirror (f and setpoint negated) read the same. For a zero setpoint
+    the settling band is the absolute _ZERO_BAND_N and overshoot is the
+    peak excess of |f| over that band, expressed as a percentage of it.
     """
     t, f = trace.column("t"), trace.column(f"f_{axis}")
     return _metrics(t, f, axis, setpoint, band_pct)
@@ -390,7 +400,8 @@ def _metrics(t: np.ndarray, f: np.ndarray, axis: str, setpoint: float, band_pct:
 
     if setpoint != 0.0:
         band = band_pct * abs(setpoint)
-        overshoot = max(0.0, (float(post.max()) - setpoint) / abs(setpoint) * 100.0)
+        peak = float((math.copysign(1.0, setpoint) * post).max())
+        overshoot = max(0.0, (peak - abs(setpoint)) / abs(setpoint) * 100.0)
     else:
         band = _ZERO_BAND_N
         overshoot = max(0.0, (float(np.abs(post).max()) - band) / band * 100.0)

@@ -71,6 +71,9 @@ class TestRunCommand:
             ("press_direction.x=0.5", "press_direction.x"),
             pytest.param("dt=" + "1" + "0" * 400, "dt", id="dt=401-digit-integer"),
             ("duration=1e9", "duration"),
+            ("duration=0.015", "duration"),
+            ("duration=3.006", "duration"),
+            ("dt=0.007", "duration"),
             ("--seed=-5", "seed"),
             ("seed=1.5", "seed"),
             ("seed=true", "seed"),

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forcemotion.fuzzy import (
+    CENTERS,
+    HALF_WIDTH,
     AggregatedOutput,
-    FuzzySet,
     Label,
     RuleBase,
     _two_shape_coa,
@@ -39,50 +40,53 @@ class TestLabels:
 
 class TestMembershipFamily:
     def test_shoulders_saturate(self):
-        assert fuzzify(-5.0).degrees == {Label.NL: 1.0}
-        assert fuzzify(5.0).degrees == {Label.PL: 1.0}
-        assert fuzzify(-2 / 3).degrees.get(Label.NL, 0.0) == 0.0
+        assert fuzzify(-5.0) == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert fuzzify(5.0) == [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+        assert fuzzify(-2 / 3)[Label.NL + 3] == 0.0
 
 
 class TestFuzzify:
     def test_center_of_zr(self):
-        fs = fuzzify(0.0)
-        assert fs.degrees.get(Label.ZR, 0.0) == 1.0
-        assert all(fs.degrees.get(l, 0.0) == 0.0 for l in Label if l is not Label.ZR)
+        degrees = fuzzify(0.0)
+        assert degrees[Label.ZR + 3] == 1.0
+        assert all(degrees[l + 3] == 0.0 for l in Label if l is not Label.ZR)
 
     def test_clamped_beyond_pl(self):
-        fs = fuzzify(1.7)
-        assert fs.degrees.get(Label.PL, 0.0) == 1.0
-        assert sum(fs.degrees.values()) == 1.0
+        degrees = fuzzify(1.7)
+        assert degrees[Label.PL + 3] == 1.0
+        assert sum(degrees) == 1.0
 
     def test_midpoint_splits_evenly(self):
         # Derived with the independent piecewise-linear evaluator.
         reference = oracles.fuzzify_reference(0.5)
         assert reference["PS"] == pytest.approx(0.5, abs=1e-12)
         assert reference["PM"] == pytest.approx(0.5, abs=1e-12)
-        fs = fuzzify(0.5)
-        assert fs.degrees.get(Label.PS, 0.0) == pytest.approx(0.5, abs=1e-12)
-        assert fs.degrees.get(Label.PM, 0.0) == pytest.approx(0.5, abs=1e-12)
-        assert fs.degrees.get(Label.ZR, 0.0) == 0.0
+        degrees = fuzzify(0.5)
+        assert degrees[Label.PS + 3] == pytest.approx(0.5, abs=1e-12)
+        assert degrees[Label.PM + 3] == pytest.approx(0.5, abs=1e-12)
+        assert degrees[Label.ZR + 3] == 0.0
 
     @pytest.mark.parametrize(
         "x,expected",
-        [(float("nan"), {}), (float("inf"), {Label.PL: 1.0}), (float("-inf"), {Label.NL: 1.0})],
+        [
+            (float("nan"), [0.0] * 7),
+            (float("inf"), [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]),
+            (float("-inf"), [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+        ],
     )
     def test_non_finite_input(self, x, expected):
-        assert fuzzify(x).degrees == expected
+        assert fuzzify(x) == expected
 
     @given(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_partition_of_unity(self, x):
-        fs = fuzzify(x)
-        assert sum(fs.degrees.values()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(fuzzify(x)) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_at_most_two_adjacent_labels(self, x):
-        fs = fuzzify(x)
-        nonzero = sorted(l.value for l in fs.degrees)
+        degrees = fuzzify(x)
+        nonzero = [l.value for l in Label if degrees[l + 3] > 0.0]
         assert 1 <= len(nonzero) <= 2
         if len(nonzero) == 2:
             assert nonzero[1] - nonzero[0] == 1
@@ -90,9 +94,26 @@ class TestFuzzify:
     def test_matches_reference_evaluator_on_grid(self):
         for x in np.linspace(-1.0, 1.0, 201):
             reference = oracles.fuzzify_reference(float(x))
-            fs = fuzzify(float(x))
+            degrees = fuzzify(float(x))
             for label in Label:
-                assert fs.degrees.get(label, 0.0) == pytest.approx(reference[label.name], abs=1e-12)
+                assert degrees[label + 3] == pytest.approx(reference[label.name], abs=1e-12)
+
+
+    def test_returns_seven_floats_in_label_order(self):
+        degrees = fuzzify(0.25)
+        assert type(degrees) is list and len(degrees) == 7
+        assert all(type(d) is float for d in degrees)
+
+    def test_equals_the_triangle_formula_bit_for_bit(self):
+        # RuleBase.outputs evaluates every label's triangle on the clamped
+        # input; fuzzify must give the same bits in all seven slots.
+        special = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1.5, -1.5, 1e300, -1e300, np.inf, -np.inf]
+        centres = [np.nextafter(c, d) for c in CENTERS for d in (-np.inf, np.inf)] + list(CENTERS)
+        x = np.concatenate((np.linspace(-1.2, 1.2, 24001), special, centres))
+        clamped = np.minimum(np.maximum(x, -1.0), 1.0)
+        want = np.maximum(1.0 - np.abs(clamped[:, None] - np.array(CENTERS)) / HALF_WIDTH, 0.0)
+        got = np.array([fuzzify(v) for v in x.tolist()])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestRuleBase:
@@ -149,24 +170,28 @@ class TestRuleBase:
         assert RuleBase.from_file(grid).table == RULES.table
 
 
+# Degree vectors in label order, NL .. PL.
+ZR_ONLY = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+PS_PM_HALVES = [0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.0]
+
+
 class TestInfer:
     def test_single_rule_full_strength(self):
-        agg = infer(FuzzySet({Label.ZR: 1.0}), FuzzySet({Label.ZR: 1.0}), RULES)
+        agg = infer(ZR_ONLY, ZR_ONLY, RULES)
         assert agg.clips == {Label.ZR: 1.0}
 
     def test_saturated_positive_corner(self):
-        agg = infer(FuzzySet({Label.PL: 1.0}), FuzzySet({Label.PL: 1.0}), RULES)
+        pl_only = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+        agg = infer(pl_only, pl_only, RULES)
         assert agg.clips == {Label.PL: 1.0}
 
     def test_two_rule_split(self):
         # Hand enumeration of the de = ZR row: (PS, ZR) -> ps, (PM, ZR) -> pm.
-        e_set = FuzzySet({Label.PS: 0.5, Label.PM: 0.5})
-        agg = infer(e_set, FuzzySet({Label.ZR: 1.0}), RULES)
+        agg = infer(PS_PM_HALVES, ZR_ONLY, RULES)
         assert agg.clips == {Label.PS: 0.5, Label.PM: 0.5}
 
     def test_firings_report_strengths(self):
-        e_set = FuzzySet({Label.PS: 0.5, Label.PM: 0.5})
-        firings = fire_rules(e_set, FuzzySet({Label.ZR: 1.0}), RULES)
+        firings = fire_rules(PS_PM_HALVES, ZR_ONLY, RULES)
         assert {(f.e_label, f.out_label, f.strength) for f in firings} == {
             (Label.PS, Label.PS, 0.5),
             (Label.PM, Label.PM, 0.5),
@@ -174,7 +199,7 @@ class TestInfer:
 
     def test_zero_error_input_builds_only_zr_shapes(self):
         for de_norm in np.linspace(-1.0, 1.0, 21):
-            agg = infer(FuzzySet({Label.ZR: 1.0}), fuzzify(float(de_norm)), RULES)
+            agg = infer(ZR_ONLY, fuzzify(float(de_norm)), RULES)
             assert set(agg.clips) == {Label.ZR}
 
 

@@ -1,9 +1,13 @@
 """The modules of the package meet at public names: none imports a `_name`
-from a sibling module or reads `module._name` off a relative import."""
+from a sibling module or reads `module._name` off a relative import, and the
+package's `__all__` lists exactly what it exports."""
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import forcemotion
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "forcemotion"
 
@@ -30,3 +34,25 @@ def _private_uses(tree):
 def test_module_uses_only_public_names_of_its_siblings(module):
     tree = ast.parse((PACKAGE / module).read_text())
     assert list(_private_uses(tree)) == []
+
+
+def test_all_lists_exactly_what_star_import_binds():
+    namespace = {}
+    exec("from forcemotion import *", namespace)
+    namespace.pop("__builtins__")
+    assert len(forcemotion.__all__) == len(set(forcemotion.__all__))
+    assert sorted(namespace) == sorted(forcemotion.__all__)
+
+
+def test_all_lists_every_public_name_the_package_binds():
+    public = {
+        name
+        for name, value in vars(forcemotion).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(forcemotion.__all__)
+
+
+@pytest.mark.parametrize("name", forcemotion.__all__)
+def test_each_exported_name_imports(name):
+    exec(f"from forcemotion import {name}", {})

@@ -187,6 +187,14 @@ class TestScenarioValidation:
             free_space_scenario(dt=dt, duration=(10**6 + 1) * dt)
 
     @pytest.mark.parametrize(
+        "timing", [{"duration": 0.015}, {"duration": 0.025}, {"duration": 3.004}, {"dt": 0.007}]
+    )
+    def test_rejects_a_duration_of_part_ticks(self, timing):
+        # run() would round duration / dt to whole ticks and stop early or late.
+        with pytest.raises(ValueError, match="^duration: expected a whole number of ticks of dt = "):
+            free_space_scenario(**timing)
+
+    @pytest.mark.parametrize(
         "field,value,message",
         [
             ("l1", 0.0, "link lengths must be positive"),
@@ -409,6 +417,17 @@ class TestMetrics:
         m = compute_metrics(make_trace(t, f), "z", 30.0)
         assert m.overshoot_pct == pytest.approx(20.0)
         assert m.max_force == 36.0
+
+    @pytest.mark.parametrize("setpoint", [6.0, 30.0, 0.0])
+    def test_a_mirrored_trace_reads_the_same(self, setpoint):
+        # Overshoot is measured away from zero, on the setpoint's side.
+        t = np.arange(0, 3.0, 0.01)
+        f = setpoint + 8.0 * np.exp(-t / 0.4) * np.cos(8 * t)
+        f[:20] = 0.0
+        forward = compute_metrics(make_trace(t, f, f_x=f), "x", setpoint)
+        mirrored = compute_metrics(make_trace(t, -f, f_x=-f), "x", -setpoint)
+        assert forward == mirrored
+        assert forward.overshoot_pct > 0.0
 
     def test_never_in_band_not_settled(self):
         t = np.arange(0, 1.0, 0.01)

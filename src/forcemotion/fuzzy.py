@@ -33,7 +33,6 @@ class Label(enum.IntEnum):
 
 LABELS: Tuple[Label, ...] = tuple(Label)
 _N_LABELS = len(LABELS)
-_NL, _PL = Label.NL, Label.PL
 
 # The one partition of [-1, 1], shared by inputs and output: triangles on
 # evenly spaced centres with half-width equal to the spacing, so adjacent
@@ -54,12 +53,13 @@ def fuzzify(x: float) -> List[float]:
     clamped, a shoulder equals its triangle (both are 1.0 at the end
     center).
     """
-    x = min(max(x, -1.0), 1.0)
+    x = -1.0 if x < -1.0 else 1.0 if x > 1.0 else x
     degrees = [0.0] * _N_LABELS
     if x == x:  # NaN has degree 0 in every label
-        k = int((x + 1.0) / HALF_WIDTH)
-        for i in range(max(k - 1, 0), min(k + 3, _N_LABELS)):
-            t = 1.0 - abs(x - CENTERS[i]) / HALF_WIDTH
+        w = HALF_WIDTH
+        k = int((x + 1.0) / w)
+        for i in range(k - 1 if k else 0, k + 3 if k < 4 else _N_LABELS):
+            t = 1.0 - abs(x - CENTERS[i]) / w
             if t > 0.0:
                 degrees[i] = t
     return degrees
@@ -210,7 +210,8 @@ def fire_rules(e_degrees: List[float], de_degrees: List[float], rules: RuleBase)
         if mu_e > 0.0:
             for de_label, mu_de in de_fired:
                 strength = mu_de if mu_de < mu_e else mu_e
-                firings.append(RuleFiring(e_label, de_label, table[e_label, de_label], strength))
+                # What RuleFiring(...) runs, without its Python-level __new__.
+                firings.append(tuple.__new__(RuleFiring, (e_label, de_label, table[e_label, de_label], strength)))
     return firings
 
 
@@ -254,8 +255,12 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
     Liveness is read off the computed values, since a triangle's foot can
     evaluate to ~2e-16, not 0. A single live line is integrated directly.
     Otherwise the segment is cut at crossings and the first line of maximal
-    value is integrated on each piece; the two lines of a two-shape
-    aggregate get their one crossing without a search.
+    value is integrated on each piece.
+
+    An aggregate of exactly two shapes, both clipped above 0, takes
+    `_two_shape_centroid`: these operations in this order, on the two
+    shapes by name. `_two_shape_coa` is its column form. One shape, three
+    or more, or any clip of exactly 0 takes the generic loop below.
     """
     clips = agg.clips
     if not clips:
@@ -268,24 +273,21 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
     for label, clip in clips.items():
         c = CENTERS[label + 3]
         flat = w * (1.0 - clip)
-        if label is _NL:
-            breakpoints.update((c + flat, c + w))
-        elif label is _PL:
-            breakpoints.update((c - w, c - flat))
-        else:
-            breakpoints.update((c - w, c - flat, c + flat, c + w))
+        breakpoints.update((c - w, c - flat, c + flat, c + w))
         # A shape clipped at 0 is 0 everywhere, so it is never live.
         if clip > 0.0:
             shapes.append((c, clip, 1 << len(shapes)))
     if not shapes:
         return 0.0
+    xs = sorted(breakpoints)
+    if xs[0] != lo or xs[-1] != hi:  # the outer kinks of NL and PL
+        xs = xs[xs.index(lo) : xs.index(hi) + 1]
+    if len(shapes) == 2 == len(clips):
+        (c1, h1, _), (c2, h2, _) = shapes
+        return _two_shape_centroid(xs, c1, h1, c2, h2)
     # A segment's live mask differs from `full` when some shape is 0 at both
     # of its ends. A shape clipped at 0 is so on every segment.
     full = (1 << len(shapes)) - 1 if len(shapes) == len(clips) else -1
-    xs = sorted(breakpoints)
-    if xs[0] != lo or xs[-1] != hi:  # kinks beyond the universe
-        xs = xs[xs.index(lo) : xs.index(hi) + 1]
-
     area = 0.0
     moment = 0.0
     # Breakpoint b's values, min(clip, membership), and the bit mask of the
@@ -331,21 +333,6 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
                         squares = b * b - a * a
                         area += 0.5 * m * squares + q * span
                         moment += m * (b**3 - a**3) / 3.0 + 0.5 * q * squares
-            elif full == 3:
-                # Both lines of a two-shape aggregate with no shape clipped at
-                # 0, so neither is dead. The common case, on the overlap of
-                # adjacent labels: one crossing, no search or sort.
-                (fa1, fa2), (fb1, fb2) = fas, fbs
-                m1 = (fb1 - fa1) / span
-                q1 = fa1 - m1 * a
-                m2 = (fb2 - fa2) / span
-                q2 = fa2 - m2 * a
-                lines = [(m1, q1), (m2, q2)]
-                cuts = [b]
-                if m1 != m2:
-                    x = (q2 - q1) / (m1 - m2)
-                    if inner_lo < x < inner_hi:
-                        cuts = [x, b]
             else:
                 lines = []
                 for i, (fa, fb) in enumerate(zip(fas, fbs)):
@@ -388,6 +375,61 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
     return moment / area
 
 
+def _two_shape_centroid(xs: List[float], c1: float, h1: float, c2: float, h2: float) -> float:
+    """defuzzify_coa's live-line integrator on the breakpoints xs of two
+    shapes centred at c1 and c2 and clipped at h1, h2 > 0: its operations
+    in its order, so bit for bit. `_two_shape_coa` is its column form.
+
+    Where both shapes are live, the segment is cut at the lines' crossing.
+    Where one is, the other is dead, and its line y = 0 cuts the segment at
+    the live line's root; the live line then stands in for both, so each
+    piece still takes the first line of maximal value at its midpoint.
+    """
+    w = HALF_WIDTH
+    area = moment = 0.0
+    # The first segment, [lo, lo], is empty. With both clips positive, a
+    # shape's value is nonzero exactly where the generic loop's t > 0.
+    a = xs[0]
+    fa1 = fa2 = 0.0
+    for b in xs:
+        t = 1.0 - abs(b - c1) / w
+        fb1 = (t if t < h1 else h1) if t > 0.0 else 0.0
+        t = 1.0 - abs(b - c2) / w
+        fb2 = (t if t < h2 else h2) if t > 0.0 else 0.0
+        live1 = fa1 or fb1
+        live2 = fa2 or fb2
+        span = b - a
+        if (live1 or live2) and span > 1e-15:
+            if live1 and live2:
+                m1 = (fb1 - fa1) / span
+                q1 = fa1 - m1 * a
+                m2 = (fb2 - fa2) / span
+                q2 = fa2 - m2 * a
+                x = (q2 - q1) / (m1 - m2) if m1 != m2 else b
+            else:
+                fa, fb = (fa1, fb1) if live1 else (fa2, fb2)
+                m1 = m2 = (fb - fa) / span
+                q1 = q2 = fa - m1 * a
+                x = -q1 / m1 if m1 != 0.0 else b
+            p = a
+            for r in (x, b) if a + 1e-15 < x < b - 1e-15 else (b,):
+                if r - p > 1e-15:
+                    mid = 0.5 * (p + r)
+                    m, q, top = m1, q1, m1 * mid + q1
+                    v = m2 * mid + q2
+                    if v > top:
+                        m, q, top = m2, q2, v
+                    if top > 0.0:
+                        squares = r * r - p * p
+                        area += 0.5 * m * squares + q * (r - p)
+                        moment += m * (r**3 - p**3) / 3.0 + 0.5 * q * squares
+                p = r
+        a, fa1, fa2 = b, fb1, fb2
+    if area <= _EMPTY_AGGREGATE_AREA:
+        return 0.0
+    return moment / area
+
+
 _CENTER_ROW = np.array(CENTERS)
 _LABEL_INDEX = np.arange(_N_LABELS)
 # The universe's ends, two breakpoints of every aggregate.
@@ -401,7 +443,8 @@ def _two_shape_coa(labels: np.ndarray, clips: np.ndarray) -> np.ndarray:
     `labels` holds the label indices (0..6) of each aggregate's shapes and
     `clips` their heights, all positive, as (2, n) arrays in the order the
     shapes fired. This is the live-line integrator with one column per
-    aggregate, kept equal to it through three bit traps:
+    aggregate, as `_two_shape_centroid` is its scalar form for these
+    aggregates, kept equal to it through three bit traps:
     - Each shape adds all four kinks, those beyond the universe clamped
       onto its ends, and duplicate breakpoints are kept. Both make
       zero-length segments, which the 1e-15 test skips as the set and the

@@ -267,7 +267,7 @@ class _NoiseProfile(NamedTuple):
         return self.amplitude * total / _NOISE_COMPONENTS
 
 
-@dataclass
+@dataclass(frozen=True)
 class Environment:
     """Composable unilateral obstacles; deterministic given the seed."""
 
@@ -275,7 +275,7 @@ class Environment:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.obstacles = tuple(self.obstacles)
+        object.__setattr__(self, "obstacles", tuple(self.obstacles))
         profiles: List[_NoiseProfile] = []
         for index, obstacle in enumerate(self.obstacles):
             if isinstance(obstacle, RoughSurface) and obstacle.noise_amplitude > 0.0:
@@ -292,7 +292,7 @@ class Environment:
                 )
             else:
                 profiles.append(_NoiseProfile((), (), 0.0))
-        self._noise = tuple(profiles)
+        object.__setattr__(self, "_noise", tuple(profiles))
 
     def max_phase(self, index: int, x_max: float) -> float:
         """The largest sine argument the profile of obstacle `index` takes

@@ -121,7 +121,7 @@ class PressDirection(NamedTuple):
     z: int = -1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """Complete, self-contained experiment definition. Runs are a pure
     function of this object, seeds included."""

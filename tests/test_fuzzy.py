@@ -371,11 +371,23 @@ class TestBitExactness:
             "9de5c4807444418dad6b9c4749305bd72361ee8a740c0414a4150c3be46f8656"
         )
 
+    @classmethod
+    def _two_shape_sets(cls):
+        """(i, j, h1, h2): every ordered pair of label indices, adjacent or
+        not, with positive edge heights and heights spread over every binade."""
+        edge = [float(h) for h in cls.EDGE_HEIGHTS if h > 0.0]
+        rng = np.random.default_rng(11)
+        spread = (10.0 ** rng.uniform(-323.0, 0.0, 400)).tolist() + rng.uniform(0.0, 1.0, 400).tolist()
+        heights = [(h1, h2) for h1 in edge for h2 in edge] + list(zip(spread[::2], spread[1::2]))
+        pairs = [(i, j) for i in range(7) for j in range(7) if i != j]
+        return [(i, j, h1, h2) for i, j in pairs for h1, h2 in heights]
+
     def test_matches_reference_integrator_bit_for_bit(self):
         # Heights spread over every binade down to the subnormals, where the
         # line of a shape that is 0 on a segment can still cut it.
         rng = np.random.default_rng(5)
         edge = np.array(self.EDGE_HEIGHTS)
+        sets = []
         for _ in range(3000):
             count = int(rng.integers(1, 8))
             indices = rng.choice(7, size=count, replace=False)
@@ -384,22 +396,20 @@ class TestBitExactness:
                 10.0 ** rng.uniform(-323.0, 0.0, count),
                 rng.choice(edge, count),
             )
-            clips = {int(i): float(h) for i, h in zip(indices, heights)}
+            sets.append({int(i): float(h) for i, h in zip(indices, heights)})
+        # The aggregates of defuzzify_coa's two-shape path, and the same
+        # pairs with one clip exactly 0, which take the generic loop.
+        for i, j, h1, h2 in self._two_shape_sets():
+            sets += [{i: h1, j: h2}, {i: 0.0, j: h2}, {i: h1, j: 0.0}]
+        for clips in sets:
             value = defuzzify_coa(
                 AggregatedOutput({Label(i - 3): h for i, h in clips.items()})
             )
             assert value.hex() == oracles.segment_crossing_coa(clips).hex(), clips
 
     def test_two_shape_integrator_matches_defuzzify_bit_for_bit(self):
-        # Every ordered pair of labels, adjacent or not, with positive edge
-        # heights and heights spread over every binade; the column engine
-        # integrates exactly these aggregates in numpy.
-        edge = [float(h) for h in self.EDGE_HEIGHTS if h > 0.0]
-        rng = np.random.default_rng(11)
-        spread = (10.0 ** rng.uniform(-323.0, 0.0, 400)).tolist() + rng.uniform(0.0, 1.0, 400).tolist()
-        heights = [(h1, h2) for h1 in edge for h2 in edge] + list(zip(spread[::2], spread[1::2]))
-        pairs = [(i, j) for i in range(7) for j in range(7) if i != j]
-        sets = [(i, j, h1, h2) for i, j in pairs for h1, h2 in heights]
+        # The column engine integrates exactly these aggregates in numpy.
+        sets = self._two_shape_sets()
         labels = np.array([(i, j) for i, j, _, _ in sets]).T
         clips = np.array([(h1, h2) for _, _, h1, h2 in sets]).T
         got = _two_shape_coa(labels, clips)

@@ -316,6 +316,15 @@ class TestContact:
         assert heights_a == heights_b
         assert heights_a != heights_c
 
+    def test_seed_is_changed_only_by_replace(self):
+        # The noise profiles are built from the seed once, at construction.
+        surface = RoughSurface(height_base=0.25, noise_amplitude=2e-4)
+        env = Environment((surface,), seed=42)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            env.seed = 43
+        reseeded = dataclasses.replace(env, seed=43)
+        assert reseeded.surface_height(0, 0.6) != env.surface_height(0, 0.6)
+
     def test_noise_bounded_by_amplitude(self):
         surface = RoughSurface(
             height_base=0.25, noise_amplitude=2e-4, roughness_wavelength=0.05

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from forcemotion import config, sim
 from forcemotion.config import preset_scenario
-from forcemotion import sim
 from forcemotion.fuzzy import RuleBase
 from forcemotion.control import (
     AXES,
@@ -205,6 +205,18 @@ class TestScenarioValidation:
     def test_arm_params_apply_the_arm_checks(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             PlanarArm(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("duration", 30000.0),  # 3e6 ticks, past the tick limit
+            ("gains", {"x": PIGains(1e-4, 5e-5), "z": FuzzyPIGains(0.1, 0.1, 1e-3)}),
+        ],
+    )
+    def test_fields_cannot_be_assigned_past_the_checks(self, field, value):
+        scenario = free_space_scenario()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(scenario, field, value)
 
 
 class TestRun:
@@ -554,6 +566,19 @@ class TestTune:
         for values in ([0.0, -0.0], [1, 1.0], [1e-4, 2e-4, 1e-4]):
             with pytest.raises(ValueError, match="duplicate"):
                 tune(scenario, {"kp": values, "ki": [1e-5]})
+
+    @pytest.mark.parametrize("law", ["pi", "fuzzy"])
+    def test_committed_exp2_tunes_never_leave_the_column_engine(self, law, monkeypatch):
+        # The column engine integrates every aggregate of these grids in
+        # numpy, so the scalar engine is never called (README).
+        calls = []
+        output = RuleBase.output
+        monkeypatch.setattr(RuleBase, "output", lambda self, e, de: calls.append((e, de)) or output(self, e, de))
+        raw = config.read_config(Path(__file__).resolve().parents[1] / "tuning" / f"exp2_{law}_best.yaml")
+        raw["seed"] = 2211
+        cfg = config.validate_config(raw)
+        tune(config.scenario_from_config(cfg), **config.tuner_settings(cfg))
+        assert calls == []
 
 
 def lockstep(scenario, gains_list, j):

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -310,6 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.set_defaults(func=cmd_tune)
 
     p_inf = sub.add_parser("infer", help="inspect one fuzzy-PI step for given e, de")
+    # Read "-1e-3" and "-inf" as values, not options: argparse's own
+    # negative-number pattern has neither, and no infer option looks like one.
+    p_inf._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
     p_inf.add_argument("--e", type=float, required=True, help="force error [N]")
     p_inf.add_argument("--de", type=float, required=True, help="error change [N]")
     default = TUNED_FUZZY["exp2"]

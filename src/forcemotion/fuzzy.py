@@ -159,10 +159,10 @@ class RuleBase:
         Both inputs are fuzzified to (7, n) degrees after fuzzify's clamp,
         the rules fire as (49, n) min-AND strengths, each output label's clip
         is its largest strength, and the first fired cell names the first
-        shape. Aggregates of exactly two clipped shapes, the common case near
-        and away from the settled cell, are integrated in numpy. Every other
-        pair goes through `output`: an infinite input clamps as fuzzify
-        clamps it, and a NaN one stays NaN and clips no shape.
+        shape. Aggregates of one or two clipped shapes, a lone shape as the
+        pair of itself with itself, are integrated in numpy; an infinite
+        input clamps as fuzzify clamps it. Three or more shapes, and a NaN
+        input, which clips no shape, go through `output`.
         """
         e_norm = np.asarray(e_norm, dtype=float)
         de_norm = np.asarray(de_norm, dtype=float)
@@ -176,17 +176,18 @@ class RuleBase:
         clip = np.zeros((_N_LABELS, n))
         clip[used] = np.maximum.reduceat(strength.take(order, axis=0), starts, axis=0)
         clipped = clip > 0.0
-        pair = clipped.sum(axis=0) == 2
-        every = pair.all()
-        cols = slice(None) if every else np.flatnonzero(pair)
+        count = clipped.sum(axis=0)
+        few = (count == 1) | (count == 2)
+        every = few.all()
+        cols = slice(None) if every else np.flatnonzero(few)
         first = cell_labels[(strength[:, cols] > 0.0).argmax(axis=0)]
-        labels = np.array((first, _LABEL_INDEX @ clipped[:, cols] - first))
+        labels = np.array((first, _LABEL_INDEX @ clipped[:, cols] - first * (count[cols] - 1)))
         paired = _two_shape_coa(labels, clip[:, cols][labels, np.arange(len(first))])
         if every:
             return paired
         out = np.empty(n)
         out[cols] = paired
-        for i in np.flatnonzero(~pair).tolist():
+        for i in np.flatnonzero(~few).tolist():
             out[i] = self.output(float(e_norm[i]), float(de_norm[i]))
         return out
 
@@ -250,17 +251,17 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
 
     The preset traces are pinned by hash, so the floating-point operations
     behind every contribution to the area and the moment, and their order,
-    are fixed. Each clipped shape is evaluated once per breakpoint. On each
-    segment only the live shapes, those nonzero at either end, get a line.
-    Liveness is read off the computed values, since a triangle's foot can
-    evaluate to ~2e-16, not 0. A single live line is integrated directly.
-    Otherwise the segment is cut at crossings and the first line of maximal
-    value is integrated on each piece.
+    are fixed. They follow one rule, which `tests/oracles.py` restates. Each
+    clipped shape is evaluated once per breakpoint and keeps its line on
+    every segment where some shape is nonzero. The segment is cut at every
+    pairwise crossing more than 1e-15 inside it, and each piece integrates
+    the first line of maximal value at its midpoint, if that value is
+    positive. A shape that is 0 on a segment has the line y = 0, which
+    crosses another line at its root.
 
-    An aggregate of exactly two shapes, both clipped above 0, takes
-    `_two_shape_centroid`: these operations in this order, on the two
-    shapes by name. `_two_shape_coa` is its column form. One shape, three
-    or more, or any clip of exactly 0 takes the generic loop below.
+    An aggregate of one or two shapes takes `_two_shape_centroid`, a lone
+    shape as the pair of itself with itself; `_two_shape_coa` is its column
+    form. Three or more shapes take the loop below.
     """
     clips = agg.clips
     if not clips:
@@ -274,121 +275,71 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
         c = CENTERS[label + 3]
         flat = w * (1.0 - clip)
         breakpoints.update((c - w, c - flat, c + flat, c + w))
-        # A shape clipped at 0 is 0 everywhere, so it is never live.
-        if clip > 0.0:
-            shapes.append((c, clip, 1 << len(shapes)))
-    if not shapes:
-        return 0.0
+        shapes.append((c, clip))
     xs = sorted(breakpoints)
     if xs[0] != lo or xs[-1] != hi:  # the outer kinks of NL and PL
         xs = xs[xs.index(lo) : xs.index(hi) + 1]
-    if len(shapes) == 2 == len(clips):
-        (c1, h1, _), (c2, h2, _) = shapes
-        return _two_shape_centroid(xs, c1, h1, c2, h2)
-    # A segment's live mask differs from `full` when some shape is 0 at both
-    # of its ends. A shape clipped at 0 is so on every segment.
-    full = (1 << len(shapes)) - 1 if len(shapes) == len(clips) else -1
+    if len(shapes) <= 2:
+        return _two_shape_centroid(xs, *shapes[0], *shapes[-1])
     area = 0.0
     moment = 0.0
-    # Breakpoint b's values, min(clip, membership), and the bit mask of the
-    # shapes nonzero there. Breakpoints lie in [lo, hi], where a shoulder
-    # equals its triangle (both are 1.0 at the end center), so one
-    # expression covers every label. The first segment, [lo, lo], is empty.
-    a, fas, nonzero_a = lo, None, 0
+    # Breakpoint b's values, min(clip, membership). Breakpoints lie in
+    # [lo, hi], where a shoulder equals its triangle (both are 1.0 at the end
+    # center), so one expression covers every label. The first segment,
+    # [lo, lo], is empty.
+    a, fas = lo, None
     for b in xs:
         fbs = []
-        nonzero_b = 0
-        for c, clip, bit in shapes:
+        for c, clip in shapes:
             t = 1.0 - abs(b - c) / w
-            if t > 0.0:
-                fbs.append(t if t < clip else clip)
-                nonzero_b |= bit
-            else:
-                fbs.append(0.0)
-        live = nonzero_a | nonzero_b
+            fbs.append((t if t < clip else clip) if t > 0.0 else 0.0)
         span = b - a
-        if live and span > 1e-15:
-            # A shape 0 at both ends ("dead" here) has the line y = 0. It is
-            # never the strict maximum, but it crosses each live line at that
-            # line's root. The root lies at or beyond an end of [a, b] and is
-            # cut only where rounding puts it inside, which subnormal heights
-            # can do.
-            dead = live != full
-            inner_lo = a + 1e-15
-            inner_hi = b - 1e-15
-            # Each branch integrates the segment itself (lines = None) or sets
-            # its live `lines` and `cuts`, the right ends of the pieces: the
-            # crossings and roots more than 1e-15 inside [a, b], sorted, then b.
-            if not live & (live - 1):
-                i = live.bit_length() - 1
-                fa = fas[i]
-                m = (fbs[i] - fa) / span
-                q = fa - m * a
-                if dead and m != 0.0 and inner_lo < -q / m < inner_hi:
-                    lines = [(m, q)]
-                    cuts = [-q / m, b]
-                else:
-                    lines = None
-                    if m * (0.5 * (a + b)) + q > 0.0:
-                        squares = b * b - a * a
-                        area += 0.5 * m * squares + q * span
-                        moment += m * (b**3 - a**3) / 3.0 + 0.5 * q * squares
-            else:
-                lines = []
-                for i, (fa, fb) in enumerate(zip(fas, fbs)):
-                    if live >> i & 1:
-                        m = (fb - fa) / span
-                        lines.append((m, fa - m * a))
-                cuts = [b]
-                for i, (mi, qi) in enumerate(lines):
-                    if dead and mi != 0.0 and inner_lo < -qi / mi < inner_hi:
-                        cuts.append(-qi / mi)
-                    for mj, qj in lines[i + 1 :]:
-                        if mi != mj:
-                            x = (qj - qi) / (mi - mj)
-                            if inner_lo < x < inner_hi:
-                                cuts.append(x)
-                cuts.sort()
-            if lines:
-                # Each piece integrates the first line of maximal value at
-                # its midpoint, if that value is positive.
-                first = lines[0]
-                rest = lines[1:]
-                p = a
-                for r in cuts:
-                    if r - p > 1e-15:
-                        mid = 0.5 * (p + r)
-                        m, q = first
-                        top = m * mid + q
-                        for mk, qk in rest:
-                            v = mk * mid + qk
-                            if v > top:
-                                m, q, top = mk, qk, v
-                        if top > 0.0:
-                            squares = r * r - p * p
-                            area += 0.5 * m * squares + q * (r - p)
-                            moment += m * (r**3 - p**3) / 3.0 + 0.5 * q * squares
-                    p = r
-        a, fas, nonzero_a = b, fbs, nonzero_b
+        if span > 1e-15 and (any(fas) or any(fbs)):
+            lines = []
+            for fa, fb in zip(fas, fbs):
+                m = (fb - fa) / span
+                lines.append((m, fa - m * a))
+            # The right ends of the pieces: the crossings more than 1e-15
+            # inside [a, b], sorted, then b.
+            cuts = [b]
+            for i, (mi, qi) in enumerate(lines):
+                for mj, qj in lines[i + 1 :]:
+                    if mi != mj:
+                        x = (qj - qi) / (mi - mj)
+                        if a + 1e-15 < x < b - 1e-15:
+                            cuts.append(x)
+            cuts.sort()
+            first = lines[0]
+            rest = lines[1:]
+            p = a
+            for r in cuts:
+                if r - p > 1e-15:
+                    mid = 0.5 * (p + r)
+                    m, q = first
+                    top = m * mid + q
+                    for mk, qk in rest:
+                        v = mk * mid + qk
+                        if v > top:
+                            m, q, top = mk, qk, v
+                    if top > 0.0:
+                        squares = r * r - p * p
+                        area += 0.5 * m * squares + q * (r - p)
+                        moment += m * (r**3 - p**3) / 3.0 + 0.5 * q * squares
+                p = r
+        a, fas = b, fbs
     if area <= _EMPTY_AGGREGATE_AREA:
         return 0.0
     return moment / area
 
 
 def _two_shape_centroid(xs: List[float], c1: float, h1: float, c2: float, h2: float) -> float:
-    """defuzzify_coa's live-line integrator on the breakpoints xs of two
-    shapes centred at c1 and c2 and clipped at h1, h2 > 0: its operations
-    in its order, so bit for bit. `_two_shape_coa` is its column form.
-
-    Where both shapes are live, the segment is cut at the lines' crossing.
-    Where one is, the other is dead, and its line y = 0 cuts the segment at
-    the live line's root; the live line then stands in for both, so each
-    piece still takes the first line of maximal value at its midpoint.
+    """defuzzify_coa's rule on the breakpoints xs of two shapes centred at
+    c1 and c2 and clipped at h1, h2 >= 0, bit for bit: each segment holds
+    two lines and at most one crossing. `_two_shape_coa` is its column form.
     """
     w = HALF_WIDTH
     area = moment = 0.0
-    # The first segment, [lo, lo], is empty. With both clips positive, a
-    # shape's value is nonzero exactly where the generic loop's t > 0.
+    # The first segment, [lo, lo], is empty.
     a = xs[0]
     fa1 = fa2 = 0.0
     for b in xs:
@@ -396,21 +347,13 @@ def _two_shape_centroid(xs: List[float], c1: float, h1: float, c2: float, h2: fl
         fb1 = (t if t < h1 else h1) if t > 0.0 else 0.0
         t = 1.0 - abs(b - c2) / w
         fb2 = (t if t < h2 else h2) if t > 0.0 else 0.0
-        live1 = fa1 or fb1
-        live2 = fa2 or fb2
         span = b - a
-        if (live1 or live2) and span > 1e-15:
-            if live1 and live2:
-                m1 = (fb1 - fa1) / span
-                q1 = fa1 - m1 * a
-                m2 = (fb2 - fa2) / span
-                q2 = fa2 - m2 * a
-                x = (q2 - q1) / (m1 - m2) if m1 != m2 else b
-            else:
-                fa, fb = (fa1, fb1) if live1 else (fa2, fb2)
-                m1 = m2 = (fb - fa) / span
-                q1 = q2 = fa - m1 * a
-                x = -q1 / m1 if m1 != 0.0 else b
+        if span > 1e-15 and (fa1 or fb1 or fa2 or fb2):
+            m1 = (fb1 - fa1) / span
+            q1 = fa1 - m1 * a
+            m2 = (fb2 - fa2) / span
+            q2 = fa2 - m2 * a
+            x = (q2 - q1) / (m1 - m2) if m1 != m2 else b
             p = a
             for r in (x, b) if a + 1e-15 < x < b - 1e-15 else (b,):
                 if r - p > 1e-15:
@@ -438,28 +381,23 @@ _ENDS = np.array([[CENTERS[0]], [CENTERS[-1]]])
 
 @np.errstate(all="ignore")
 def _two_shape_coa(labels: np.ndarray, clips: np.ndarray) -> np.ndarray:
-    """defuzzify_coa of n aggregates of exactly two shapes, bit for bit.
+    """defuzzify_coa of n aggregates of one or two shapes, bit for bit.
 
     `labels` holds the label indices (0..6) of each aggregate's shapes and
     `clips` their heights, all positive, as (2, n) arrays in the order the
-    shapes fired. This is the live-line integrator with one column per
-    aggregate, as `_two_shape_centroid` is its scalar form for these
-    aggregates, kept equal to it through three bit traps:
+    shapes fired; a lone shape i of height h is the column (i, i), (h, h).
+    This is `_two_shape_centroid` with one column per aggregate, kept equal
+    to it in two ways:
     - Each shape adds all four kinks, those beyond the universe clamped
       onto its ends, and duplicate breakpoints are kept. Both make
       zero-length segments, which the 1e-15 test skips as the set and the
       trim do.
-    - Both lines are kept on every segment. A shape that is 0 at both ends
-      has the line (0.0, 0.0): it crosses the other line exactly at that
-      line's root, up to the sign of a zero cut, and as the second line it
-      is never the strict maximum where the first is positive.
-    - Each segment holds at most two pieces, cut at the crossing, and each
-      piece integrates the first line of maximal value at its midpoint.
-      Pieces that add nothing add +0.0, and the sums run in piece order from
-      +0.0, so they equal the scalar running sums: along the rows with
-      `np.add.accumulate`, since `np.add.reduce` pairs the rows of a single
-      column differently.
-    The cubes need none: `np.float_power` rounds as the scalar `**` does.
+    - Each segment holds two pieces, cut at the crossing or else with the
+      second empty. Pieces that add nothing add +0.0, and the sums run in
+      piece order from +0.0, so they equal the scalar running sums: along
+      the rows with `np.add.accumulate`, since `np.add.reduce` pairs the
+      rows of a single column differently.
+    The cubes need no care: `np.float_power` rounds as the scalar `**` does.
     """
     w = HALF_WIDTH
     lo, hi = CENTERS[0], CENTERS[-1]

@@ -3,6 +3,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Every property test draws the same examples on every run, has no deadline,
+# and writes no example database into the checkout. A test's own @settings
+# still sets its number of examples.
+settings.register_profile("repeatable", derandomize=True, deadline=None, database=None)
+settings.load_profile("repeatable")
 
 # Make the sibling oracles module importable from every test file.
 sys.path.insert(0, str(Path(__file__).parent))

@@ -873,6 +873,34 @@ class TestInferCommand:
         assert run_cli("infer", "--e", "1", "--de", "0", "--kp", "-1") == 2
         assert "config error: fuzzy-PI gains must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,echo",
+        [
+            (("--e", "0", "--de", "-1e-3"), "e = 0 N, de = -0.001 N"),
+            (("--e", "-2.5e1", "--de", "0"), "e = -25 N, de = 0 N"),
+        ],
+    )
+    def test_negative_numbers_with_an_exponent_are_values(self, argv, echo, capsys):
+        # argparse's negative-number pattern has no exponent: a value such as
+        # -1e-3 after a space must read as it does after "=".
+        assert run_cli("infer", *argv) == 0
+        spaced = capsys.readouterr().out
+        assert spaced.startswith(echo + "\n")
+        assert run_cli("infer", f"{argv[0]}={argv[1]}", f"{argv[2]}={argv[3]}") == 0
+        assert capsys.readouterr().out == spaced
+
+    @pytest.mark.parametrize("flag", ["--kp", "--ki", "--kx"])
+    def test_negative_gain_with_an_exponent_is_config_error(self, flag, capsys):
+        assert run_cli("infer", "--e", "1", "--de", "0", flag, "-1e-3") == 2
+        assert "config error: fuzzy-PI gains must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan"])
+    @pytest.mark.parametrize("flag", ["--e", "--de", "--kp"])
+    def test_negative_non_finite_value_after_a_space_names_the_flag(self, flag, value, capsys):
+        args = {"--e": "1", "--de": "0", flag: value}
+        assert run_cli("infer", *(token for item in args.items() for token in item)) == 2
+        assert f"config error: {flag}: expected a finite number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--e", "--de", "--kp", "--ki", "--kx"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_input_exits_2_naming_the_flag(self, flag, value, capsys):

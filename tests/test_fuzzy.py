@@ -374,11 +374,16 @@ class TestBitExactness:
     @classmethod
     def _two_shape_sets(cls):
         """(i, j, h1, h2): every ordered pair of label indices, adjacent or
-        not, with positive edge heights and heights spread over every binade."""
+        not, with positive edge heights, heights spread over every binade,
+        and heights one ulp apart, whose flat tops all but tie: each piece
+        must take the first line of maximal value, not the last."""
         edge = [float(h) for h in cls.EDGE_HEIGHTS if h > 0.0]
         rng = np.random.default_rng(11)
         spread = (10.0 ** rng.uniform(-323.0, 0.0, 400)).tolist() + rng.uniform(0.0, 1.0, 400).tolist()
         heights = [(h1, h2) for h1 in edge for h2 in edge] + list(zip(spread[::2], spread[1::2]))
+        close = rng.uniform(0.0, 1.0, 30).tolist()
+        heights += [(h, float(np.nextafter(h, 1.0))) for h in close]
+        heights += [(float(np.nextafter(h, 1.0)), h) for h in close]
         pairs = [(i, j) for i in range(7) for j in range(7) if i != j]
         return [(i, j, h1, h2) for i, j in pairs for h1, h2 in heights]
 
@@ -397,8 +402,8 @@ class TestBitExactness:
                 rng.choice(edge, count),
             )
             sets.append({int(i): float(h) for i, h in zip(indices, heights)})
-        # The aggregates of defuzzify_coa's two-shape path, and the same
-        # pairs with one clip exactly 0, which take the generic loop.
+        # The pairs that defuzzify_coa gives its pair integrator, with both
+        # clips positive and with one clip exactly 0.
         for i, j, h1, h2 in self._two_shape_sets():
             sets += [{i: h1, j: h2}, {i: 0.0, j: h2}, {i: h1, j: 0.0}]
         for clips in sets:
@@ -408,8 +413,14 @@ class TestBitExactness:
             assert value.hex() == oracles.segment_crossing_coa(clips).hex(), clips
 
     def test_two_shape_integrator_matches_defuzzify_bit_for_bit(self):
-        # The column engine integrates exactly these aggregates in numpy.
-        sets = self._two_shape_sets()
+        # The column engine integrates exactly these aggregates in numpy: the
+        # pairs, and each lone shape (i, i, h, h) at the edge heights and at
+        # heights down to the subnormals.
+        rng = np.random.default_rng(13)
+        heights = [float(h) for h in self.EDGE_HEIGHTS if h > 0.0]
+        heights += [2.0**-1074 * k for k in (2, 3, 1000)] + [2.0**-1022, np.nextafter(2.0**-1022, 0.0)]
+        heights += (10.0 ** rng.uniform(-323.0, 0.0, 60)).tolist()
+        sets = self._two_shape_sets() + [(i, i, h, h) for i in range(7) for h in heights]
         labels = np.array([(i, j) for i, j, _, _ in sets]).T
         clips = np.array([(h1, h2) for _, _, h1, h2 in sets]).T
         got = _two_shape_coa(labels, clips)
@@ -418,6 +429,24 @@ class TestBitExactness:
             for i, j, h1, h2 in sets
         ]
         assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+    def test_column_output_takes_no_scalar_call_for_one_or_two_shapes(self, monkeypatch):
+        # One input at a label centre or saturated fires one or two rules, so
+        # the aggregate is a lone shape or a pair: the column engine
+        # integrates it in numpy and never calls the scalar engine.
+        engine = RuleBase.default()
+        lone = [*CENTERS, -1.5, 1.5, -np.inf, np.inf, -0.0]
+        spread = np.concatenate((lone, np.linspace(-1.2, 1.2, 97)))
+        e = np.concatenate((np.repeat(lone, len(spread)), np.tile(spread, len(lone))))
+        de = np.concatenate((np.tile(spread, len(lone)), np.repeat(lone, len(spread))))
+        want = [engine.output(float(a), float(b)) for a, b in zip(e, de)]
+        calls = []
+        output = RuleBase.output
+        monkeypatch.setattr(RuleBase, "output", lambda self, a, b: calls.append((a, b)) or output(self, a, b))
+        for n in (1, 2, len(e)):
+            got = np.concatenate([engine.outputs(e[i : i + n], de[i : i + n]) for i in range(0, len(e), n)])
+            assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+        assert calls == []
 
     def test_column_output_on_non_finite_and_signed_zero_inputs(self):
         special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.2, -0.45]

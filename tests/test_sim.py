@@ -793,9 +793,9 @@ class TestRunBatch:
             tune(floor_scenario(), {"kp": [], "ki": [5e-5]})
 
     def test_members_that_take_the_scalar_engine(self, monkeypatch):
-        # exp1's selected x axis has a zero setpoint and never meets a force,
-        # so its error stays exactly 0, which fuzzifies to ZR alone: a
-        # one-shape aggregate, which the column engine leaves to `output`.
+        # The column engine leaves an aggregate of three or more shapes to
+        # `output`. Both inputs must then lie between label centres, as on
+        # a few ticks of exp1 with this grid.
         scenario = preset_scenario("exp1", "fuzzy")
         scalar_calls = []
         output = RuleBase.output

@@ -256,15 +256,12 @@ def cmd_infer(args) -> int:
     du = gains.kx * centroid
     print(f"e = {args.e:g} N, de = {args.de:g} N")
     print(f"scaled inputs: ki*e = {e_norm:.6f}, kp*de = {de_norm:.6f} (clamped to [-1, 1])")
-    if firings:
-        print("fired rules:")
-        for f in sorted(firings, key=lambda f: (-f.strength, f.e_label, f.de_label)):
-            print(
-                f"  e={f.e_label.name:2s} & de={f.de_label.name:2s} -> {f.out_label.name.lower()}"
-                f"  (strength {f.strength:.4f})"
-            )
-    else:
-        print("fired rules: none")
+    print("fired rules:")
+    for f in sorted(firings, key=lambda f: (-f.strength, f.e_label, f.de_label)):
+        print(
+            f"  e={f.e_label.name:2s} & de={f.de_label.name:2s} -> {f.out_label.name.lower()}"
+            f"  (strength {f.strength:.4f})"
+        )
     clips = {label.name.lower(): round(c, 6) for label, c in sorted(agg.clips.items())}
     print(f"aggregated output clips: {clips}")
     print(f"centroid = {centroid:.6f}")

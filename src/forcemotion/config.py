@@ -52,7 +52,9 @@ def _tuned_gains(preset: str) -> Dict[str, Any]:
 
 # Schema and documented defaults: each section takes its keys and defaults
 # from the library type it builds. `setpoint` values and `controller` are
-# the only fields without defaults; the gains and path are exp2's.
+# the only fields without defaults; the gains and path are exp2's. A key
+# whose default is None may be null, a mapping whose default is empty is taken
+# as given (`validate_config` checks the grid), and a list holds mappings.
 _DEFAULTS: Dict[str, Any] = {
     "name": "custom",
     "controller": _REQUIRED,
@@ -93,13 +95,8 @@ _CHOICES = {
     "environment.obstacles.type": tuple(_OBSTACLES),
 }
 _LIST_INDEX = re.compile(r"\[\d+\]")
-# Keys whose value may be None (filled in or resolved later).
-_NULLABLE = {"environment.seed", "sensor.seed", "rule_file"}
 # Seeds take any non-negative integer, however large; None derives them.
 _SEEDS = {"seed", "environment.seed", "sensor.seed"}
-# Keys holding free-form subtrees that get dedicated validation.
-_LIST_OF_MAPS = {"path", "environment.obstacles"}
-_FREE_MAPS = {"tuner.grid"}
 # `name` becomes the stem of every output file, so it may not hold a path,
 # and the longest result file name, the temp name
 # <name>_fuzzy_leaderboard.yaml.tmp, must fit the usual 255-byte limit.
@@ -146,7 +143,7 @@ def _check_number(path: str, value: Any) -> None:
 
 
 def _check_scalar(path: str, default: Any, value: Any) -> Any:
-    if value is None and path in _NULLABLE:
+    if value is None and default is None:
         return None
     if isinstance(value, float):
         # NaN and infinities are rejected whatever type the key holds.
@@ -176,7 +173,7 @@ def _merge(defaults: Any, user: Any, path: str) -> Any:
             user = {}
         if not isinstance(user, dict):
             raise ConfigInvalid(f"{path or 'config'}: expected a mapping, got {_type_name(user)}")
-        if path in _FREE_MAPS:
+        if not defaults:
             return copy.deepcopy(user)
         unknown = sorted(set(user) - set(defaults))
         if unknown:
@@ -193,11 +190,7 @@ def _merge(defaults: Any, user: Any, path: str) -> Any:
                 merged[key] = copy.deepcopy(dval)
         return merged
     if isinstance(defaults, list):
-        if path in _LIST_OF_MAPS:
-            return _merge_list(path, user if user is not None else copy.deepcopy(defaults))
-        if not isinstance(user, list):
-            raise ConfigInvalid(f"{path}: expected a list, got {_type_name(user)}")
-        return user
+        return _merge_list(path, user if user is not None else copy.deepcopy(defaults))
     if defaults == _REQUIRED and user is None:
         raise ConfigInvalid(f"missing required config key: {path}")
     return _check_scalar(path, defaults, user)

@@ -46,9 +46,11 @@ class PIGains:
         columns: np.ndarray, e: np.ndarray, de: np.ndarray, limits: CorrectionLimits, engine: RuleBase
     ) -> np.ndarray:
         """Column form of `step`, bit for bit: `columns` holds one member's
-        kp and ki per column, e and de one value per member."""
+        kp and ki per column, e and de one value per member. A NaN increment
+        is `np.nan` in both, as the two sums keep different NaN operands."""
         kp, ki = columns
-        return clamp(kp * de + ki * e, -limits.du_max, limits.du_max)
+        du = clamp(kp * de + ki * e, -limits.du_max, limits.du_max)
+        return np.where(du == du, du, np.nan)
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,8 @@ class FuzzyPIGains:
         columns: np.ndarray, e: np.ndarray, de: np.ndarray, limits: CorrectionLimits, engine: RuleBase
     ) -> np.ndarray:
         """Column form of `step`, bit for bit: `columns` holds one member's
-        kp, ki and kx per column, e and de one value per member."""
+        kp, ki and kx per column, e and de one value per member; a NaN input
+        gives kx * +0.0 in both."""
         kp, ki, kx = columns
         return kx * engine.outputs(ki * e, kp * de)
 
@@ -129,9 +132,9 @@ def clamp(a: np.ndarray, lo, hi) -> np.ndarray:
 
 
 def pi_step(gains: PIGains, e: float, de: float, du_max: float = float("inf")) -> float:
-    """Incremental PI increment, clamped to +-du_max."""
+    """Incremental PI increment, clamped to +-du_max; `np.nan` when NaN."""
     du = gains.kp * de + gains.ki * e
-    return min(max(du, -du_max), du_max)
+    return min(max(du, -du_max), du_max) if du == du else np.nan
 
 
 def fuzzy_pi_step(gains: FuzzyPIGains, e: float, de: float, engine: RuleBase) -> float:

@@ -77,9 +77,6 @@ nl nl nm zr pm pl pl
 nl nl nm zr ps pm pl
 """
 
-_ROW_ORDER = (Label.PL, Label.PM, Label.PS, Label.ZR, Label.NS, Label.NM, Label.NL)
-_COL_ORDER = (Label.NL, Label.NM, Label.NS, Label.ZR, Label.PS, Label.PM, Label.PL)
-
 
 @dataclass(frozen=True)
 class RuleBase:
@@ -126,8 +123,8 @@ class RuleBase:
         if len(rows) != len(LABELS):
             raise ValueError(f"expected {len(LABELS)} rule rows, got {len(rows)}")
         table = {}
-        for de_label, row in zip(_ROW_ORDER, rows):
-            for e_label, out in zip(_COL_ORDER, row):
+        for de_label, row in zip(LABELS[::-1], rows):
+            for e_label, out in zip(LABELS, row):
                 table[(e_label, de_label)] = out
         return cls(table)
 
@@ -159,10 +156,10 @@ class RuleBase:
         Both inputs are fuzzified to (7, n) degrees after fuzzify's clamp,
         the rules fire as (49, n) min-AND strengths, each output label's clip
         is its largest strength, and the first fired cell names the first
-        shape. Aggregates of one or two clipped shapes, a lone shape as the
-        pair of itself with itself, are integrated in numpy; an infinite
-        input clamps as fuzzify clamps it. Three or more shapes, and a NaN
-        input, which clips no shape, go through `output`.
+        shape. Aggregates of at most two clipped shapes, a lone shape as the
+        pair of itself with itself, are integrated in numpy: an infinite input
+        clamps as fuzzify clamps it, a NaN input clips no shape and gives
+        +0.0. Only three or more shapes go through `output`.
         """
         e_norm = np.asarray(e_norm, dtype=float)
         de_norm = np.asarray(de_norm, dtype=float)
@@ -177,7 +174,7 @@ class RuleBase:
         clip[used] = np.maximum.reduceat(strength.take(order, axis=0), starts, axis=0)
         clipped = clip > 0.0
         count = clipped.sum(axis=0)
-        few = (count == 1) | (count == 2)
+        few = count <= 2
         every = few.all()
         cols = slice(None) if every else np.flatnonzero(few)
         first = cell_labels[(strength[:, cols] > 0.0).argmax(axis=0)]
@@ -246,8 +243,8 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
 
     The aggregate is piecewise linear (a maximum of clipped triangles and
     shoulders), so the centroid is computed exactly by splitting [-1, 1] at
-    every shape kink and pairwise crossing and integrating segment by
-    segment. Returns 0 when no rule fired (zero total area).
+    every shape kink and pairwise crossing and integrating segment by segment.
+    Returns 0 when the total area is at most 1e-12, as when no rule fired.
 
     The preset traces are pinned by hash, so the floating-point operations
     behind every contribution to the area and the moment, and their order,
@@ -381,11 +378,12 @@ _ENDS = np.array([[CENTERS[0]], [CENTERS[-1]]])
 
 @np.errstate(all="ignore")
 def _two_shape_coa(labels: np.ndarray, clips: np.ndarray) -> np.ndarray:
-    """defuzzify_coa of n aggregates of one or two shapes, bit for bit.
+    """defuzzify_coa of n aggregates of at most two shapes, bit for bit.
 
     `labels` holds the label indices (0..6) of each aggregate's shapes and
-    `clips` their heights, all positive, as (2, n) arrays in the order the
-    shapes fired; a lone shape i of height h is the column (i, i), (h, h).
+    `clips` their heights, as (2, n) arrays in the order the shapes fired;
+    a lone shape i of height h is the column (i, i), (h, h). The heights
+    are positive, or NaN after a NaN input, which adds nothing: +0.0.
     This is `_two_shape_centroid` with one column per aggregate, kept equal
     to it in two ways:
     - Each shape adds all four kinks, those beyond the universe clamped

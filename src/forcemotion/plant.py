@@ -248,8 +248,6 @@ class _NoiseProfile(NamedTuple):
     amplitude: float
 
     def height(self, x: float) -> float:
-        if self.amplitude == 0.0:
-            return 0.0
         total = 0.0
         for w, p in zip(self.omegas, self.phases):
             total += math.sin(w * x + p)
@@ -259,8 +257,6 @@ class _NoiseProfile(NamedTuple):
         """`height` at each of the points x, summed as `height` sums: from
         sin(0.0 * x + 0.0) = +0.0, down the rows (np.add.reduce pairs the
         rows of one column differently)."""
-        if self.amplitude == 0.0:
-            return 0.0
         omegas = np.array((0.0, *self.omegas))[:, None]
         phases = np.array((0.0, *self.phases))[:, None]
         total = np.add.accumulate(np.sin(omegas * x + phases))[-1]

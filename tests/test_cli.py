@@ -295,6 +295,21 @@ class TestRunCommand:
         assert "sensor.seed: expected a non-negative integer, got -5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("=5", "--set expects key=value, got '=5'"),
+            (" =5", "--set expects key=value, got ' =5'"),
+            ("tuner.grid.kp=5", "tuner.grid.kp: expected a list, got int"),
+        ],
+    )
+    def test_unusable_override_exits_2(self, override, message, tmp_path, capsys):
+        out = tmp_path / "results"
+        code = run_cli("run", "--preset", "exp1", "--controller", "pi", "--set", override, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_name_cannot_escape_out_dir(self, tmp_path, capsys):
         out = tmp_path / "a" / "b"
         code = run_cli(
@@ -770,6 +785,18 @@ class TestOutputPaths:
         with pytest.raises(ConfigInvalid, match="b.yaml: cannot write: Input/output error"):
             cli._write_results({tmp_path / "a.csv": "x", tmp_path / "b.yaml": "y"})
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_that_cannot_be_created_exits_2(self, monkeypatch, tmp_path, capsys):
+        # Created only to write the results; monkeypatched, since permissions
+        # do not stop a superuser.
+        def refuse(path, *args, **kwargs):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+        monkeypatch.setattr(Path, "mkdir", refuse)
+        out = tmp_path / "results"
+        assert run_cli(*self.COMMANDS["run"], "--set", "duration=0.1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"config error: --out {out}: Permission denied\n"
+        assert not out.exists()
 
     def test_write_results_creates_the_results_directory(self, tmp_path):
         out = tmp_path / "a" / "b"

@@ -148,6 +148,79 @@ class TestValidation:
             scenario_from_config(cfg)
 
 
+def _defaults(node, prefix=""):
+    """(dotted key, default) of every key of a mapping of defaults."""
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        yield path, value
+        if isinstance(value, dict):
+            yield from _defaults(value, path + ".")
+
+
+class TestRulesReadOffDefaults:
+    """The walk reads three rules off the defaults: a key whose default is
+    None may be null, a mapping whose default is empty is taken as given, and
+    a list holds mappings. A new default that changes how a key is read fails
+    here."""
+
+    def test_keys_of_each_rule(self):
+        keys = dict(_defaults(config._DEFAULTS))
+        for kind, obstacle in _OBSTACLE_DEFAULTS.items():
+            keys.update(_defaults(obstacle, f"environment.obstacles[{kind}]."))
+        assert {k for k, v in keys.items() if v is None} == {"environment.seed", "sensor.seed", "rule_file"}
+        assert {k for k, v in keys.items() if isinstance(v, list)} == {"path", "environment.obstacles"}
+        assert {k for k, v in keys.items() if v == {}} == {"tuner.grid"}
+
+    @pytest.mark.parametrize(
+        "raw", [{"environment": {"seed": None}}, {"sensor": {"seed": None}}, {"rule_file": None}]
+    )
+    def test_a_none_default_may_be_null(self, raw):
+        cfg = validate_config({**MINIMAL, **raw})
+        assert scenario_from_config(cfg) == scenario_from_config(validate_config(MINIMAL))
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ({"seed": None}, "seed: expected a non-negative integer, got None"),
+            ({"dt": None}, "dt: expected a number, got NoneType"),
+            ({"arm": {"elbow": None}}, "arm.elbow: expected 'down' or 'up', got None"),
+            ({"selection": {"x": None}}, "selection.x: expected a boolean, got NoneType"),
+        ],
+    )
+    def test_other_keys_may_not_be_null(self, raw, message):
+        with pytest.raises(ConfigInvalid, match="^" + re.escape(message)):
+            validate_config({**MINIMAL, **raw})
+
+    def test_an_empty_mapping_default_is_taken_as_given(self):
+        grid = {"kp": [1.0, 2.0], "anything": [3.0]}
+        cfg = validate_config({**MINIMAL, "tuner": {"grid": grid}})
+        assert cfg["tuner"]["grid"] == grid and cfg["tuner"]["grid"] is not grid
+        assert cfg["tuner"]["grid"]["kp"] is not grid["kp"]
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("path", 5, "path: expected a list, got int"),
+            ("path", [7], r"path\[0\]: expected a mapping, got int"),
+            ("path", [{"t": 0.0, "x": 0.6}], r"missing required config key: path\[0\]\.z"),
+            ("environment", {"obstacles": {"type": "box"}}, "environment.obstacles: expected a list, got dict"),
+            ("environment", {"obstacles": [[]]}, r"environment.obstacles\[0\]: expected a mapping, got list"),
+        ],
+    )
+    def test_a_list_default_holds_mappings(self, key, value, message):
+        with pytest.raises(ConfigInvalid, match="^" + message):
+            validate_config({**MINIMAL, key: value})
+
+    def test_a_null_list_takes_the_default(self):
+        cfg = validate_config({**MINIMAL, "path": None, "environment": {"obstacles": None}})
+        assert cfg["path"] == config._DEFAULTS["path"] and cfg["environment"]["obstacles"] == []
+
+    def test_a_null_section_takes_the_defaults(self):
+        raw = apply_overrides(dict(MINIMAL), ["arm=null", "tuner=null"])
+        assert raw["arm"] is None
+        assert validate_config(raw) == validate_config(MINIMAL)
+
+
 class TestOverrides:
     def test_dotted_paths_and_yaml_values(self):
         raw = apply_overrides(dict(MINIMAL), ["dt=0.005", "selection.x=false"])
@@ -163,6 +236,10 @@ class TestOverrides:
     def test_malformed_override(self):
         with pytest.raises(ConfigInvalid, match="key=value"):
             apply_overrides(dict(MINIMAL), ["dt"])
+
+    @pytest.mark.parametrize("text", ["[0.1, 0.2", "{a: 1", "a: b: c", "'open"])
+    def test_value_yaml_cannot_read_is_kept_as_text(self, text):
+        assert apply_overrides({}, [f"name={text}"]) == {"name": text}
 
 
 class TestPresetsAndFiles:

@@ -1,23 +1,26 @@
 """A differential net under the engine and tick-loop rewrites, bit for bit:
 the column engine `RuleBase.outputs` against the scalar `RuleBase.output`
-under drawn rule tables, and tune's lockstep loop `sim._lockstep` against
-`run()` on drawn scenarios. Scenarios are drawn as configs and built
+under drawn rule tables, each law's `step_columns` against `step`, tune's
+lockstep loop `sim._lockstep` against `run()` on drawn scenarios, and
+`sim.tune`'s entries against `compute_metrics` on each point's `run()`.
+Scenarios, their obstacle geometry included, are drawn as configs and built
 through `validate_config` and `scenario_from_config`, so only accepted
 inputs are drawn."""
 import dataclasses
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forcemotion import config, sim
-from forcemotion.control import LAWS, CorrectionLimits
+from forcemotion.control import AXES, LAWS, CorrectionLimits
 from forcemotion.fuzzy import CENTERS, LABELS, RuleBase
 from forcemotion.presets import PRESET_NAMES
-from forcemotion.sim import WorkspaceViolation, run
+from forcemotion.sim import AllRunsFailed, NoContact, ObjectiveWeights, WorkspaceViolation, compute_metrics, run
 
 NAMES = [label.name.lower() for label in LABELS]
 # A 7x7 table as RuleBase.parse reads it, one row per line.
@@ -56,17 +59,23 @@ LIMITS = [
 ]
 
 
+# A member: the index of each of its gains in GAINS, its e and its de.
+MEMBERS = st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * 3), INPUTS, INPUTS), min_size=1, max_size=4)
+
+
 @pytest.mark.parametrize("law", tuple(LAWS))
-@given(data=st.data())
+@given(MEMBERS, st.sampled_from([0.0, 5e-4, 1.0, np.inf]))
+# 0 * nan + 0 * inf: Python's sum keeps the second NaN, numpy's the first.
+@example([((0, 0, 0), 0.0, 0.0), ((0, 0, 0), np.inf, np.nan)], 0.0)
 @settings(max_examples=60)
-def test_step_columns_equals_step_per_member(law, data):
-    # Down to the sign of a zero that du_max = 0 clamps.
+def test_step_columns_equals_step_per_member(law, drawn, du_max):
+    # Down to the sign of a zero that du_max = 0 clamps, and of a NaN.
     members = [
-        LAWS[law](**{name: data.draw(st.sampled_from(values)) for name, values in GAINS[law].items()})
-        for _ in range(data.draw(st.integers(1, 4)))
+        LAWS[law](**{name: values[i] for (name, values), i in zip(GAINS[law].items(), index)})
+        for index, _, _ in drawn
     ]
-    e, de = (data.draw(st.lists(INPUTS, min_size=len(members), max_size=len(members))) for _ in "ab")
-    limits = CorrectionLimits(du_max=data.draw(st.sampled_from([0.0, 5e-4, 1.0, np.inf])))
+    _, e, de = zip(*drawn)
+    limits = CorrectionLimits(du_max=du_max)
     engine = RuleBase.default()
     want = np.array([g.step(a, b, limits, engine) for g, a, b in zip(members, e, de)])
     columns = np.array([dataclasses.astuple(g) for g in members], dtype=float).T
@@ -78,7 +87,7 @@ def test_step_columns_equals_step_per_member(law, data):
 @st.composite
 def batches(draw, law):
     """A scenario config of the law, at most 1 s long, and 2-4 gain sets of
-    that law."""
+    that law, of which the first two differ in one gain."""
     raw = config.preset_config(draw(st.sampled_from(PRESET_NAMES)))
     raw.update(
         controller=law,
@@ -99,15 +108,33 @@ def batches(draw, law):
         raw["limits"] = {axis: limits for axis in "xz"}
     obstacle = raw["environment"]["obstacles"][0]
     if obstacle["type"] == "rough_surface":
+        # The slide path runs at z = 0.2475, from x = 0.55 to 0.75.
         obstacle.update(
+            height_base=draw(st.sampled_from([0.25, 0.2475, 0.245, 0.255, 0.27])),
+            roughness_amplitude=draw(st.sampled_from([0.0, 1e-3, 4e-3])),
+            roughness_wavelength=draw(st.sampled_from([0.05, 0.013, 0.3])),
             noise_amplitude=draw(st.sampled_from([0.0, 2e-4, 1e-3])),
             friction_coeff=draw(st.sampled_from([0.0, 0.2, 0.6])),
         )
+    else:
+        # exp1's path descends at x = 0.65 from z = 0.33 to 0.29 by t = 0.8
+        # s: the box is a 1 cm slab that the path enters at t = 0.1 s and
+        # leaves through its floor (by t = 0.7 s under the tuned gains), or it
+        # holds the path's end, its start, or neither.
+        x_min, x_max = draw(st.sampled_from([(0.55, 0.75), (0.645, 0.655), (0.66, 0.75)]))
+        z_min, z_max = draw(st.sampled_from([(0.315, 0.325), (0.10, 0.30), (0.10, 0.335), (0.10, 0.285)]))
+        obstacle.update(x_min=x_min, x_max=x_max, z_min=z_min, z_max=z_max)
+    # The first two gain sets differ in one gain: tune's 2-point grid.
     fields = GAINS[law]
     gain_sets = [
         {name: draw(st.sampled_from(values)) for name, values in fields.items()}
         for _ in range(draw(st.integers(2, 4)))
     ]
+    varied = draw(st.sampled_from(sorted(fields)))
+    gain_sets[1] = {
+        **gain_sets[0],
+        varied: draw(st.sampled_from([v for v in fields[varied] if v != gain_sets[0][varied]])),
+    }
     table = draw(st.one_of(st.none(), TABLES)) if law == "fuzzy" else None
     return raw, table, gain_sets
 
@@ -137,3 +164,55 @@ def test_lockstep_equals_run_per_member(law, data):
                 assert (got.tick, got.t, str(got)) == (want.tick, want.t, str(want))
             else:
                 assert np.array_equal(got.view(np.uint64), want.column(f"f_{axis}").view(np.uint64))
+
+
+def _bits(values):
+    """Each float as its bit pattern, so that NaN equals NaN."""
+    return [np.float64(v).view(np.uint64) if isinstance(v, float) else v for v in values]
+
+
+@pytest.mark.parametrize("law", tuple(LAWS))
+@given(data=st.data())
+@settings(max_examples=40)
+def test_tune_scores_each_point_as_run(law, data):
+    raw, table, gain_sets = data.draw(batches(law))
+    axis = data.draw(st.sampled_from(AXES))
+    band_pct = data.draw(st.sampled_from([0.05, 0.3]))
+    weights = ObjectiveWeights(overshoot=data.draw(st.sampled_from([10.0, 0.0])))
+    with tempfile.TemporaryDirectory() as tmp:
+        if table is not None:
+            raw["rule_file"] = str(Path(tmp) / "rules.txt")
+            Path(raw["rule_file"]).write_text(table)
+        scenario = config.scenario_from_config(config.validate_config(raw))
+    grid = {name: sorted({gains[name] for gains in gain_sets[:2]}) for name in GAINS[law]}
+    setpoint = getattr(scenario.setpoint, axis)
+    want = {}
+    for gains in gain_sets[:2]:
+        member = dataclasses.replace(scenario, gains={a: LAWS[law](**gains) for a in AXES})
+        key = tuple(float(v) for v in gains.values())
+        try:
+            m = compute_metrics(run(member), axis, setpoint, band_pct)
+        except (WorkspaceViolation, NoContact) as exc:
+            want[key] = (math.inf, None, None, None, False, str(exc))
+            continue
+        objective = m.itae
+        if weights.overshoot:
+            objective += weights.overshoot * m.overshoot_pct
+        if not m.settled:
+            objective += weights.not_settled
+        want[key] = (objective, m.overshoot_pct, m.settling_time, m.itae, m.settled, None)
+    try:
+        _, board = sim.tune(scenario, grid, weights, axis, band_pct)
+    except AllRunsFailed as exc:
+        assert not any(math.isfinite(entry[0]) for entry in want.values())
+        every = all(entry[-1] is not None for entry in want.values())
+        assert str(exc) == ("every grid point failed to produce a scored run" if every
+                            else "no grid point scored a finite objective")
+        return
+    got = {
+        tuple(e.gains.values()): (e.objective, e.overshoot_pct, e.settling_time, e.itae, e.settled, e.failure)
+        for e in board
+    }
+    assert got.keys() == want.keys()
+    for key, entry in got.items():
+        assert _bits(entry) == _bits(want[key])

@@ -219,6 +219,11 @@ class TestDefuzzify:
         assert value == pytest.approx(expected, abs=1e-6)
         assert value == pytest.approx(8 / 9, abs=1e-12)
 
+    @pytest.mark.parametrize("clip", [-0.1, 1.5, np.nan])
+    def test_clip_outside_unit_interval_rejected(self, clip):
+        with pytest.raises(ValueError, match=r"^clip of PS out of \[0, 1\]"):
+            AggregatedOutput({Label.ZR: 0.5, Label.PS: clip})
+
     def test_no_rule_fired_returns_zero(self):
         assert defuzzify_coa(AggregatedOutput({})) == 0.0
 
@@ -433,9 +438,10 @@ class TestBitExactness:
     def test_column_output_takes_no_scalar_call_for_one_or_two_shapes(self, monkeypatch):
         # One input at a label centre or saturated fires one or two rules, so
         # the aggregate is a lone shape or a pair: the column engine
-        # integrates it in numpy and never calls the scalar engine.
+        # integrates it in numpy and never calls the scalar engine. A NaN
+        # input fires no rule, and its empty aggregate gives +0.0 in numpy too.
         engine = RuleBase.default()
-        lone = [*CENTERS, -1.5, 1.5, -np.inf, np.inf, -0.0]
+        lone = [*CENTERS, -1.5, 1.5, -np.inf, np.inf, -0.0, np.nan]
         spread = np.concatenate((lone, np.linspace(-1.2, 1.2, 97)))
         e = np.concatenate((np.repeat(lone, len(spread)), np.tile(spread, len(lone))))
         de = np.concatenate((np.tile(spread, len(lone)), np.repeat(lone, len(spread))))

@@ -71,6 +71,12 @@ class TestInverseKinematics:
         with pytest.raises(Unreachable):
             ik(0.5, 0.5, target)
 
+    def test_unknown_elbow_rejected(self):
+        with pytest.raises(ValueError, match="^unknown elbow branch: 'sideways'$"):
+            ik(0.5, 0.5, Pose(0.6, 0.3), elbow="sideways")
+        with pytest.raises(ValueError, match="^unknown elbow branch: 'sideways'$"):
+            ik_batch(0.5, 0.5, np.array([[0.6], [0.3]]), elbow="sideways")
+
     def test_elbow_branches_mirror(self):
         down = ik(0.5, 0.5, Pose(0.6, 0.3), elbow="down")
         up = ik(0.5, 0.5, Pose(0.6, 0.3), elbow="up")
@@ -380,6 +386,12 @@ class TestContact:
         with pytest.raises(ValueError):
             make(math.nan)
 
+    def test_surface_height_rejects_a_box(self):
+        env = Environment((RoughSurface(height_base=0.2), Box(0.5, 0.6, 0.1, 0.2)))
+        assert env.surface_height(0, 0.55) == 0.2
+        with pytest.raises(TypeError, match="^obstacle is not a RoughSurface$"):
+            env.surface_height(1, 0.55)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RoughSurface(height_base=0.2, stiffness=0.0)
@@ -395,6 +407,11 @@ class TestSensor:
     def test_pure_bias(self):
         sensor = SensorModel(bias=AxisForce(1.0, 0.0))
         assert sensor.sense(AxisForce(0.0, 0.0), np.random.default_rng(sensor.seed)) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "abc"])
+    def test_unusable_seed_is_named(self, seed):
+        with pytest.raises(ValueError, match=f"^sensor seed {seed!r}: "):
+            SensorModel(seed=seed)
 
     def test_deterministic_stream(self):
         a = SensorModel(noise_sigma=0.5, seed=9)

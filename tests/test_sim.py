@@ -129,6 +129,12 @@ class TestScenarioValidation:
                 gains={"x": PIGains(1e-4, 5e-5), "z": FuzzyPIGains(0.1, 0.1, 1e-3)}
             )
 
+    def test_rejects_a_missing_axis(self):
+        with pytest.raises(ValueError, match="^missing gains for axis z$"):
+            free_space_scenario(gains={"x": PIGains(1e-4, 5e-5)})
+        with pytest.raises(ValueError, match="^missing limits for axis z$"):
+            free_space_scenario(limits={"x": CorrectionLimits()})
+
     def test_rejects_unreachable_waypoint(self):
         with pytest.raises(ValueError, match="unreachable"):
             free_space_scenario(path=NominalPath(((0.0, Pose(1.5, 0.0)),)))

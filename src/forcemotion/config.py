@@ -21,7 +21,7 @@ from .control import AXES, LAWS, AxisForce, CorrectionLimits, SelectionMatrix
 from .fuzzy import RuleBase
 from .plant import Box, Environment, PlanarArm, Pose, RoughSurface, SensorModel
 from .presets import DEFAULT_SEED, PRESET_NAMES, PRESETS, TUNED_FUZZY, TUNED_PI
-from .sim import NominalPath, ObjectiveWeights, PressDirection, Scenario, check_grid
+from .sim import NominalPath, ObjectiveWeights, PressDirection, Scenario, check_band, check_grid
 
 
 class ConfigInvalid(Exception):
@@ -366,8 +366,10 @@ def tuner_settings(cfg: Dict[str, Any]) -> Dict[str, Any]:
             f"tuner.axis: {t['axis']!r} is not force controlled (selection.{t['axis']} is false), "
             "so every grid point would score alike; tune a selected axis"
         )
-    if t["band_pct"] <= 0:
-        raise ConfigInvalid(f"tuner.band_pct: expected a positive number, got {t['band_pct']}")
+    try:
+        check_band(t["band_pct"])
+    except ValueError as exc:
+        raise ConfigInvalid(f"tuner.{exc}") from None
     return {
         "axis": t["axis"],
         "band_pct": float(t["band_pct"]),

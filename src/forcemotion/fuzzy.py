@@ -45,23 +45,16 @@ HALF_WIDTH = 1 / 3
 
 def fuzzify(x: float) -> List[float]:
     """Map a crisp value to its seven membership degrees in label order,
-    NL .. PL, 0.0 where x does not reach; x is clamped to [-1, 1].
-
-    Only labels whose center is within one spacing of x can be nonzero, so
-    the triangle is evaluated for the four labels k-1 .. k+2 around the
-    center k at or below x, a one-label margin on each side. Once x is
-    clamped, a shoulder equals its triangle (both are 1.0 at the end
-    center).
+    NL .. PL, 0.0 where x does not reach and for NaN; x is clamped to
+    [-1, 1]. Once x is clamped, a shoulder equals its triangle (both are 1.0
+    at the end center).
     """
     x = -1.0 if x < -1.0 else 1.0 if x > 1.0 else x
     degrees = [0.0] * _N_LABELS
-    if x == x:  # NaN has degree 0 in every label
-        w = HALF_WIDTH
-        k = int((x + 1.0) / w)
-        for i in range(k - 1 if k else 0, k + 3 if k < 4 else _N_LABELS):
-            t = 1.0 - abs(x - CENTERS[i]) / w
-            if t > 0.0:
-                degrees[i] = t
+    for i, center in enumerate(CENTERS):
+        t = 1.0 - abs(x - center) / HALF_WIDTH
+        if t > 0.0:
+            degrees[i] = t
     return degrees
 
 
@@ -166,8 +159,6 @@ class RuleBase:
         n = len(e_norm)
         cell_labels, order, starts, used = self._cells
         x = np.minimum(np.maximum(np.concatenate((e_norm, de_norm)), -1.0), 1.0)
-        # Every label's triangle, (7, 2n); beyond the four that fuzzify
-        # evaluates it is about -1/3 or less, so no extra label fires.
         mu = np.maximum(1.0 - np.abs(x - _CENTER_ROW[:, None]) / HALF_WIDTH, 0.0)
         strength = np.minimum(mu[:, None, :n], mu[None, :, n:]).reshape(49, n)
         clip = np.zeros((_N_LABELS, n))

@@ -314,18 +314,17 @@ class Environment:
             )
         return h + self._noise[surface_index].height(x)
 
-    def contact_force(self, p: Pose, v: Tuple[float, float]) -> AxisForce:
-        """Total contact force on the tool at pose p moving with velocity v."""
-        fx = 0.0
-        fz = 0.0
+    def contact_force(self, p: Pose, vx: float) -> AxisForce:
+        """Total contact force on the tool at pose p moving with x velocity vx."""
+        fx = fz = 0.0
         for index, obstacle in enumerate(self.obstacles):
             if isinstance(obstacle, RoughSurface):
                 depth = self.surface_height(index, p.x) - p.z
                 if depth > 0.0:
                     fn = obstacle.stiffness * depth
                     fz += fn
-                    if obstacle.friction_coeff > 0.0 and v[0] != 0.0:
-                        fx -= obstacle.friction_coeff * fn * math.copysign(1.0, v[0])
+                    if obstacle.friction_coeff > 0.0 and vx != 0.0:
+                        fx -= obstacle.friction_coeff * fn * math.copysign(1.0, vx)
             else:
                 fx_box, fz_box = _box_force(obstacle, p)
                 fx += fx_box

@@ -257,9 +257,7 @@ def run(scenario: Scenario) -> Trace:
     nominal = scenario.path.poses(t)
     q = ik(l1, l2, scenario.path.pose_at(0.0), elbow)
     rows = []
-    u_x = u_z = 0.0
-    prev = arm.fk(q)
-    v = (0.0, 0.0)
+    u_x = u_z = vx = 0.0
 
     for k, (nom_x, nom_z) in enumerate(nominal.tolist()):
         try:
@@ -269,8 +267,8 @@ def run(scenario: Scenario) -> Trace:
         q = arm.servo_step(q, q_des, alpha, dq_max)
         pose = arm.fk(q)
         if k > 0:
-            v = ((pose.x - prev.x) / dt, (pose.z - prev.z) / dt)
-        f_tool = contact_force(pose, v)
+            vx = (pose.x - prev.x) / dt
+        f_tool = contact_force(pose, vx)
         sensed = sense(f_tool, sensor_rng)
         # The controller regulates the force pressed onto the environment:
         # project the sensed tool force onto the press directions.
@@ -328,8 +326,6 @@ def _lockstep(
     # the workspace.
     live: Union[slice, np.ndarray] = slice(None)
     u = np.zeros((2, n))
-    e_prev = np.zeros((2, n))
-    prev = fk_batch(l1, l2, q)
     vx = np.zeros(n)
 
     with np.errstate(all="ignore"):
@@ -386,6 +382,7 @@ def compute_metrics(trace: Trace, axis: str, setpoint: float, band_pct: float = 
     the settling band is the absolute _ZERO_BAND_N and overshoot is the
     peak excess of |f| over that band, expressed as a percentage of it.
     """
+    check_band(band_pct)
     t, f = trace.column("t"), trace.column(f"f_{axis}")
     return _metrics(t, f, axis, setpoint, band_pct)
 
@@ -483,9 +480,16 @@ def check_grid(law: type, grid: Dict[str, Sequence[float]]) -> List[str]:
             raise ValueError(f"{gain}: empty value list in tuner grid")
         if len(set(values)) < len(values):
             raise ValueError(f"{gain}: expected distinct values, got duplicates in {list(values)}")
-        if min(values) < 0:
-            raise ValueError(f"{gain}: expected nonnegative gains, got {min(values)}")
+        bad = [v for v in values if not v >= 0]
+        if bad:
+            raise ValueError(f"{gain}: expected nonnegative gains, got {min(bad)}")
     return names
+
+
+def check_band(band_pct: float) -> None:
+    """Reject a settling band (a fraction of |setpoint|) that is not > 0."""
+    if not band_pct > 0:
+        raise ValueError(f"band_pct: expected a positive number, got {band_pct}")
 
 
 def tune(
@@ -512,6 +516,9 @@ def tune(
     """
     law = type(scenario.gains["x"])
     names = check_grid(law, grid)
+    check_band(band_pct)
+    if axis not in AXES:
+        raise ValueError(f"axis: expected one of {AXES}, got {axis!r}")
     setpoint = getattr(scenario.setpoint, axis)
     t = _tick_times(scenario)
 

@@ -43,6 +43,14 @@ class TestValidation:
         assert cfg["environment"]["obstacles"] == []
         assert cfg["gains"]["pi"]["z"]["ki"] > 0.0
 
+    @pytest.mark.parametrize("band", [0, -0.5])
+    def test_tuner_band_must_be_positive(self, band):
+        grid = {"kp": [1e-4], "ki": [2e-5]}
+        cfg = validate_config({**MINIMAL, "tuner": {"band_pct": band, "grid": grid}})
+        with pytest.raises(ConfigInvalid) as err:
+            config.tuner_settings(cfg)
+        assert str(err.value) == f"tuner.band_pct: expected a positive number, got {band}"
+
     def test_missing_required_keys(self):
         with pytest.raises(ConfigInvalid, match="controller"):
             validate_config({"setpoint": {"x": 0, "z": 10}})

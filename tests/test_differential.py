@@ -1,12 +1,13 @@
 """A differential net under the engine and tick-loop rewrites, bit for bit:
 the column engine `RuleBase.outputs` against the scalar `RuleBase.output`
-under drawn rule tables, each law's `step_columns` against `step`, tune's
-lockstep loop `sim._lockstep` against `run()` on drawn scenarios, and
-`sim.tune`'s entries against `compute_metrics` on each point's `run()`.
-Scenarios, their obstacle geometry included, are drawn as configs and built
-through `validate_config` and `scenario_from_config`, so only accepted
-inputs are drawn."""
+under drawn rule tables, each law's `step_columns` against `step`, and,
+on drawn scenarios and on fixed 2-point grids that the draws miss, tune's
+lockstep loop `sim._lockstep` against `run()` and `sim.tune`'s entries
+against `compute_metrics` on each point's `run()`. Scenarios, their
+obstacle geometry included, are built as configs through `validate_config`
+and `scenario_from_config`, so only accepted inputs are drawn."""
 import dataclasses
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -139,16 +140,24 @@ def batches(draw, law):
     return raw, table, gain_sets
 
 
+def _scenario(raw, table=None):
+    """The scenario of the config `raw`, with the rule table `table` if any."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if table is not None:
+            raw["rule_file"] = str(Path(tmp) / "rules.txt")
+            Path(raw["rule_file"]).write_text(table)
+        return config.scenario_from_config(config.validate_config(raw))
+
+
 @pytest.mark.parametrize("law", tuple(LAWS))
 @given(data=st.data())
 @settings(max_examples=20)
 def test_lockstep_equals_run_per_member(law, data):
     raw, table, gain_sets = data.draw(batches(law))
-    with tempfile.TemporaryDirectory() as tmp:
-        if table is not None:
-            raw["rule_file"] = str(Path(tmp) / "rules.txt")
-            Path(raw["rule_file"]).write_text(table)
-        scenario = config.scenario_from_config(config.validate_config(raw))
+    _assert_lockstep_equals_run(law, _scenario(raw, table), gain_sets)
+
+
+def _assert_lockstep_equals_run(law, scenario, gain_sets):
     members = [LAWS[law](**gains) for gains in gain_sets]
     results = []
     for gains in members:
@@ -179,15 +188,17 @@ def test_tune_scores_each_point_as_run(law, data):
     axis = data.draw(st.sampled_from(AXES))
     band_pct = data.draw(st.sampled_from([0.05, 0.3]))
     weights = ObjectiveWeights(overshoot=data.draw(st.sampled_from([10.0, 0.0])))
-    with tempfile.TemporaryDirectory() as tmp:
-        if table is not None:
-            raw["rule_file"] = str(Path(tmp) / "rules.txt")
-            Path(raw["rule_file"]).write_text(table)
-        scenario = config.scenario_from_config(config.validate_config(raw))
-    grid = {name: sorted({gains[name] for gains in gain_sets[:2]}) for name in GAINS[law]}
+    _assert_tune_scores_each_point_as_run(law, _scenario(raw, table), gain_sets[:2], axis, band_pct, weights)
+
+
+def _assert_tune_scores_each_point_as_run(law, scenario, gain_sets, axis, band_pct, weights):
+    """`sim.tune` on the grid of `gain_sets` against `compute_metrics` on each
+    point's `run()`; returns each point's failure text, None where it scored,
+    or None when no point scored."""
+    grid = {name: sorted({gains[name] for gains in gain_sets}) for name in GAINS[law]}
     setpoint = getattr(scenario.setpoint, axis)
     want = {}
-    for gains in gain_sets[:2]:
+    for gains in gain_sets:
         member = dataclasses.replace(scenario, gains={a: LAWS[law](**gains) for a in AXES})
         key = tuple(float(v) for v in gains.values())
         try:
@@ -208,7 +219,7 @@ def test_tune_scores_each_point_as_run(law, data):
         every = all(entry[-1] is not None for entry in want.values())
         assert str(exc) == ("every grid point failed to produce a scored run" if every
                             else "no grid point scored a finite objective")
-        return
+        return None
     got = {
         tuple(e.gains.values()): (e.objective, e.overshoot_pct, e.settling_time, e.itae, e.settled, e.failure)
         for e in board
@@ -216,3 +227,47 @@ def test_tune_scores_each_point_as_run(law, data):
     assert got.keys() == want.keys()
     for key, entry in got.items():
         assert _bits(entry) == _bits(want[key])
+    return [want[key][-1] for key in want]
+
+
+# 2-point grids that the derandomized draws above do not reach, as
+# (preset, limits of both axes, floor or box fields, the grid per law, each
+# point's failure text or None where it scores): a point that leaves the
+# workspace, or never makes contact, beside a scored one; and exp1's box
+# holding the path's start (z 0.33), with both points scored.
+FIXED_GRIDS = {
+    "exp2-workspace-exit": (
+        "exp2", LIMITS[0], {},
+        {"pi": {"kp": [5e-4], "ki": [2e-4, 2e-2]}, "fuzzy": {"kp": [0.1], "ki": [1 / 30], "kx": [2e-3, 1.0]}},
+        [None, "tick 2 (t=0.020 s): target (0.5513, "],
+    ),
+    "exp2-floor-below-path": (
+        "exp2", None, {"height_base": 0.245},
+        {"pi": {"kp": [0.0], "ki": [0.0, 2e-4]}, "fuzzy": {"kp": [0.1], "ki": [1 / 30], "kx": [0.0, 2e-3]}},
+        ["no contact on axis z (threshold 0.1 N)", None],
+    ),
+    "exp1-box-holds-start": (
+        "exp1", None, {"z_min": 0.10, "z_max": 0.335},
+        {"pi": {"kp": [5e-4], "ki": [0.0, 5e-6]}, "fuzzy": {"kp": [0.1], "ki": [1 / 15], "kx": [1e-3, 2e-3]}},
+        [None, None],
+    ),
+}
+
+
+@pytest.mark.parametrize("law", tuple(LAWS))
+@pytest.mark.parametrize("case", tuple(FIXED_GRIDS))
+def test_fixed_grids_as_run(case, law):
+    preset, limits, obstacle, grids, failures = FIXED_GRIDS[case]
+    raw = config.preset_config(preset)
+    raw["controller"] = law
+    if limits is not None:
+        raw["limits"] = {axis: limits for axis in AXES}
+    raw["environment"]["obstacles"][0].update(obstacle)
+    scenario = _scenario(raw)
+    grid = grids[law]
+    gain_sets = [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
+    _assert_lockstep_equals_run(law, scenario, gain_sets)
+    got = _assert_tune_scores_each_point_as_run(law, scenario, gain_sets, "z", 0.05, ObjectiveWeights())
+    assert got is not None
+    assert [text is None for text in got] == [prefix is None for prefix in failures]
+    assert all(text.startswith(prefix) for text, prefix in zip(got, failures) if prefix is not None)

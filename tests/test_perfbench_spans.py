@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from forcemotion import cli
+from forcemotion import cli, config, sim
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -93,3 +93,28 @@ def test_fuzzy_layer_call_counts_per_run(preset, inputs, calls, fired, clips, tm
         "fuzzy.defuzzify_coa": calls,
     }
     assert totals == {"fired": fired, "clips": clips}
+
+
+@pytest.mark.parametrize("controller", ["pi", "fuzzy"])
+@pytest.mark.parametrize("preset", ["exp1", "exp2", "exp3"])
+def test_run_makes_one_plant_call_per_tick(preset, controller):
+    # The benchmark's plant.*.calls count these: nothing is computed before
+    # tick 0, so each of the 301 ticks calls the arm, the environment, the
+    # sensor and the controller once, and the joint torques come in one call.
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    spans.install(tracer, _noop, _noop, _noop)
+    try:
+        sim.run(config.preset_scenario(preset, controller))
+    finally:
+        tracer.restore()
+    calls = {name: n for name, (n, _) in tracer.totals().items()}
+    per_tick = [
+        "plant.PlanarArm.fk",
+        "plant.PlanarArm.servo_step",
+        "plant.Environment.contact_force",
+        "plant.SensorModel.sense",
+        "control.HybridForceController.step",
+    ]
+    assert {name: calls[name] for name in per_tick} == dict.fromkeys(per_tick, 301)
+    assert calls["plant.PlanarArm.joint_torques"] == 1

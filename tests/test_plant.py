@@ -251,25 +251,25 @@ class TestContact:
 
     def test_no_contact_above_obstacles(self):
         env = self.flat_floor()
-        assert env.contact_force(Pose(0.5, 0.25), (0.1, 0.0)) == (0.0, 0.0)
+        assert env.contact_force(Pose(0.5, 0.25), 0.1) == (0.0, 0.0)
 
     def test_hooke_normal_force(self):
         env = self.flat_floor()
-        f = env.contact_force(Pose(0.5, 0.199), (0.0, 0.0))
+        f = env.contact_force(Pose(0.5, 0.199), 0.0)
         assert f.z == pytest.approx(10.0)
         assert f.x == 0.0
 
     def test_coulomb_friction_opposes_sliding(self):
         env = self.flat_floor(friction=0.2)
-        f = env.contact_force(Pose(0.5, 0.199), (0.1, 0.0))
+        f = env.contact_force(Pose(0.5, 0.199), 0.1)
         assert f == pytest.approx((-2.0, 10.0))
-        f_back = env.contact_force(Pose(0.5, 0.199), (-0.1, 0.0))
+        f_back = env.contact_force(Pose(0.5, 0.199), -0.1)
         assert f_back == pytest.approx((2.0, 10.0))
 
     def test_unilateral(self):
         env = self.flat_floor()
         for z in np.linspace(0.1, 0.4, 61):
-            f = env.contact_force(Pose(0.5, float(z)), (0.0, 0.0))
+            f = env.contact_force(Pose(0.5, float(z)), 0.0)
             assert f.z >= 0.0
             if z >= 0.2:
                 assert f.z == 0.0
@@ -277,22 +277,22 @@ class TestContact:
     def test_linear_in_penetration(self):
         env = self.flat_floor()
         depths = np.linspace(1e-4, 5e-3, 20)
-        forces = [env.contact_force(Pose(0.5, 0.2 - d), (0.0, 0.0)).z for d in depths]
+        forces = [env.contact_force(Pose(0.5, 0.2 - d), 0.0).z for d in depths]
         assert forces == pytest.approx(list(10_000.0 * depths))
 
     def test_box_top_face(self):
         env = Environment((Box(0.4, 0.6, 0.0, 0.3, stiffness=10_000.0),), seed=0)
-        f = env.contact_force(Pose(0.5, 0.299), (0.0, 0.0))
+        f = env.contact_force(Pose(0.5, 0.299), 0.0)
         assert f == pytest.approx((0.0, 10.0))
 
     def test_box_side_face_dominates_when_shallower(self):
         env = Environment((Box(0.4, 0.6, 0.0, 0.3, stiffness=10_000.0),), seed=0)
-        f = env.contact_force(Pose(0.401, 0.15), (0.0, 0.0))
+        f = env.contact_force(Pose(0.401, 0.15), 0.0)
         assert f == pytest.approx((-10.0, 0.0))
 
     def test_box_outside(self):
         env = Environment((Box(0.4, 0.6, 0.0, 0.3),), seed=0)
-        assert env.contact_force(Pose(0.7, 0.2), (0.0, 0.0)) == (0.0, 0.0)
+        assert env.contact_force(Pose(0.7, 0.2), 0.0) == (0.0, 0.0)
 
     def test_obstacle_contributions_sum(self):
         env = Environment(
@@ -302,7 +302,7 @@ class TestContact:
             ),
             seed=0,
         )
-        f = env.contact_force(Pose(0.5, 0.199), (0.0, 0.0))
+        f = env.contact_force(Pose(0.5, 0.199), 0.0)
         assert f.z == pytest.approx(10.0 + 15.0)
 
     def test_rough_profile_deterministic_per_seed(self):
@@ -489,7 +489,7 @@ class TestBatchTwins:
         vx = rng.uniform(-1.0, 1.0, 300)
         vx[3:7] = (0.0, -0.0, 0.0, -0.0)
         x[3:7], z[3:7] = 0.6, 0.2495
-        want = [env.contact_force(Pose(a, b), (v, 0.0)) for a, b, v in zip(x.tolist(), z.tolist(), vx.tolist())]
+        want = [env.contact_force(Pose(a, b), v) for a, b, v in zip(x.tolist(), z.tolist(), vx.tolist())]
         got = env.contact_force_batch(np.array((x, z)), vx)
         assert np.array_equal(bits(got.T), bits(want))
         assert np.any(got[0, 7:] != 0.0) and np.all(got[0, 3:7] == 0.0)

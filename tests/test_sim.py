@@ -573,6 +573,35 @@ class TestTune:
             with pytest.raises(ValueError, match="duplicate"):
                 tune(scenario, {"kp": values, "ki": [1e-5]})
 
+    @pytest.mark.parametrize("values", [[math.nan], [math.nan, 1e-4], [1e-4, math.nan]])
+    @pytest.mark.parametrize("law", [PIGains, FuzzyPIGains])
+    def test_grid_rejects_a_nan_gain_by_name(self, law, values):
+        # min() neither orders NaN below 0 nor returns one that comes later.
+        names = [f.name for f in dataclasses.fields(law)]
+        grid = {name: [1e-4] for name in names}
+        grid[names[-1]] = values
+        with pytest.raises(ValueError, match=f"^{names[-1]}: expected nonnegative gains, got nan$"):
+            sim.check_grid(law, grid)
+        grid[names[-1]] = [1e-4, -2.0, -1.0]
+        with pytest.raises(ValueError, match=f"^{names[-1]}: expected nonnegative gains, got -2.0$"):
+            sim.check_grid(law, grid)
+
+    @pytest.mark.parametrize("band_pct", [math.nan, 0.0, -1.0])
+    def test_band_must_be_positive(self, band_pct, smooth_exp2, monkeypatch):
+        # Checked before any point is simulated, and by compute_metrics: a
+        # NaN band would report any trace as settled at first contact.
+        monkeypatch.setattr(sim, "_lockstep", None)
+        message = f"^band_pct: expected a positive number, got {band_pct}$"
+        with pytest.raises(ValueError, match=message):
+            tune(smooth_exp2("pi"), {"kp": [1e-4], "ki": [2e-5]}, band_pct=band_pct)
+        with pytest.raises(ValueError, match=message):
+            compute_metrics(make_trace([0.0, 0.01], [30.0, 30.0]), "z", 30.0, band_pct=band_pct)
+
+    def test_axis_must_be_one_of_the_axes(self, smooth_exp2, monkeypatch):
+        monkeypatch.setattr(sim, "_lockstep", None)
+        with pytest.raises(ValueError, match=r"^axis: expected one of \('x', 'z'\), got 'y'$"):
+            tune(smooth_exp2("pi"), {"kp": [1e-4], "ki": [2e-5]}, axis="y")
+
     @pytest.mark.parametrize("law", ["pi", "fuzzy"])
     def test_committed_exp2_tunes_never_leave_the_column_engine(self, law, monkeypatch):
         # The column engine integrates every aggregate of these grids in

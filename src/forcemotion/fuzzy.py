@@ -157,6 +157,8 @@ class RuleBase:
         e_norm = np.asarray(e_norm, dtype=float)
         de_norm = np.asarray(de_norm, dtype=float)
         n = len(e_norm)
+        if len(de_norm) != n:
+            raise ValueError(f"e_norm and de_norm: expected equal lengths, got {n} and {len(de_norm)}")
         cell_labels, order, starts, used = self._cells
         x = np.minimum(np.maximum(np.concatenate((e_norm, de_norm)), -1.0), 1.0)
         mu = np.maximum(1.0 - np.abs(x - _CENTER_ROW[:, None]) / HALF_WIDTH, 0.0)

@@ -295,10 +295,11 @@ def _lockstep(
     """`tune`'s tick loop. Each column of `columns` (one row per gain field)
     is a member that runs the scenario's law with those gains on both axes.
     A member's result is bit for bit what `run` gives for it: its (ticks,)
-    measured force on the axis AXES[j], or the WorkspaceViolation that stops
-    it at its tick while the others run on. The plant, the sensor and the
-    bookkeeping run in numpy over (2, B) arrays, and each selected axis calls
-    the law's `step_columns` once a tick. Overflow and NaN pass silently
+    measured force on the axis AXES[j], or the WorkspaceViolation of its
+    first unreachable tick, after which it steps on unread until every member
+    has failed. The plant, the sensor and the bookkeeping run in numpy over
+    (2, B) arrays, and each selected axis calls the law's `step_columns` on
+    every member once a tick. Overflow and NaN pass silently
     (np.errstate(all="ignore")), as they do in run()'s Python floats.
     """
     arm = scenario.arm
@@ -322,9 +323,6 @@ def _lockstep(
     q = np.repeat(np.array(ik(l1, l2, scenario.path.pose_at(0.0), elbow))[:, None], n, axis=1)
     forces = np.zeros((len(t), n))
     failures: List[Optional[WorkspaceViolation]] = [None] * n
-    # The live members: all of them, then their indices once one has left
-    # the workspace.
-    live: Union[slice, np.ndarray] = slice(None)
     u = np.zeros((2, n))
     vx = np.zeros(n)
 
@@ -337,8 +335,7 @@ def _lockstep(
                     if failures[i] is None:
                         cause = str(outside_workspace(l1, l2, Pose(*target[:, i].tolist())))
                         failures[i] = WorkspaceViolation(k, k * dt, cause)
-                live = np.array([i for i, f in enumerate(failures) if f is None], dtype=int)
-                if not len(live):
+                if None not in failures:
                     break
             q = servo_step_batch(q, q_des, alpha, dq_max)
             pose = fk_batch(l1, l2, q)
@@ -350,7 +347,7 @@ def _lockstep(
             de = e - e_prev if k > 0 else np.zeros((2, n))
             du = np.zeros((2, n))
             for i, limits in laws:
-                du[i, live] = step_columns(columns[:, live], e[i, live], de[i, live], limits, engine)
+                du[i] = step_columns(columns, e[i], de[i], limits, engine)
             forces[k] = measured[j]
             u = clamp(u + du, u_min, u_max)
             e_prev = e
@@ -383,6 +380,8 @@ def compute_metrics(trace: Trace, axis: str, setpoint: float, band_pct: float = 
     peak excess of |f| over that band, expressed as a percentage of it.
     """
     check_band(band_pct)
+    check_axis(axis)
+    check_setpoint(setpoint)
     t, f = trace.column("t"), trace.column(f"f_{axis}")
     return _metrics(t, f, axis, setpoint, band_pct)
 
@@ -492,6 +491,18 @@ def check_band(band_pct: float) -> None:
         raise ValueError(f"band_pct: expected a positive number, got {band_pct}")
 
 
+def check_axis(axis: str) -> None:
+    """Reject an axis that is not one of AXES."""
+    if axis not in AXES:
+        raise ValueError(f"axis: expected one of {AXES}, got {axis!r}")
+
+
+def check_setpoint(setpoint: float) -> None:
+    """Reject a NaN or infinite setpoint, whose settling band no sample leaves."""
+    if not math.isfinite(setpoint):
+        raise ValueError(f"setpoint: expected a finite number, got {setpoint}")
+
+
 def tune(
     scenario: Scenario,
     grid: Dict[str, Sequence[float]],
@@ -517,9 +528,9 @@ def tune(
     law = type(scenario.gains["x"])
     names = check_grid(law, grid)
     check_band(band_pct)
-    if axis not in AXES:
-        raise ValueError(f"axis: expected one of {AXES}, got {axis!r}")
+    check_axis(axis)
     setpoint = getattr(scenario.setpoint, axis)
+    check_setpoint(setpoint)
     t = _tick_times(scenario)
 
     combos = list(itertools.product(*(sorted(grid[n]) for n in names)))

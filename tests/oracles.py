@@ -2,9 +2,13 @@
 
 These deliberately avoid the production code paths: membership shapes are
 rebuilt from np.interp, the defuzzifier is a brute-force midpoint Riemann
-sum, and the incremental PI law is unrolled in closed form.
+sum or an exact piecewise integral in fractions, and the incremental PI law
+is unrolled in closed form.
 """
 from __future__ import annotations
+
+import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -117,6 +121,41 @@ def segment_crossing_coa(clips: dict) -> float:
             area += 0.5 * m * squares + q * (r - p)
             moment += m * (r**3 - p**3) / 3.0 + 0.5 * q * squares
     return 0.0 if area <= 1e-12 else moment / area
+
+
+def exact_coa(clips: dict) -> Fraction:
+    """The exact center of area of max-aggregated clipped shapes on [-1, 1].
+
+    `clips` maps label index (0..6) to clip height, taken exactly, on the
+    exact partition: centres i/3 - 1, half-width 1/3. [-1, 1] is split at
+    every kink of every clipped shape and at every crossing of two shapes
+    inside a segment, so the aggregate is linear on each piece, and each
+    piece adds its trapezoid area and moment. Returns 0 for a zero area.
+    """
+    w = Fraction(1, 3)
+    shapes = [(Fraction(index - 3, 3), Fraction(h)) for index, h in clips.items()]
+
+    def degrees(x):
+        return [min(h, max(1 - abs(x - c) / w, Fraction(0))) for c, h in shapes]
+
+    kinks = {Fraction(-1), Fraction(1)}
+    for c, h in shapes:
+        kinks.update(x for x in (c - w, c - w * (1 - h), c + w * (1 - h), c + w) if -1 <= x <= 1)
+    kinks = sorted(kinks)
+    cuts = set(kinks)
+    for a, b in zip(kinks, kinks[1:]):
+        for (fa, fb), (ga, gb) in itertools.combinations(zip(degrees(a), degrees(b)), 2):
+            if (fb - fa) != (gb - ga):
+                s = (ga - fa) / ((fb - fa) - (gb - ga))
+                if 0 < s < 1:
+                    cuts.add(a + s * (b - a))
+    area = moment = Fraction(0)
+    points = sorted(cuts)
+    for p, r in zip(points, points[1:]):
+        fp, fr = max(degrees(p), default=0), max(degrees(r), default=0)
+        area += (r - p) * (fp + fr) / 2
+        moment += (r - p) * (fp * (2 * p + r) + fr * (p + 2 * r)) / 6
+    return moment / area if area else Fraction(0)
 
 
 def pi_closed_form(kp: float, ki: float, errors: np.ndarray, u0: float = 0.0) -> np.ndarray:

@@ -271,3 +271,26 @@ def test_fixed_grids_as_run(case, law):
     assert got is not None
     assert [text is None for text in got] == [prefix is None for prefix in failures]
     assert all(text.startswith(prefix) for text, prefix in zip(got, failures) if prefix is not None)
+
+
+def test_lockstep_stops_once_every_point_has_failed(monkeypatch):
+    # Both points of the workspace-exit grid with the larger ki leave the
+    # workspace at tick 2: the loop solves ik for ticks 0, 1 and 2 and ends.
+    preset, limits, _, _, _ = FIXED_GRIDS["exp2-workspace-exit"]
+    raw = config.preset_config(preset)
+    raw["controller"] = "pi"
+    raw["limits"] = {axis: limits for axis in AXES}
+    scenario = _scenario(raw)
+    members = [LAWS["pi"](kp=5e-4, ki=ki) for ki in (2e-2, 3e-2)]
+    want = []
+    for gains in members:
+        with pytest.raises(WorkspaceViolation) as exc:
+            run(dataclasses.replace(scenario, gains={"x": gains, "z": gains}))
+        want.append(exc.value)
+    calls = []
+    ik_batch = sim.ik_batch
+    monkeypatch.setattr(sim, "ik_batch", lambda *args: calls.append(args) or ik_batch(*args))
+    columns = np.array([dataclasses.astuple(g) for g in members], dtype=float).T
+    got = list(sim._lockstep(scenario, columns, AXES.index("z")))
+    assert len(calls) == 3
+    assert [(f.tick, f.t, str(f)) for f in got] == [(2, 0.02, str(w)) for w in want]

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -237,6 +238,16 @@ class TestDefuzzify:
             assert defuzzify_coa(agg) == pytest.approx(
                 oracles.riemann_coa(clips), abs=1e-6
             )
+
+    def test_within_1e_12_of_the_exact_integral_on_a_grid(self):
+        assert oracles.exact_coa({6: 1.0}) == Fraction(8, 9)
+        assert oracles.exact_coa({}) == 0
+        grid = np.linspace(-1.0, 1.0, 21).tolist()
+        for e in grid:
+            for de in grid:
+                agg = infer(fuzzify(e), fuzzify(de), RULES)
+                exact = oracles.exact_coa({label + 3: h for label, h in agg.clips.items()})
+                assert abs(Fraction(defuzzify_coa(agg)) - exact) <= 1e-12, (e, de)
 
     @given(
         st.dictionaries(
@@ -509,6 +520,11 @@ class TestBitExactness:
 
     def test_column_output_on_an_empty_batch(self):
         assert RuleBase.default().outputs(np.array([]), np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("n_e,n_de", [(2, 1), (3, 2), (1, 2), (0, 1)])
+    def test_column_output_rejects_unequal_lengths(self, n_e, n_de):
+        with pytest.raises(ValueError, match=f"^e_norm and de_norm: expected equal lengths, got {n_e} and {n_de}$"):
+            RuleBase.default().outputs(np.full(n_e, 0.1), np.full(n_de, 0.3))
 
     @pytest.mark.parametrize(
         "clips",

@@ -599,8 +599,23 @@ class TestTune:
 
     def test_axis_must_be_one_of_the_axes(self, smooth_exp2, monkeypatch):
         monkeypatch.setattr(sim, "_lockstep", None)
-        with pytest.raises(ValueError, match=r"^axis: expected one of \('x', 'z'\), got 'y'$"):
+        message = r"^axis: expected one of \('x', 'z'\), got 'y'$"
+        with pytest.raises(ValueError, match=message):
             tune(smooth_exp2("pi"), {"kp": [1e-4], "ki": [2e-5]}, axis="y")
+        with pytest.raises(ValueError, match=message):
+            compute_metrics(make_trace([0.0, 0.01], [30.0, 30.0]), "y", 30.0)
+
+    @pytest.mark.parametrize("setpoint", [math.nan, math.inf, -math.inf])
+    def test_setpoint_must_be_finite(self, setpoint, smooth_exp2, monkeypatch):
+        # Checked before any point is simulated, and by compute_metrics: a
+        # NaN or infinite setpoint would report any trace as settled.
+        monkeypatch.setattr(sim, "_lockstep", None)
+        message = f"^setpoint: expected a finite number, got {setpoint}$"
+        with pytest.raises(ValueError, match=message):
+            compute_metrics(make_trace([0.0, 0.01], [30.0, 30.0]), "z", setpoint)
+        scenario = dataclasses.replace(smooth_exp2("pi"), setpoint=AxisForce(0.0, setpoint))
+        with pytest.raises(ValueError, match=message):
+            tune(scenario, {"kp": [1e-4], "ki": [2e-5]})
 
     @pytest.mark.parametrize("law", ["pi", "fuzzy"])
     def test_committed_exp2_tunes_never_leave_the_column_engine(self, law, monkeypatch):

@@ -147,15 +147,18 @@ class RuleBase:
         """`output` of each pair (e_norm[i], de_norm[i]), bit for bit.
 
         Both inputs are fuzzified to (7, n) degrees after fuzzify's clamp,
-        the rules fire as (49, n) min-AND strengths, each output label's clip
-        is its largest strength, and the first fired cell names the first
-        shape. Aggregates of at most two clipped shapes, a lone shape as the
-        pair of itself with itself, are integrated in numpy: an infinite input
-        clamps as fuzzify clamps it, a NaN input clips no shape and gives
-        +0.0. Only three or more shapes go through `output`.
+        the rules fire as (49, n) min-AND strengths, and each output label's
+        clip is its largest strength. Every column's shapes, in the order
+        their first cells fire, go through one `_coa_columns` call: an
+        infinite input clamps as fuzzify clamps it, and a NaN input clips no
+        shape and gives +0.0. Both inputs must be 1-D and of equal length.
         """
         e_norm = np.asarray(e_norm, dtype=float)
         de_norm = np.asarray(de_norm, dtype=float)
+        if e_norm.ndim != 1 or de_norm.ndim != 1:
+            raise ValueError(
+                f"e_norm and de_norm: expected 1-D arrays, got shapes {e_norm.shape} and {de_norm.shape}"
+            )
         n = len(e_norm)
         if len(de_norm) != n:
             raise ValueError(f"e_norm and de_norm: expected equal lengths, got {n} and {len(de_norm)}")
@@ -167,19 +170,18 @@ class RuleBase:
         clip[used] = np.maximum.reduceat(strength.take(order, axis=0), starts, axis=0)
         clipped = clip > 0.0
         count = clipped.sum(axis=0)
-        few = count <= 2
-        every = few.all()
-        cols = slice(None) if every else np.flatnonzero(few)
-        first = cell_labels[(strength[:, cols] > 0.0).argmax(axis=0)]
-        labels = np.array((first, _LABEL_INDEX @ clipped[:, cols] - first * (count[cols] - 1)))
-        paired = _two_shape_coa(labels, clip[:, cols][labels, np.arange(len(first))])
-        if every:
-            return paired
-        out = np.empty(n)
-        out[cols] = paired
-        for i in np.flatnonzero(~few).tolist():
-            out[i] = self.output(float(e_norm[i]), float(de_norm[i]))
-        return out
+        k = count.max(initial=1)
+        fired = strength > 0.0
+        if k <= 2:
+            # The first fired cell names the first shape, and the sum of the
+            # clipped label indices the second; a lone shape is the first.
+            first = cell_labels[fired.argmax(axis=0)]
+            labels = np.array((first, _LABEL_INDEX @ clipped - first * (count - 1)))[:k]
+        else:
+            # A NaN column fires no cell: label 0 at height NaN gives +0.0.
+            rows = [list(dict.fromkeys(cell_labels[cells].tolist())) or [0] for cells in fired.T]
+            labels = np.array([row + row[:1] * (k - len(row)) for row in rows]).T
+        return _coa_columns(labels, clip[labels, np.arange(n)])
 
 
 class RuleFiring(NamedTuple):
@@ -250,12 +252,15 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
     crosses another line at its root.
 
     An aggregate of one or two shapes takes `_two_shape_centroid`, a lone
-    shape as the pair of itself with itself; `_two_shape_coa` is its column
-    form. Three or more shapes take the loop below.
+    shape as the pair of itself with itself. Three or more shapes take the
+    column integrator `_coa_columns` as one column.
     """
     clips = agg.clips
     if not clips:
         return 0.0
+    if len(clips) > 2:
+        labels = np.array([[label + 3] for label in clips])
+        return float(_coa_columns(labels, np.array([[h] for h in clips.values()]))[0])
     lo, hi = CENTERS[0], CENTERS[-1]
     w = HALF_WIDTH
 
@@ -269,63 +274,13 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
     xs = sorted(breakpoints)
     if xs[0] != lo or xs[-1] != hi:  # the outer kinks of NL and PL
         xs = xs[xs.index(lo) : xs.index(hi) + 1]
-    if len(shapes) <= 2:
-        return _two_shape_centroid(xs, *shapes[0], *shapes[-1])
-    area = 0.0
-    moment = 0.0
-    # Breakpoint b's values, min(clip, membership). Breakpoints lie in
-    # [lo, hi], where a shoulder equals its triangle (both are 1.0 at the end
-    # center), so one expression covers every label. The first segment,
-    # [lo, lo], is empty.
-    a, fas = lo, None
-    for b in xs:
-        fbs = []
-        for c, clip in shapes:
-            t = 1.0 - abs(b - c) / w
-            fbs.append((t if t < clip else clip) if t > 0.0 else 0.0)
-        span = b - a
-        if span > 1e-15 and (any(fas) or any(fbs)):
-            lines = []
-            for fa, fb in zip(fas, fbs):
-                m = (fb - fa) / span
-                lines.append((m, fa - m * a))
-            # The right ends of the pieces: the crossings more than 1e-15
-            # inside [a, b], sorted, then b.
-            cuts = [b]
-            for i, (mi, qi) in enumerate(lines):
-                for mj, qj in lines[i + 1 :]:
-                    if mi != mj:
-                        x = (qj - qi) / (mi - mj)
-                        if a + 1e-15 < x < b - 1e-15:
-                            cuts.append(x)
-            cuts.sort()
-            first = lines[0]
-            rest = lines[1:]
-            p = a
-            for r in cuts:
-                if r - p > 1e-15:
-                    mid = 0.5 * (p + r)
-                    m, q = first
-                    top = m * mid + q
-                    for mk, qk in rest:
-                        v = mk * mid + qk
-                        if v > top:
-                            m, q, top = mk, qk, v
-                    if top > 0.0:
-                        squares = r * r - p * p
-                        area += 0.5 * m * squares + q * (r - p)
-                        moment += m * (r**3 - p**3) / 3.0 + 0.5 * q * squares
-                p = r
-        a, fas = b, fbs
-    if area <= _EMPTY_AGGREGATE_AREA:
-        return 0.0
-    return moment / area
+    return _two_shape_centroid(xs, *shapes[0], *shapes[-1])
 
 
 def _two_shape_centroid(xs: List[float], c1: float, h1: float, c2: float, h2: float) -> float:
     """defuzzify_coa's rule on the breakpoints xs of two shapes centred at
     c1 and c2 and clipped at h1, h2 >= 0, bit for bit: each segment holds
-    two lines and at most one crossing. `_two_shape_coa` is its column form.
+    two lines and at most one crossing.
     """
     w = HALF_WIDTH
     area = moment = 0.0
@@ -370,65 +325,70 @@ _ENDS = np.array([[CENTERS[0]], [CENTERS[-1]]])
 
 
 @np.errstate(all="ignore")
-def _two_shape_coa(labels: np.ndarray, clips: np.ndarray) -> np.ndarray:
-    """defuzzify_coa of n aggregates of at most two shapes, bit for bit.
+def _coa_columns(labels: np.ndarray, clips: np.ndarray) -> np.ndarray:
+    """defuzzify_coa of n aggregates of at most k shapes, bit for bit.
 
     `labels` holds the label indices (0..6) of each aggregate's shapes and
-    `clips` their heights, as (2, n) arrays in the order the shapes fired;
-    a lone shape i of height h is the column (i, i), (h, h). The heights
-    are positive, or NaN after a NaN input, which adds nothing: +0.0.
-    This is `_two_shape_centroid` with one column per aggregate, kept equal
-    to it in two ways:
+    `clips` their heights, as (k, n) arrays in the order the shapes fired.
+    A column of fewer shapes repeats its first: the copy's kinks and cuts
+    only add empty pieces, and its line never strictly wins the max. The
+    heights are >= 0, or NaN after a NaN input, which adds nothing: +0.0.
+    The segment rule is kept in three ways:
     - Each shape adds all four kinks, those beyond the universe clamped
       onto its ends, and duplicate breakpoints are kept. Both make
       zero-length segments, which the 1e-15 test skips as the set and the
       trim do.
-    - Each segment holds two pieces, cut at the crossing or else with the
-      second empty. Pieces that add nothing add +0.0, and the sums run in
-      piece order from +0.0, so they equal the scalar running sums: along
-      the rows with `np.add.accumulate`, since `np.add.reduce` pairs the
-      rows of a single column differently.
+    - Each segment holds one piece per pair of shapes and one more, cut at
+      its sorted crossings; a crossing that is not inside moves to the
+      segment's end and leaves an empty piece.
+    - Pieces that add nothing add +0.0, and the sums run in piece order
+      from +0.0, so they equal the scalar running sums: along the rows with
+      `np.add.accumulate`, since `np.add.reduce` pairs the rows of a single
+      column differently.
     The cubes need no care: `np.float_power` rounds as the scalar `**` does.
     """
     w = HALF_WIDTH
     lo, hi = CENTERS[0], CENTERS[-1]
-    n = clips.shape[1]
+    k, n = clips.shape
     centre = _CENTER_ROW[labels]
     flat = w * (1.0 - clips)
     xs = np.concatenate((_ENDS.repeat(n, axis=1), centre - w, centre - flat, centre + flat, centre + w))
     xs = np.minimum(np.maximum(xs, lo), hi)
     xs.sort(axis=0)
 
-    # Each shape's value at each of the 10 breakpoints, (2, 10, n), and its
-    # line on each of the 9 segments [a, b], (2, 9, n).
+    # Each shape's value at each of the 4k + 2 breakpoints, (k, 4k + 2, n),
+    # and its line on each of the 4k + 1 segments [a, b], (k, 4k + 1, n).
     f = np.minimum(np.maximum(1.0 - np.abs(xs - centre[:, None, :]) / w, 0.0), clips[:, None, :])
     a = xs[:-1]
     b = xs[1:]
     slope = (f[:, 1:] - f[:, :-1]) / (b - a)
     icpt = f[:, :-1] - slope * a
-    (m1, m2), (q1, q2) = slope, icpt
-    # Parallel lines give inf or NaN, which never lies inside.
-    cut = (q2 - q1) / (m1 - m2)
+    # Where shapes i < j cross, by j - i; parallel lines give inf or NaN,
+    # which never lies inside.
+    cut = (icpt[1:] - icpt[:-1]) / (slope[:-1] - slope[1:])
+    if k > 2:
+        cut = np.concatenate((cut, *((icpt[d:] - icpt[:-d]) / (slope[:-d] - slope[d:]) for d in range(2, k))))
     cut = np.where((a + 1e-15 < cut) & (cut < b - 1e-15), cut, b)
+    cut.sort(axis=0)
 
-    # The pieces [p, r], (18, n), run between the bounds x0, cut0, x1, cut1,
-    # ..., x9, two per segment; the second is empty when nothing is cut.
-    bounds = np.empty((19, n))
-    bounds[0::2] = xs
-    bounds[1::2] = cut
+    # The pieces [p, r] run between the bounds x0, x0's cuts, x1, ..., x(4k+1).
+    pieces = len(a) * (len(cut) + 1)
+    bounds = np.concatenate((a[None], cut)).transpose(1, 0, 2).reshape(pieces, n)
+    bounds = np.concatenate((bounds, xs[-1:]))
     p = bounds[:-1]
     r = bounds[1:]
-    (m1, m2), (q1, q2) = np.repeat(slope, 2, axis=1), np.repeat(icpt, 2, axis=1)
+    slope, icpt = np.repeat(slope, len(cut) + 1, axis=1), np.repeat(icpt, len(cut) + 1, axis=1)
     mid = 0.5 * (p + r)
-    top = m1 * mid + q1
-    top2 = m2 * mid + q2
-    second = top2 > top
-    adds = (r - p > 1e-15) & ((top > 0.0) | (top2 > 0.0))
-    m = np.where(second, m2, m1)
-    q = np.where(second, q2, q1)
+    m, q = slope[0], icpt[0]
+    top = m * mid + q
+    for mk, qk in zip(slope[1:], icpt[1:]):
+        v = mk * mid + qk
+        wins = v > top
+        m, q, top = np.where(wins, mk, m), np.where(wins, qk, q), np.where(wins, v, top)
+    adds = (r - p > 1e-15) & (top > 0.0)
     squares = r * r - p * p
     cubes = np.float_power(bounds, 3.0)
-    sums = np.zeros((2, 19, n))
+    sums = np.zeros((2, len(bounds), n))
     np.copyto(sums[0, 1:], 0.5 * m * squares + q * (r - p), where=adds)
     np.copyto(sums[1, 1:], m * (cubes[1:] - cubes[:-1]) / 3.0 + 0.5 * q * squares, where=adds)
     area, moment = np.add.accumulate(sums, axis=1)[:, -1]

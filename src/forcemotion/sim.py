@@ -450,6 +450,8 @@ class ObjectiveWeights:
         for name, value in dataclasses.asdict(self).items():
             if not value >= 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -486,9 +488,12 @@ def check_grid(law: type, grid: Dict[str, Sequence[float]]) -> List[str]:
 
 
 def check_band(band_pct: float) -> None:
-    """Reject a settling band (a fraction of |setpoint|) that is not > 0."""
+    """Reject a settling band (a fraction of |setpoint|) that is not a
+    positive, finite number."""
     if not band_pct > 0:
         raise ValueError(f"band_pct: expected a positive number, got {band_pct}")
+    if not math.isfinite(band_pct):
+        raise ValueError(f"band_pct: expected a finite number, got {band_pct}")
 
 
 def check_axis(axis: str) -> None:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from forcemotion.fuzzy import (
     AggregatedOutput,
     Label,
     RuleBase,
-    _two_shape_coa,
+    _coa_columns,
     defuzzify_coa,
     fire_rules,
     fuzzify,
@@ -428,7 +429,7 @@ class TestBitExactness:
             )
             assert value.hex() == oracles.segment_crossing_coa(clips).hex(), clips
 
-    def test_two_shape_integrator_matches_defuzzify_bit_for_bit(self):
+    def test_column_integrator_matches_defuzzify_bit_for_bit(self):
         # The column engine integrates exactly these aggregates in numpy: the
         # pairs, and each lone shape (i, i, h, h) at the edge heights and at
         # heights down to the subnormals.
@@ -439,12 +440,30 @@ class TestBitExactness:
         sets = self._two_shape_sets() + [(i, i, h, h) for i in range(7) for h in heights]
         labels = np.array([(i, j) for i, j, _, _ in sets]).T
         clips = np.array([(h1, h2) for _, _, h1, h2 in sets]).T
-        got = _two_shape_coa(labels, clips)
         want = [
             defuzzify_coa(AggregatedOutput({Label(i - 3): h1, Label(j - 3): h2}))
             for i, j, h1, h2 in sets
         ]
-        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+        # As they are and padded with copies of their first shape.
+        for k in (2, 3):
+            padded = (np.concatenate((a, a[:1].repeat(k - 2, axis=0))) for a in (labels, clips))
+            got = _coa_columns(*padded)
+            assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+        # Columns of three to seven shapes in firing order, with edge,
+        # spread and near-tied heights, as they are and padded to seven
+        # shapes with copies of their first, against the reference.
+        edge = [float(h) for h in self.EDGE_HEIGHTS]
+        for k in range(3, 8):
+            shapes = [rng.choice(7, size=k, replace=False).tolist() for _ in range(400)]
+            spread = 10.0 ** rng.uniform(-323.0, 0.0, (k, 400))
+            tops = rng.uniform(0.0, 1.0, 400)
+            near = np.where(rng.random((k, 400)) < 0.5, tops, np.nextafter(tops, 1.0))
+            clips = np.choose(rng.integers(0, 3, (k, 400)), (spread, rng.choice(edge, (k, 400)), near))
+            labels = np.array(shapes).T
+            want = [oracles.segment_crossing_coa(dict(zip(i, h))) for i, h in zip(shapes, clips.T.tolist())]
+            padded = (np.concatenate((a, a[:1].repeat(7 - k, axis=0))) for a in (labels, clips))
+            for got in (_coa_columns(labels, clips), _coa_columns(*padded)):
+                assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
     def test_column_output_takes_no_scalar_call_for_one_or_two_shapes(self, monkeypatch):
         # One input at a label centre or saturated fires one or two rules, so
@@ -487,7 +506,7 @@ class TestBitExactness:
         assert np.array_equal(engine.outputs(e, de).view(np.uint64), np.array(want).view(np.uint64))
 
     def test_float_power_cubes_as_python_does(self):
-        # _two_shape_coa takes its cubes with np.float_power: it must round
+        # _coa_columns takes its cubes with np.float_power: it must round
         # as the scalar integrator's `**` does in every binade whose cube is
         # finite, subnormals and negatives included (np.power does not).
         rng = np.random.default_rng(3)
@@ -515,7 +534,7 @@ class TestBitExactness:
                 defuzzify_coa(AggregatedOutput({Label(i - 3): h1, Label(j - 3): h2}))
                 for (i, j), (h1, h2) in zip(labels.T.tolist(), clips.T.tolist())
             ]
-            got = _two_shape_coa(labels, clips)
+            got = _coa_columns(labels, clips)
             assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
     def test_column_output_on_an_empty_batch(self):
@@ -525,6 +544,16 @@ class TestBitExactness:
     def test_column_output_rejects_unequal_lengths(self, n_e, n_de):
         with pytest.raises(ValueError, match=f"^e_norm and de_norm: expected equal lengths, got {n_e} and {n_de}$"):
             RuleBase.default().outputs(np.full(n_e, 0.1), np.full(n_de, 0.3))
+
+    @pytest.mark.parametrize(
+        "e,de",
+        [(0.1, 0.3), (np.full((1, 2), 0.1), np.full((1, 2), 0.3)), (np.full(2, 0.1), np.full((2, 1), 0.3))],
+        ids=["scalars", "rows", "column"],
+    )
+    def test_column_output_rejects_inputs_that_are_not_1d(self, e, de):
+        shapes = re.escape(f"{np.shape(e)} and {np.shape(de)}")
+        with pytest.raises(ValueError, match=f"^e_norm and de_norm: expected 1-D arrays, got shapes {shapes}$"):
+            RuleBase.default().outputs(e, de)
 
     @pytest.mark.parametrize(
         "clips",

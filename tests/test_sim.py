@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from forcemotion import config, sim
+from forcemotion import config, fuzzy, sim
 from forcemotion.config import preset_scenario
 from forcemotion.fuzzy import RuleBase
 from forcemotion.control import (
@@ -549,6 +549,13 @@ class TestTune:
             ObjectiveWeights(**{name: value})
         assert getattr(ObjectiveWeights(**{name: -0.0}), name) == 0.0
 
+    @pytest.mark.parametrize("name", ["overshoot", "not_settled"])
+    def test_weights_must_be_finite(self, name):
+        # An infinite weight times a 0 % overshoot or a settled run's 0 is
+        # NaN, so tune would score no point.
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+            ObjectiveWeights(**{name: math.inf})
+
     def test_zero_weight_drops_its_term(self, smooth_exp2):
         # At a setpoint of 1e-307 N every overshoot percentage is inf; a zero
         # weight times it made the objective NaN, which sorts anywhere.
@@ -596,6 +603,16 @@ class TestTune:
             tune(smooth_exp2("pi"), {"kp": [1e-4], "ki": [2e-5]}, band_pct=band_pct)
         with pytest.raises(ValueError, match=message):
             compute_metrics(make_trace([0.0, 0.01], [30.0, 30.0]), "z", 30.0, band_pct=band_pct)
+
+    def test_band_must_be_finite(self, smooth_exp2, monkeypatch):
+        # No sample leaves an infinite band, so any trace read as settled at
+        # its first sample.
+        monkeypatch.setattr(sim, "_lockstep", None)
+        message = "^band_pct: expected a finite number, got inf$"
+        with pytest.raises(ValueError, match=message):
+            tune(smooth_exp2("pi"), {"kp": [1e-4], "ki": [2e-5]}, band_pct=math.inf)
+        with pytest.raises(ValueError, match=message):
+            compute_metrics(make_trace([0.0, 0.01], [30.0, 30.0]), "z", 30.0, band_pct=math.inf)
 
     def test_axis_must_be_one_of_the_axes(self, smooth_exp2, monkeypatch):
         monkeypatch.setattr(sim, "_lockstep", None)
@@ -842,18 +859,23 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="empty value list in tuner grid"):
             tune(floor_scenario(), {"kp": [], "ki": [5e-5]})
 
-    def test_members_that_take_the_scalar_engine(self, monkeypatch):
-        # The column engine leaves an aggregate of three or more shapes to
-        # `output`. Both inputs must then lie between label centres, as on
-        # a few ticks of exp1 with this grid.
+    def test_members_of_three_shapes_take_no_scalar_call(self, monkeypatch):
+        # On a few ticks of exp1 with this grid both inputs lie between label
+        # centres, so an aggregate holds three shapes; the column engine
+        # integrates it with the others and never calls `output`.
         scenario = preset_scenario("exp1", "fuzzy")
         scalar_calls = []
+        widths = []
         output = RuleBase.output
+        coa_columns = fuzzy._coa_columns
         monkeypatch.setattr(
             RuleBase, "output", lambda self, e, de: scalar_calls.append(e) or output(self, e, de)
         )
+        monkeypatch.setattr(
+            fuzzy, "_coa_columns", lambda labels, clips: widths.append(len(labels)) or coa_columns(labels, clips)
+        )
         lockstep(scenario, FUZZY_GRID, 1)
-        assert scalar_calls and len(scalar_calls) < len(FUZZY_GRID) * 2 * 301
+        assert scalar_calls == [] and max(widths) == 3
         batch_against_run(scenario, FUZZY_GRID)
 
     @pytest.mark.parametrize("members_per_chunk,sizes", [(1, [1, 1, 1, 1, 1]), (2, [2, 2, 1])])

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from forcemotion.cli import main
+from forcemotion.fuzzy import RuleBase
 
 TUNING = Path(__file__).resolve().parents[1] / "tuning"
 STEMS = [f"{exp}_{law}" for exp in ("exp1", "exp2", "exp3") for law in ("pi", "fuzzy")]
@@ -29,3 +30,15 @@ def test_tune_writes_the_committed_files(stem, tmp_path, capsys):
     for suffix in ("_leaderboard.yaml", "_best.yaml"):
         name = f"{stem}{suffix}"
         assert (tmp_path / name).read_bytes() == (TUNING / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_tune_makes_no_scalar_engine_call(stem, tmp_path, monkeypatch):
+    # The column engine integrates every aggregate of every committed grid,
+    # those of three shapes included.
+    calls = []
+    output = RuleBase.output
+    monkeypatch.setattr(RuleBase, "output", lambda self, e, de: calls.append((e, de)) or output(self, e, de))
+    config = TUNING / f"{stem}_best.yaml"
+    assert main(["tune", "--config", str(config), "--seed", "2211", "--out", str(tmp_path)]) == 0
+    assert calls == []

@@ -165,6 +165,11 @@ def cmd_compare(args) -> int:
     """Run both laws on one config and report each selected axis from the
     two run summaries (`_metrics_summary`, as `run` writes them)."""
     cfg = _effective_config(args)
+    if not _selected_axes(cfg):
+        raise ConfigInvalid(
+            "selection: no axis is force controlled (selection.x and selection.z are false), "
+            "so neither law acts and there is nothing to compare"
+        )
     name = cfg["name"]
     *csv_paths, report_path = _result_paths(
         args, *(f"{name}_{kind}.csv" for kind in LAWS), f"{name}_compare.yaml"
@@ -232,6 +237,16 @@ def cmd_tune(args) -> int:
     _write_results({board_path: cfgmod.to_yaml(board), best_path: cfgmod.to_yaml(best_cfg)})
     print(f"wrote {board_path} and {best_path}")
     print(f"  best gains: {best.gains} (objective {fmt_num(best.objective, '.4f')})")
+    for gain, value in best.gains.items():
+        values = settings["grid"][gain]
+        # Gains are nonnegative, so a winning 0.0 leaves nothing beyond it.
+        if len(values) > 1 and value in (min(values), max(values)) and value > 0.0:
+            edge = "largest" if value == max(values) else "smallest"
+            print(
+                f"note: best {gain} = {value} is the {edge} value of tuner.grid.{gain}; "
+                "the optimum may lie beyond the grid",
+                file=sys.stderr,
+            )
     return 0
 
 

@@ -262,14 +262,14 @@ def read_config(path) -> Dict[str, Any]:
 
 
 def apply_overrides(raw: Dict[str, Any], overrides: List[str]) -> Dict[str, Any]:
-    """Apply repeatable --set key=value entries (dotted keys, YAML values)."""
+    """Apply repeatable --set key=value entries (dotted keys with no empty
+    segment, YAML values)."""
     updated = copy.deepcopy(raw)
     for item in overrides:
-        if "=" not in item:
-            raise ConfigInvalid(f"--set expects key=value, got {item!r}")
-        key, _, text = item.partition("=")
+        key, sep, text = item.partition("=")
         key = key.strip()
-        if not key:
+        parts = key.split(".")
+        if not sep or "" in parts:
             raise ConfigInvalid(f"--set expects key=value, got {item!r}")
         try:
             value = yaml.safe_load(text)
@@ -279,7 +279,6 @@ def apply_overrides(raw: Dict[str, Any], overrides: List[str]) -> Dict[str, Any]
             # An integer literal over Python's digit limit.
             raise ConfigInvalid(f"{key}: expected a value YAML can read ({exc})") from None
         node = updated
-        parts = key.split(".")
         for part in parts[:-1]:
             nxt = node.get(part)
             if not isinstance(nxt, dict):

@@ -133,25 +133,25 @@ class RuleBase:
         return defuzzify_coa(infer(fuzzify(e_norm), fuzzify(de_norm), self))
 
     @cached_property
-    def _cells(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The rule cells in the order fire_rules scans them, e labels
-        ascending and then de labels ascending: each cell's output label
-        index (0..6); the cells sorted by that label; where each used
-        label's run of sorted cells starts; and the used labels."""
+    def _cells(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rule cells, numbered as fire_rules scans them (e labels
+        ascending and then de labels ascending), sorted by their output
+        label index (0..6); where each used label's run of sorted cells
+        starts; and the used labels."""
         labels = np.array([self.table[e, de] + 3 for e in LABELS for de in LABELS])
         order = np.argsort(labels, kind="stable")
         used, starts = np.unique(labels[order], return_index=True)
-        return labels, order, starts, used
+        return order, starts, used
 
     def outputs(self, e_norm: np.ndarray, de_norm: np.ndarray) -> np.ndarray:
         """`output` of each pair (e_norm[i], de_norm[i]), bit for bit.
 
         Both inputs are fuzzified to (7, n) degrees after fuzzify's clamp,
         the rules fire as (49, n) min-AND strengths, and each output label's
-        clip is its largest strength. Every column's shapes, in the order
-        their first cells fire, go through one `_coa_columns` call: an
-        infinite input clamps as fuzzify clamps it, and a NaN input clips no
-        shape and gives +0.0. Both inputs must be 1-D and of equal length.
+        clip is its largest strength. Every column's shapes, in label order,
+        go through one `_coa_columns` call: an infinite input clamps as
+        fuzzify clamps it, and a NaN input clips no shape and gives +0.0.
+        Both inputs must be 1-D and of equal length.
         """
         e_norm = np.asarray(e_norm, dtype=float)
         de_norm = np.asarray(de_norm, dtype=float)
@@ -162,26 +162,19 @@ class RuleBase:
         n = len(e_norm)
         if len(de_norm) != n:
             raise ValueError(f"e_norm and de_norm: expected equal lengths, got {n} and {len(de_norm)}")
-        cell_labels, order, starts, used = self._cells
+        order, starts, used = self._cells
         x = np.minimum(np.maximum(np.concatenate((e_norm, de_norm)), -1.0), 1.0)
         mu = np.maximum(1.0 - np.abs(x - _CENTER_ROW[:, None]) / HALF_WIDTH, 0.0)
         strength = np.minimum(mu[:, None, :n], mu[None, :, n:]).reshape(49, n)
         clip = np.zeros((_N_LABELS, n))
         clip[used] = np.maximum.reduceat(strength.take(order, axis=0), starts, axis=0)
         clipped = clip > 0.0
-        count = clipped.sum(axis=0)
-        k = count.max(initial=1)
-        fired = strength > 0.0
-        if k <= 2:
-            # The first fired cell names the first shape, and the sum of the
-            # clipped label indices the second; a lone shape is the first.
-            first = cell_labels[fired.argmax(axis=0)]
-            labels = np.array((first, _LABEL_INDEX @ clipped - first * (count - 1)))[:k]
-        else:
-            # A NaN column fires no cell: label 0 at height NaN gives +0.0.
-            rows = [list(dict.fromkeys(cell_labels[cells].tolist())) or [0] for cells in fired.T]
-            labels = np.array([row + row[:1] * (k - len(row)) for row in rows]).T
-        return _coa_columns(labels, clip[labels, np.arange(n)])
+        # Each column's clipped labels ascending, then its first again; a NaN
+        # column clips none and takes label 0 at height NaN or 0: +0.0.
+        cols = np.arange(n)
+        labels = np.argsort(~clipped, axis=0, kind="stable")[: clipped.sum(axis=0).max(initial=1)]
+        labels = np.where(clipped[labels, cols], labels, labels[0])
+        return _coa_columns(labels, clip[labels, cols])
 
 
 class RuleFiring(NamedTuple):
@@ -251,16 +244,18 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
     positive. A shape that is 0 on a segment has the line y = 0, which
     crosses another line at its root.
 
-    An aggregate of one or two shapes takes `_two_shape_centroid`, a lone
-    shape as the pair of itself with itself. Three or more shapes take the
-    column integrator `_coa_columns` as one column.
+    The shapes are taken in label order, so the centroid depends only on
+    the clips, not on the order they were inserted. An aggregate of one or
+    two shapes takes `_two_shape_centroid`, a lone shape as the pair of
+    itself with itself. Three or more shapes take the column integrator
+    `_coa_columns` as one column.
     """
     clips = agg.clips
     if not clips:
         return 0.0
     if len(clips) > 2:
-        labels = np.array([[label + 3] for label in clips])
-        return float(_coa_columns(labels, np.array([[h] for h in clips.values()]))[0])
+        labels, heights = zip(*sorted(clips.items()))
+        return float(_coa_columns(np.array(labels)[:, None] + 3, np.array(heights)[:, None])[0])
     lo, hi = CENTERS[0], CENTERS[-1]
     w = HALF_WIDTH
 
@@ -274,7 +269,10 @@ def defuzzify_coa(agg: AggregatedOutput) -> float:
     xs = sorted(breakpoints)
     if xs[0] != lo or xs[-1] != hi:  # the outer kinks of NL and PL
         xs = xs[xs.index(lo) : xs.index(hi) + 1]
-    return _two_shape_centroid(xs, *shapes[0], *shapes[-1])
+    (c1, h1), (c2, h2) = shapes[0], shapes[-1]
+    if c2 < c1:
+        c1, h1, c2, h2 = c2, h2, c1, h1
+    return _two_shape_centroid(xs, c1, h1, c2, h2)
 
 
 def _two_shape_centroid(xs: List[float], c1: float, h1: float, c2: float, h2: float) -> float:
@@ -319,7 +317,6 @@ def _two_shape_centroid(xs: List[float], c1: float, h1: float, c2: float, h2: fl
 
 
 _CENTER_ROW = np.array(CENTERS)
-_LABEL_INDEX = np.arange(_N_LABELS)
 # The universe's ends, two breakpoints of every aggregate.
 _ENDS = np.array([[CENTERS[0]], [CENTERS[-1]]])
 
@@ -329,7 +326,7 @@ def _coa_columns(labels: np.ndarray, clips: np.ndarray) -> np.ndarray:
     """defuzzify_coa of n aggregates of at most k shapes, bit for bit.
 
     `labels` holds the label indices (0..6) of each aggregate's shapes and
-    `clips` their heights, as (k, n) arrays in the order the shapes fired.
+    `clips` their heights, as (k, n) arrays in label order.
     A column of fewer shapes repeats its first: the copy's kinks and cuts
     only add empty pieces, and its line never strictly wins the max. The
     heights are >= 0, or NaN after a NaN input, which adds nothing: +0.0.

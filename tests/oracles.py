@@ -64,18 +64,18 @@ def segment_crossing_coa(clips: dict) -> float:
     """The segment-and-crossing centroid integrator that the engine's
     bit-exact digests were recorded from, kept as the reference for them.
 
-    `clips` maps label index (0..6) to clip height, in the order the engine
-    would see the labels. Every clipped shape keeps its line on every
-    segment with a nonzero shape, crossings of every pair of lines are cut
-    1e-15 inside the segment, and each piece integrates the first line of
-    maximal value at its midpoint.
+    `clips` maps label index (0..6) to clip height, read in label order
+    whatever the mapping's order. Every clipped shape keeps its line on
+    every segment with a nonzero shape, crossings of every pair of lines are
+    cut 1e-15 inside the segment, and each piece integrates the first line
+    of maximal value at its midpoint.
     """
     centers = [float(c) for c in CENTERS]
     lo, hi = centers[0], centers[-1]
     w = HALF_WIDTH
     shapes = []
     breakpoints = {lo, hi}
-    for index, clip in clips.items():
+    for index, clip in sorted(clips.items()):
         c = centers[index]
         flat = w * (1.0 - clip)
         if index == 0:

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -300,6 +301,9 @@ class TestRunCommand:
         [
             ("=5", "--set expects key=value, got '=5'"),
             (" =5", "--set expects key=value, got ' =5'"),
+            (".arm=1", "--set expects key=value, got '.arm=1'"),
+            ("arm.=1", "--set expects key=value, got 'arm.=1'"),
+            ("arm..l1=1", "--set expects key=value, got 'arm..l1=1'"),
             ("tuner.grid.kp=5", "tuner.grid.kp: expected a list, got int"),
         ],
     )
@@ -424,6 +428,18 @@ class TestTraceCsv:
 
 
 class TestCompareCommand:
+    @pytest.mark.parametrize("preset,deselect", [("exp2", ["selection.z=false"]), ("exp1", ["selection.x=false", "selection.z=false"])])
+    def test_no_force_controlled_axis_exits_2(self, preset, deselect, tmp_path, capsys):
+        # With no axis selected neither law acts; `tune` rejects its
+        # deselected axis alike.
+        out = tmp_path / "results"
+        sets = [arg for item in deselect for arg in ("--set", item)]
+        assert run_cli("compare", "--preset", preset, *sets, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: selection: no axis is force controlled")
+        assert "selection.x" in err and "selection.z" in err
+        assert not out.exists()
+
     def test_report_for_exp2(self, tmp_path):
         code = run_cli("compare", "--preset", "exp2", "--out", str(tmp_path))
         assert code == 0
@@ -521,6 +537,56 @@ class TestTuneCommand:
         "--set", "tuner.grid.kp=[0.0001]",
         "--set", "tuner.grid.ki=[2.0e-5, 5.0e-5]",
     )
+
+    def test_committed_winners_note_their_grid_edges(self, tmp_path, capsys):
+        # 12 of the 15 winning gains of the committed grids are the largest
+        # value of their list; each gets one stderr note.
+        notes = []
+        for config in sorted((ROOT / "tuning").glob("*_best.yaml")):
+            code = run_cli("tune", "--config", str(config), "--seed", "2211", "--out", str(tmp_path / config.stem))
+            assert code == 0
+            out, err = capsys.readouterr()
+            assert "note:" not in out
+            notes += err.splitlines()
+        assert len(notes) == 12
+        assert all(
+            re.fullmatch(
+                r"note: best (kp|ki|kx) = \S+ is the largest value of tuner\.grid\.\1; the optimum may lie beyond the grid",
+                note,
+            )
+            for note in notes
+        ), notes
+        assert "note: best kp = 0.1 is the largest value of tuner.grid.kp; the optimum may lie beyond the grid" in notes
+
+    @pytest.mark.parametrize(
+        "kp,best",
+        [("[0.0001, 0.0005, 0.002]", "{'kp': 0.0005, 'ki': 0.0004}"), ("[0.0, 0.05]", "{'kp': 0.0, 'ki': 0.0004}")],
+        ids=["interior", "zero"],
+    )
+    def test_interior_or_zero_winner_gets_no_note(self, kp, best, tmp_path, capsys):
+        # No gain lies below 0, so a winning 0.0 is no grid edge to search past.
+        code = run_cli(
+            "tune", "--preset", "exp2", "--controller", "pi",
+            "--set", f"tuner.grid.kp={kp}",
+            "--set", "tuner.grid.ki=[1.0e-4, 4.0e-4, 1.6e-3]",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert f"best gains: {best}" in out
+        assert err == ""
+
+    def test_smallest_winner_is_noted(self, tmp_path, capsys):
+        code = run_cli(
+            "tune", "--preset", "exp2", "--controller", "pi",
+            "--set", "tuner.grid.kp=[0.0005]",
+            "--set", "tuner.grid.ki=[4.0e-4, 1.6e-3]",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "note: best ki = 0.0004 is the smallest value of tuner.grid.ki; the optimum may lie beyond the grid\n"
+        )
 
     def test_single_point_leaderboard(self, tmp_path):
         code = run_cli(

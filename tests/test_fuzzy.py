@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import re
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forcemotion import fuzzy
 from forcemotion.fuzzy import (
     CENTERS,
     HALF_WIDTH,
@@ -438,8 +440,10 @@ class TestBitExactness:
         heights += [2.0**-1074 * k for k in (2, 3, 1000)] + [2.0**-1022, np.nextafter(2.0**-1022, 0.0)]
         heights += (10.0 ** rng.uniform(-323.0, 0.0, 60)).tolist()
         sets = self._two_shape_sets() + [(i, i, h, h) for i in range(7) for h in heights]
-        labels = np.array([(i, j) for i, j, _, _ in sets]).T
-        clips = np.array([(h1, h2) for _, _, h1, h2 in sets]).T
+        # In label order, as defuzzify_coa takes them.
+        pairs = [sorted([(i, h1), (j, h2)]) for i, j, h1, h2 in sets]
+        labels = np.array([(i, j) for (i, _), (j, _) in pairs]).T
+        clips = np.array([(h1, h2) for (_, h1), (_, h2) in pairs]).T
         want = [
             defuzzify_coa(AggregatedOutput({Label(i - 3): h1, Label(j - 3): h2}))
             for i, j, h1, h2 in sets
@@ -449,12 +453,12 @@ class TestBitExactness:
             padded = (np.concatenate((a, a[:1].repeat(k - 2, axis=0))) for a in (labels, clips))
             got = _coa_columns(*padded)
             assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
-        # Columns of three to seven shapes in firing order, with edge,
+        # Columns of three to seven shapes in label order, with edge,
         # spread and near-tied heights, as they are and padded to seven
         # shapes with copies of their first, against the reference.
         edge = [float(h) for h in self.EDGE_HEIGHTS]
         for k in range(3, 8):
-            shapes = [rng.choice(7, size=k, replace=False).tolist() for _ in range(400)]
+            shapes = [sorted(rng.choice(7, size=k, replace=False).tolist()) for _ in range(400)]
             spread = 10.0 ** rng.uniform(-323.0, 0.0, (k, 400))
             tops = rng.uniform(0.0, 1.0, 400)
             near = np.where(rng.random((k, 400)) < 0.5, tops, np.nextafter(tops, 1.0))
@@ -504,6 +508,52 @@ class TestBitExactness:
         de = np.concatenate((rng.uniform(-1.2, 1.2, 1500), rng.normal(0.0, 0.05, 500)))
         want = [engine.output(float(a), float(b)) for a, b in zip(e, de)]
         assert np.array_equal(engine.outputs(e, de).view(np.uint64), np.array(want).view(np.uint64))
+
+    def test_centroid_does_not_depend_on_insertion_order(self):
+        # Equal and ulp-apart heights, where which of two near-tied lines a
+        # piece takes first shows in the last bit, in every insertion order.
+        sets = [
+            [(Label.NL, 0.01667683827057098), (Label.NM, 0.016676838270570985)],
+            [(Label.NS, 0.2856702890169978), (Label.ZR, 0.28567028901699776)],
+            [(Label.PM, 0.34701816716933565), (Label.PL, 0.34701816716933565)],
+        ]
+        rng = np.random.default_rng(17)
+        for k in (3, 4, 5):
+            for _ in range(40):
+                top = rng.uniform(0.0, 1.0)
+                heights = np.where(rng.random(k) < 0.5, top, np.nextafter(top, 1.0))
+                sets.append([(Label(int(i) - 3), float(h)) for i, h in zip(rng.choice(7, k, replace=False), heights)])
+        for shapes in sets:
+            want = oracles.segment_crossing_coa({label + 3: h for label, h in shapes})
+            values = {defuzzify_coa(AggregatedOutput(dict(order))).hex() for order in itertools.permutations(shapes)}
+            assert values == {want.hex()}, shapes
+
+    def test_column_output_takes_shapes_in_label_order(self, monkeypatch):
+        # A random table fires its output labels out of label order. One
+        # batch mixes lone shapes (both inputs at label centres), pairs (one
+        # input at a centre) and three or four shapes (both inputs the same
+        # distance past a centre, so that strengths tie). Each column is the
+        # centroid of its clips in label order, from `output` and from one
+        # `_coa_columns` call alike, bit for bit.
+        rng = np.random.default_rng(11)
+        engine = RuleBase({(e, de): Label(int(rng.integers(0, 7)) - 3) for e in Label for de in Label})
+        centre = np.array(CENTERS)
+        past = rng.uniform(0.0, HALF_WIDTH, 2000)
+        e = np.concatenate((centre, centre[rng.integers(0, 7, 200)], centre[rng.integers(0, 6, 2000)] + past))
+        de = np.concatenate((centre[::-1], rng.uniform(-1.0, 1.0, 200), centre[rng.integers(0, 6, 2000)] + past))
+        aggs = [infer(fuzzify(a), fuzzify(b), engine) for a, b in zip(e.tolist(), de.tolist())]
+        assert {min(len(agg.clips), 3) for agg in aggs} == {1, 2, 3}
+        assert any(list(agg.clips) != sorted(agg.clips) for agg in aggs)
+        want = np.array([oracles.segment_crossing_coa({l + 3: h for l, h in agg.clips.items()}) for agg in aggs])
+        scalar = np.array([engine.output(a, b) for a, b in zip(e.tolist(), de.tolist())])
+        assert np.array_equal(scalar.view(np.uint64), want.view(np.uint64))
+        calls = []
+        coa_columns = fuzzy._coa_columns
+        monkeypatch.setattr(
+            fuzzy, "_coa_columns", lambda labels, clips: calls.append(labels.shape) or coa_columns(labels, clips)
+        )
+        assert np.array_equal(engine.outputs(e, de).view(np.uint64), want.view(np.uint64))
+        assert calls == [(4, len(e))]
 
     def test_float_power_cubes_as_python_does(self):
         # _coa_columns takes its cubes with np.float_power: it must round
